@@ -14,13 +14,22 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .eigen import cluster_with_labels, default_cluster_tol, hermitian_eigen, normal_spectral_decomposition
+from .eigen import (
+    DEFAULT_CLUSTER_REL,
+    NoConvergence,
+    SpectralDecomposition,
+    cluster_with_labels,
+    hermitian_eigen,
+    normal_spectral_decomposition,
+)
 from .matrix_core import (
     NotInSubalgebra,
+    PredicateFailure,
     StarSubalgebra,
     adjoint,
     as_matrix,
     fro_norm,
+    nonneg_report,
     predicate_for_ring,
     zeros,
 )
@@ -47,7 +56,8 @@ class ScalarFunction:
 class CfcOutcome:
     value: np.ndarray
     junk: bool
-    reason: Optional[str] = None  # predicate_failed | eval_failed | zero_condition_failed
+    # predicate_failed | eval_failed | zero_condition_failed | decomposition_failed
+    reason: Optional[str] = None
 
 
 class _EvalFailed(Exception):
@@ -58,10 +68,24 @@ def _junk(n: int, reason: str) -> CfcOutcome:
     return CfcOutcome(value=zeros(n), junk=True, reason=reason)
 
 
-def _decompose(a, ring, tol, cluster_tol):
+def ring_decomposition(
+    a, ring: ScalarRing, tol: float = DEFAULT_TOL, cluster_tol: float | None = None
+) -> SpectralDecomposition:
+    """Spectral decomposition of a for the calculus over `ring`, checking the
+    ring's predicate exactly once on the way: the normal decomposition over
+    C, the Hermitian one over R, whose least eigenvalue decides R>=0.
+
+    Raises PredicateFailure when the predicate fails and NoConvergence when
+    the eigensolver does.
+    """
     if ring is ScalarRing.COMPLEX:
         return normal_spectral_decomposition(a, tol, cluster_tol)
-    return hermitian_eigen(a, tol)
+    dec = hermitian_eigen(a, tol)
+    if ring is ScalarRing.NNREAL:
+        report = nonneg_report(dec.report, float(dec.lam[0]), fro_norm(dec.a))
+        if not report.holds:
+            raise PredicateFailure(report)
+    return dec
 
 
 def _eval_at(f: ScalarFunction, x, tol: float):
@@ -100,7 +124,30 @@ def _spectral_values(f, dec, ring, tol, cluster_tol, scale, zero_to_zero=False):
             continue
         x = restrict_scalar(rep, ring, rtol)
         fvals.append(_eval_at(f, x, tol))
-    return np.array([fvals[labels[i]] for i in range(len(dec.lam))])
+    return np.array(fvals, dtype=np.complex128)[labels]
+
+
+def _apply(f, a, ring, tol, cluster_tol, zero_to_zero=False) -> CfcOutcome:
+    """u diag(f(lam)) u* from one decomposition, or junk with its reason."""
+    n = a.shape[0]
+    scale = fro_norm(a)
+    if cluster_tol is None:
+        cluster_tol = DEFAULT_CLUSTER_REL * scale
+    try:
+        dec = ring_decomposition(a, ring, tol, cluster_tol)
+        fvals = _spectral_values(f, dec, ring, tol, cluster_tol, scale, zero_to_zero)
+    except (PredicateFailure, RestrictionFailure):
+        return _junk(n, "predicate_failed")
+    except NoConvergence:
+        return _junk(n, "decomposition_failed")
+    except _EvalFailed:
+        return _junk(n, "eval_failed")
+    u = dec.u
+    if np.isrealobj(u) and not fvals.imag.any():
+        value = ((u * fvals.real) @ u.T).astype(np.complex128)
+    else:
+        value = (u * fvals) @ adjoint(u)
+    return CfcOutcome(value=value, junk=False)
 
 
 def cfc(
@@ -109,24 +156,11 @@ def cfc(
 ) -> CfcOutcome:
     """Apply f to a through the spectral decomposition: u diag(f(lam)) u*.
 
-    Total: if the ring predicate fails, or f fails to evaluate at some
-    spectral point, the outcome is the zero matrix flagged as junk.
+    Total: if the ring predicate fails, the eigensolver fails, or f fails to
+    evaluate at some spectral point, the outcome is the zero matrix flagged
+    as junk.
     """
-    a = as_matrix(a)
-    n = a.shape[0]
-    if not predicate_for_ring(a, ring, tol).holds:
-        return _junk(n, "predicate_failed")
-    if cluster_tol is None:
-        cluster_tol = default_cluster_tol(a)
-    dec = _decompose(a, ring, tol, cluster_tol)
-    try:
-        fvals = _spectral_values(f, dec, ring, tol, cluster_tol, fro_norm(a))
-    except RestrictionFailure:
-        return _junk(n, "predicate_failed")
-    except _EvalFailed:
-        return _junk(n, "eval_failed")
-    value = (dec.u * fvals) @ adjoint(dec.u)
-    return CfcOutcome(value=value, junk=False)
+    return _apply(f, as_matrix(a), ring, tol, cluster_tol)
 
 
 def cfc_n(
@@ -135,45 +169,34 @@ def cfc_n(
     cluster_tol: float | None = None,
 ) -> CfcOutcome:
     """Non-unital calculus: additionally requires f(0) = 0 (within tol),
-    since 0 always belongs to the quasispectrum.
+    since 0 always belongs to the quasispectrum.  A failed ring predicate
+    takes precedence over a failed f(0) condition.
 
     When a subalgebra B is supplied, membership of a is a precondition and
     membership of the result is asserted (range containment).
     """
     a = as_matrix(a)
-    n = a.shape[0]
     if B is not None:
         inside, residual = B.contains(a, max(tol, 1e-8))
         if not inside:
             raise NotInSubalgebra(f"element not in subalgebra (residual {residual:.3e})")
-    if not predicate_for_ring(a, ring, tol).holds:
-        return _junk(n, "predicate_failed")
-    zero = 0.0 if ring is not ScalarRing.COMPLEX else 0.0 + 0.0j
     try:
-        f0 = _eval_at(f, zero, tol)
+        f0 = _eval_at(f, 0.0 if ring is not ScalarRing.COMPLEX else 0.0 + 0.0j, tol)
+        reason = "zero_condition_failed" if abs(f0) > tol else None
     except _EvalFailed:
-        return _junk(n, "eval_failed")
-    if abs(f0) > tol:
-        return _junk(n, "zero_condition_failed")
-    if cluster_tol is None:
-        cluster_tol = default_cluster_tol(a)
-    dec = _decompose(a, ring, tol, cluster_tol)
-    try:
-        fvals = _spectral_values(
-            f, dec, ring, tol, cluster_tol, fro_norm(a), zero_to_zero=True
-        )
-    except RestrictionFailure:
-        return _junk(n, "predicate_failed")
-    except _EvalFailed:
-        return _junk(n, "eval_failed")
-    value = (dec.u * fvals) @ adjoint(dec.u)
-    if B is not None:
-        inside, residual = B.contains(value, max(tol, 1e-8))
+        reason = "eval_failed"
+    if reason is not None:
+        if not predicate_for_ring(a, ring, tol).holds:
+            reason = "predicate_failed"
+        return _junk(a.shape[0], reason)
+    out = _apply(f, a, ring, tol, cluster_tol, zero_to_zero=True)
+    if B is not None and not out.junk:
+        inside, residual = B.contains(out.value, max(tol, 1e-8))
         if not inside:
             raise NotInSubalgebra(
                 f"calculus value escaped the subalgebra (residual {residual:.3e})"
             )
-    return CfcOutcome(value=value, junk=False)
+    return out
 
 
 def pos_part(a, tol: float = DEFAULT_TOL) -> CfcOutcome:

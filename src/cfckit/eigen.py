@@ -5,13 +5,16 @@ and eigenvalue clustering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .matrix_core import (
     EPS_FLOOR,
     NotNormal,
+    NotSelfadjoint,
+    PredicateReport,
     adjoint,
     as_matrix,
     fro_norm,
@@ -24,24 +27,27 @@ from .scalars import DEFAULT_TOL
 DEFAULT_CLUSTER_REL = 1e-8
 
 
-class NotSelfadjoint(ValueError):
-    pass
-
-
 class NoConvergence(RuntimeError):
     pass
 
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """a = u . diag(lam) . u*  with u unitary."""
+    """a = u . diag(lam) . u*  with u unitary (real orthogonal when a is real
+    symmetric), together with the predicate report checked on the way."""
 
     u: np.ndarray
     lam: np.ndarray
-    residual: float
+    a: np.ndarray = field(repr=False)
+    report: PredicateReport
 
     def reconstruct(self) -> np.ndarray:
         return (self.u * self.lam) @ adjoint(self.u)
+
+    @cached_property
+    def residual(self) -> float:
+        """||a - u diag(lam) u*|| / ||a||, computed on first access."""
+        return fro_norm(self.a - self.reconstruct()) / max(fro_norm(self.a), EPS_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -60,7 +66,10 @@ def default_cluster_tol(a) -> float:
 
 
 def _eigh(h):
+    """np.linalg.eigh, in real arithmetic when h has no imaginary part."""
     try:
+        if not h.imag.any():
+            return np.linalg.eigh(h.real)
         return np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
@@ -69,21 +78,14 @@ def _eigh(h):
 def hermitian_eigen(h, tol: float = DEFAULT_TOL) -> SpectralDecomposition:
     """Eigendecomposition of a selfadjoint matrix; eigenvalues real, ascending.
 
-    Real symmetric input stays in real arithmetic so downstream values keep
-    exactly zero imaginary parts.
+    Real symmetric input stays in real arithmetic: u comes back real.
     """
     h = as_matrix(h)
     report = is_selfadjoint(h, tol)
     if not report.holds:
-        raise NotSelfadjoint(f"matrix is not selfadjoint (residual {report.residual:.3e})")
-    hh = (h + adjoint(h)) / 2
-    if np.all(hh.imag == 0.0):
-        w, u = _eigh(hh.real)
-        u = u.astype(np.complex128)
-    else:
-        w, u = _eigh(hh)
-    residual = fro_norm(h - (u * w) @ adjoint(u)) / max(fro_norm(h), EPS_FLOOR)
-    return SpectralDecomposition(u=u, lam=np.asarray(w, dtype=np.float64), residual=residual)
+        raise NotSelfadjoint(report)
+    w, u = _eigh((h + adjoint(h)) / 2)
+    return SpectralDecomposition(u=u, lam=w, a=h, report=report)
 
 
 def _contiguous_clusters(sorted_reals, cluster_tol):
@@ -109,36 +111,28 @@ def normal_spectral_decomposition(
     a = as_matrix(a)
     report = is_star_normal(a, tol)
     if not report.holds:
-        raise NotNormal(f"matrix is not normal (residual {report.residual:.3e})")
+        raise NotNormal(report)
     n = a.shape[0]
     if n == 1:
         return SpectralDecomposition(
-            u=np.eye(1, dtype=np.complex128), lam=np.array([a[0, 0]]), residual=0.0
+            u=np.eye(1, dtype=np.complex128), lam=a[0].copy(), a=a, report=report
         )
     if cluster_tol is None:
         cluster_tol = default_cluster_tol(a)
-    h = (a + adjoint(a)) / 2
-    k = (a - adjoint(a)) / 2j
-    k = (k + adjoint(k)) / 2
-    if np.all(h.imag == 0.0):
-        wh, u = _eigh(h.real)
-        u = u.astype(np.complex128)
-    else:
-        wh, u = _eigh(h)
+    ah = adjoint(a)
+    k = (a - ah) / 2j
+    wh, u = _eigh((a + ah) / 2)
+    u = u.astype(np.complex128, copy=False)
     for idx in _contiguous_clusters(wh, cluster_tol):
         if len(idx) == 1:
             continue
         cols = u[:, idx]
         kc = adjoint(cols) @ k @ cols
-        kc = (kc + adjoint(kc)) / 2
-        _, v = _eigh(kc)
+        _, v = _eigh((kc + adjoint(kc)) / 2)
         u[:, idx] = cols @ v
-    lam = np.diag(adjoint(u) @ a @ u).copy()
+    lam = np.sum(np.conj(u) * (a @ u), axis=0)
     order = np.lexsort((lam.imag, lam.real))
-    u = u[:, order]
-    lam = lam[order]
-    residual = fro_norm(a - (u * lam) @ adjoint(u)) / max(fro_norm(a), EPS_FLOOR)
-    return SpectralDecomposition(u=u, lam=lam, residual=residual)
+    return SpectralDecomposition(u=u[:, order], lam=lam[order], a=a, report=report)
 
 
 def cluster_eigenvalues(lam, cluster_tol: float) -> ClusteredSpectrum:
@@ -151,12 +145,17 @@ def cluster_with_labels(lam, cluster_tol: float):
 
     Returns the clustered spectrum (representatives = cluster means, sorted
     by (re, im)) together with a label array mapping each input eigenvalue
-    to its cluster.
+    to its cluster.  Sort-and-sweep: in real-part order, each eigenvalue is
+    compared only with those whose real part lies within cluster_tol, which
+    loses no pair since |re(x - y)| <= |x - y|.
     """
     if cluster_tol < 0:
         raise ValueError("cluster_tol must be nonnegative")
     lam = np.asarray(lam, dtype=np.complex128)
-    m = len(lam)
+    zs = lam.tolist()
+    m = len(zs)
+    by_re = np.argsort(lam.real, kind="stable").tolist()
+    re = [zs[i].real for i in by_re]
     parent = list(range(m))
 
     def find(i):
@@ -165,32 +164,29 @@ def cluster_with_labels(lam, cluster_tol: float):
             i = parent[i]
         return i
 
-    for i in range(m):
-        for j in range(i + 1, m):
-            if abs(lam[i] - lam[j]) <= cluster_tol:
-                parent[find(i)] = find(j)
+    for p in range(m):
+        i = by_re[p]
+        zi, ri = zs[i], find(i)
+        for q in range(p + 1, m):
+            if re[q] - re[p] > cluster_tol:
+                break
+            j = by_re[q]
+            if abs(zi - zs[j]) <= cluster_tol:
+                parent[find(j)] = ri
 
     roots = {}
-    labels = np.empty(m, dtype=np.intp)
-    for i in range(m):
-        r = find(i)
-        if r not in roots:
-            roots[r] = len(roots)
-        labels[i] = roots[r]
+    labels = np.array([roots.setdefault(find(i), len(roots)) for i in range(m)], dtype=np.intp)
     k = len(roots)
     points = np.zeros(k, dtype=np.complex128)
-    mults = np.zeros(k, dtype=np.intp)
-    for i in range(m):
-        points[labels[i]] += lam[i]
-        mults[labels[i]] += 1
+    np.add.at(points, labels, lam)
+    mults = np.bincount(labels, minlength=k)
     points /= mults
     order = np.lexsort((points.imag, points.real))
     remap = np.empty(k, dtype=np.intp)
     remap[order] = np.arange(k)
-    labels = remap[labels]
     spec = ClusteredSpectrum(
         points=tuple(complex(z) for z in points[order]),
         multiplicities=tuple(int(c) for c in mults[order]),
         cluster_tol=float(cluster_tol),
     )
-    return spec, labels
+    return spec, remap[labels]

@@ -4,6 +4,7 @@ predicates (normal / selfadjoint / nonnegative) and star-subalgebra machinery.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,22 @@ class DimensionMismatch(ValueError):
     pass
 
 
-class NotNormal(ValueError):
+class PredicateFailure(ValueError):
+    """An element predicate does not hold for the input."""
+
+    def __init__(self, report):
+        self.report = report
+        super().__init__(
+            f"predicate '{report.predicate}' fails (residual {report.residual:.3e}, "
+            f"tol {report.tol_used:.3e})"
+        )
+
+
+class NotNormal(PredicateFailure):
+    pass
+
+
+class NotSelfadjoint(PredicateFailure):
     pass
 
 
@@ -33,7 +49,7 @@ def as_matrix(a) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] < 1:
         raise ValueError("matrix dimension must be at least 1")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -57,7 +73,17 @@ def frobenius_inner(x, y) -> complex:
 
 
 def fro_norm(a) -> float:
-    return float(np.linalg.norm(a))
+    """Frobenius norm, recomputed on a / max|a_ij| when the plain sum of
+    squares overflows or underflows."""
+    a = np.asarray(a)
+    nrm = math.sqrt(np.vdot(a, a).real)
+    if 1e-150 <= nrm < math.inf:
+        return nrm
+    peak = float(np.max(np.abs(a), initial=0.0))
+    if peak == 0.0 or not math.isfinite(peak):
+        return nrm
+    b = a / peak
+    return peak * math.sqrt(np.vdot(b, b).real)
 
 
 def operator_norm(a) -> float:
@@ -78,10 +104,15 @@ class PredicateReport:
 
 
 def is_star_normal(a, tol: float = DEFAULT_TOL) -> PredicateReport:
-    """Does a commute with its adjoint?  Residual relative to ||a||^2."""
+    """Does a commute with its adjoint?  Residual relative to ||a||^2,
+    taken of a / max|a_ij| when the products would overflow or underflow."""
     a = as_matrix(a)
+    scale = fro_norm(a)
+    if scale > 0.0 and not 1e-100 <= scale <= 1e100:  # products may leave the float range
+        a = a / np.max(np.abs(a))
+        scale = fro_norm(a)
     ah = adjoint(a)
-    residual = fro_norm(ah @ a - a @ ah) / max(fro_norm(a) ** 2, EPS_FLOOR)
+    residual = fro_norm(ah @ a - a @ ah) / max(scale ** 2, EPS_FLOOR)
     return PredicateReport("normal", residual <= tol, residual, tol)
 
 
@@ -91,18 +122,19 @@ def is_selfadjoint(a, tol: float = DEFAULT_TOL) -> PredicateReport:
     return PredicateReport("selfadjoint", residual <= tol, residual, tol)
 
 
+def nonneg_report(sa: PredicateReport, lam_min: float, scale: float) -> PredicateReport:
+    """The nonneg rule, from the selfadjoint report of a, the least
+    eigenvalue of its Hermitian part and ||a||_F."""
+    residual = max(sa.residual, max(-lam_min, 0.0) / max(scale, EPS_FLOOR))
+    return PredicateReport("nonneg", residual <= sa.tol_used, residual, sa.tol_used)
+
+
 def is_nonneg(a, tol: float = DEFAULT_TOL) -> PredicateReport:
     """Selfadjoint with spectrum in [0, inf); equivalent to a = b* b in M_n."""
     a = as_matrix(a)
     sa = is_selfadjoint(a, tol)
-    scale = max(fro_norm(a), EPS_FLOOR)
-    if not sa.holds:
-        return PredicateReport("nonneg", False, sa.residual, tol)
-    h = (a + adjoint(a)) / 2
-    w = np.linalg.eigvalsh(h)
-    neg = max(-float(w[0]), 0.0) / scale
-    residual = max(sa.residual, neg)
-    return PredicateReport("nonneg", residual <= tol, residual, tol)
+    lam_min = np.linalg.eigvalsh((a + adjoint(a)) / 2)[0] if sa.holds else 0.0
+    return nonneg_report(sa, float(lam_min), fro_norm(a))
 
 
 def predicate_for_ring(a, ring: ScalarRing, tol: float = DEFAULT_TOL) -> PredicateReport:
@@ -178,7 +210,7 @@ def elemental_subalgebra(a, unital: bool = True, tol: float = DEFAULT_TOL) -> St
     a = as_matrix(a)
     report = is_star_normal(a, tol)
     if not report.holds:
-        raise NotNormal(f"element is not normal (residual {report.residual:.3e})")
+        raise NotNormal(report)
     n = a.shape[0]
     ah = adjoint(a)
     rank_tol = max(tol, 1e-12)

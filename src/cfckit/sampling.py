@@ -69,14 +69,6 @@ def random_normal_matrix(rng: np.random.Generator, n: int,
     return a
 
 
-def random_selfadjoint(rng: np.random.Generator, n: int) -> np.ndarray:
-    return random_normal_matrix(rng, n, ScalarRing.REAL)
-
-
-def random_nonneg(rng: np.random.Generator, n: int) -> np.ndarray:
-    return random_normal_matrix(rng, n, ScalarRing.NNREAL)
-
-
 def random_poly_function(rng: np.random.Generator, ring: ScalarRing,
                          degree: int = 3) -> ScalarFunction:
     """Random polynomial respecting the ring discipline (real coefficients on

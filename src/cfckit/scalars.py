@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 import os
-from dataclasses import dataclass
 
 DEFAULT_TOL = 1e-9
 
@@ -50,13 +49,6 @@ class RestrictionFailure(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class RestrictionCheck:
-    ok: bool
-    restricted_values: tuple
-    max_residual: float
-
-
 def embed(x, target: ScalarRing):
     """Canonical inclusion of a (nonnegative) real scalar into `target`.
 
@@ -87,26 +79,6 @@ def restrict_scalar(z, target: ScalarRing, tol: float = DEFAULT_TOL):
     if target is ScalarRing.NNREAL:
         return max(z.real, 0.0)
     return z.real
-
-
-def restrict_all(values, target: ScalarRing, tol: float = DEFAULT_TOL) -> RestrictionCheck:
-    """Non-raising batch restriction; reports the worst residual seen."""
-    restricted = []
-    worst = 0.0
-    ok = True
-    for z in values:
-        try:
-            restricted.append(restrict_scalar(z, target, tol))
-        except RestrictionFailure as exc:
-            worst = max(worst, exc.residual)
-            ok = False
-            continue
-        z = complex(z)
-        residual = abs(z.imag)
-        if target is ScalarRing.NNREAL and z.real < 0:
-            residual = max(residual, -z.real)
-        worst = max(worst, residual)
-    return RestrictionCheck(ok=ok, restricted_values=tuple(restricted), max_residual=worst)
 
 
 def truncated_sub(x: float, y: float) -> float:

@@ -9,28 +9,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import cluster_eigenvalues, default_cluster_tol, normal_spectral_decomposition
+from .cfc import ring_decomposition
+from .eigen import cluster_eigenvalues, default_cluster_tol
 from .matrix_core import (
     NotInSubalgebra,
+    PredicateFailure,  # re-exported: the spectra raise it
     StarSubalgebra,
     as_matrix,
     fro_norm,
     identity,
-    predicate_for_ring,
 )
 from .scalars import DEFAULT_TOL, ScalarRing, restrict_scalar
 from .unitization import UnitizationElement, uni_represent
-
-
-class PredicateFailure(ValueError):
-    """The ring's element predicate does not hold for the input."""
-
-    def __init__(self, report):
-        self.report = report
-        super().__init__(
-            f"predicate '{report.predicate}' fails (residual {report.residual:.3e}, "
-            f"tol {report.tol_used:.3e})"
-        )
 
 
 @dataclass(frozen=True)
@@ -47,13 +37,6 @@ class QuasiregularWitness:
     residual: float
 
 
-def require_predicate(a, ring: ScalarRing, tol: float):
-    report = predicate_for_ring(a, ring, tol)
-    if not report.holds:
-        raise PredicateFailure(report)
-    return report
-
-
 def _restrict_points(spec, ring: ScalarRing, tol: float, scale: float, source: str):
     rtol = tol * max(1.0, scale)
     points = tuple(restrict_scalar(z, ring, rtol) for z in spec.points)
@@ -68,14 +51,14 @@ def spectrum(
 ) -> SpectrumResult:
     """Clustered eigenvalues of a, restricted to the scalar ring.
 
-    The ring predicate is checked first; a restriction failure afterwards
-    signals an inconsistent predicate/tolerance interplay and is an error.
+    The ring predicate is checked during the decomposition (PredicateFailure
+    when it fails); a restriction failure afterwards signals an inconsistent
+    predicate/tolerance interplay and is an error.
     """
     a = as_matrix(a)
-    require_predicate(a, ring, tol)
     if cluster_tol is None:
         cluster_tol = default_cluster_tol(a)
-    dec = normal_spectral_decomposition(a, tol, cluster_tol)
+    dec = ring_decomposition(a, ring, tol, cluster_tol)
     spec = cluster_eigenvalues(dec.lam, cluster_tol)
     return _restrict_points(spec, ring, tol, fro_norm(a), source="eigen")
 
@@ -155,10 +138,9 @@ def quasispectrum_intrinsic(
     inside, residual = B.contains(a, max(tol, 1e-8))
     if not inside:
         raise NotInSubalgebra(f"element not in subalgebra (residual {residual:.3e})")
-    require_predicate(a, ring, tol)
     if cluster_tol is None:
         cluster_tol = default_cluster_tol(a)
-    dec = normal_spectral_decomposition(a, tol, cluster_tol)
+    dec = ring_decomposition(a, ring, tol, cluster_tol)
     ambient = cluster_eigenvalues(dec.lam, cluster_tol)
     points = [0.0 + 0.0j]
     mults = [1]
@@ -179,12 +161,12 @@ def quasispectrum_via_unitization(
     cluster_tol: float | None = None,
 ) -> SpectrumResult:
     """Quasispectrum as the spectrum of (0, a) in the 2n block representation
-    of the minimal unitization; equals sigma(a) union {0} in M_n."""
+    of the minimal unitization; equals sigma(a) union {0} in M_n.  The block
+    representation diag(0, a) meets the ring predicate exactly when a does."""
     a = as_matrix(a)
-    require_predicate(a, ring, tol)
     if cluster_tol is None:
         cluster_tol = default_cluster_tol(a)
     rep = uni_represent(UnitizationElement(0.0, a))
-    dec = normal_spectral_decomposition(rep, tol, cluster_tol)
+    dec = ring_decomposition(rep, ring, tol, cluster_tol)
     spec = cluster_eigenvalues(dec.lam, cluster_tol)
     return _restrict_points(spec, ring, tol, fro_norm(a), source="unitization_quasi")

@@ -1,7 +1,16 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from cfckit.matrix_core import fro_norm
+
+# The CLI tests start `python -m cfckit` in subprocesses; they import the
+# package from this checkout's src/ as pytest itself does (pyproject's
+# `pythonpath`), so no install is needed.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def rel_err(x, y):

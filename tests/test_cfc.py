@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -25,7 +26,13 @@ from cfckit.matrix_core import (
     predicate_for_ring,
     subalgebra_contains,
 )
-from cfckit.sampling import random_normal_matrix, random_poly_function, rng_from_seed
+from cfckit.sampling import (
+    random_normal_matrix,
+    random_poly_function,
+    random_unitary,
+    random_with_spectrum,
+    rng_from_seed,
+)
 from cfckit.scalars import ScalarRing
 from cfckit.spectrum import spectrum
 
@@ -311,3 +318,122 @@ def test_junk_totality_fuzz():
         out_n = cfc_n(ScalarFunction(lambda x: f.eval(x), ring), a, None, ring)
         if out_n.junk:
             assert np.all(out_n.value == 0)
+
+
+PREDICATES = ("is_star_normal", "is_selfadjoint", "is_nonneg", "predicate_for_ring")
+
+
+@pytest.fixture
+def work_counts(monkeypatch):
+    """Counts outermost predicate evaluations (as bound in every module) and
+    numpy eigensolver calls."""
+    counts = {"predicate": 0, "eigh": 0, "eigvalsh": 0}
+    depth = [0]
+
+    def predicate(fn):
+        def wrapper(*args, **kwargs):
+            counts["predicate"] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    def solver(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in ("cfckit.matrix_core", "cfckit.eigen", "cfckit.cfc", "cfckit.spectrum"):
+        mod = importlib.import_module(module)
+        for name in PREDICATES:
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, predicate(getattr(mod, name)))
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, solver(name, getattr(np.linalg, name)))
+    return counts
+
+
+@pytest.mark.parametrize("ring, lam, eighs", [
+    (ScalarRing.COMPLEX, np.arange(8) * 0.25 + 0.5j * (np.arange(8) % 3), 1),
+    # real parts 0.5 (twice) and 1.0 (three times): two repeated clusters of h
+    (ScalarRing.COMPLEX, [0.5 + 1j, 0.5 - 1j, 1 + 1j, 1 - 1j, 1.0, 2.0, 3.0, 4.0], 3),
+    (ScalarRing.REAL, np.arange(8) - 3.5, 1),
+    (ScalarRing.NNREAL, np.arange(8) * 0.5, 1),
+])
+def test_cfc_checks_the_predicate_once_and_solves_once(work_counts, ring, lam, eighs):
+    a = random_with_spectrum(rng_from_seed(8), np.asarray(lam, dtype=complex))
+    if ring is not ScalarRing.COMPLEX:
+        a = (a + adjoint(a)) / 2
+    out = cfc_builtin("exp", a, ring)
+    assert not out.junk
+    assert work_counts == {"predicate": 1, "eigh": eighs, "eigvalsh": 0}
+
+
+def test_spectrum_checks_the_predicate_once_and_solves_once(work_counts):
+    a = random_with_spectrum(rng_from_seed(9), np.arange(8) * 0.5 + 0j)
+    for ring in ScalarRing:
+        spectrum(a, ring)
+    assert work_counts == {"predicate": 3, "eigh": 3, "eigvalsh": 0}
+
+
+def test_cfc_n_junk_inputs_pay_no_eigensolve(work_counts):
+    shifted = ScalarFunction(lambda x: x + 1, ScalarRing.REAL, "x+1")
+    out = cfc_n(shifted, np.diag([1.0, 2.0]), None, ScalarRing.REAL)
+    assert out.junk and out.reason == "zero_condition_failed"
+    out = cfc_n(shifted, np.diag([1j, 2.0]), None, ScalarRing.REAL)
+    assert out.junk and out.reason == "predicate_failed"
+    assert work_counts["eigh"] == 0 and work_counts["eigvalsh"] == 0
+
+
+def test_cfc_n_nnreal_indefinite_with_f0_nonzero_is_predicate_failed():
+    indefinite = random_with_spectrum(rng_from_seed(10), [-1.0, 0.5, 2.0])
+    shifted = ScalarFunction(lambda x: x + 1, ScalarRing.NNREAL, "x+1")
+    out = cfc_n(shifted, indefinite, None, ScalarRing.NNREAL)
+    assert out.junk and out.reason == "predicate_failed"
+    assert np.all(out.value == 0)
+    failing = ScalarFunction(lambda x: math.log(x), ScalarRing.NNREAL, "log")
+    out = cfc_n(failing, indefinite, None, ScalarRing.NNREAL)
+    assert out.junk and out.reason == "predicate_failed"
+    out = cfc_n(failing, np.diag([1.0, 2.0]), None, ScalarRing.NNREAL)
+    assert out.junk and out.reason == "eval_failed"
+
+
+def test_cfc_real_input_value_is_complex():
+    out = cfc_builtin("exp", np.diag([0.0, 1.0]), ScalarRing.REAL)
+    assert out.value.dtype == np.complex128
+    assert np.allclose(out.value, np.diag([1.0, math.e]))
+
+
+@pytest.mark.parametrize("s", [1e-150, 1e150, 1e155])
+def test_abs_is_homogeneous_across_scales(s):
+    gen = rng_from_seed(11)
+    lam = np.array([1 + 1j, -2 + 0.5j, 0.5 - 1j, 3.0])
+    u = random_unitary(gen, 4)
+    a = (u * lam) @ adjoint(u)
+    ref = cfc_builtin("abs", a)
+    scaled = cfc_builtin("abs", s * a)
+    assert not ref.junk and not scaled.junk
+    assert np.all(np.isfinite(scaled.value))
+    assert fro_norm(scaled.value / s - ref.value) <= 1e-9 * fro_norm(ref.value)
+
+
+def test_tiny_non_normal_stays_predicate_failed():
+    for s in (1e-160, 1e-200, 1e160):
+        out = cfc_builtin("exp", s * NILPOTENT)
+        assert out.junk and out.reason == "predicate_failed"
+
+
+def test_eigensolver_failure_is_junk(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    a = np.array([[2.0, 1.0], [1.0, 2.0]])
+    for ring in ScalarRing:
+        for out in (cfc_builtin("exp", a, ring),
+                    cfc_n(identity_function(ring), a, None, ring)):
+            assert out.junk and out.reason == "decomposition_failed"
+            assert np.all(out.value == 0)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfckit.eigen import (
     NotSelfadjoint,
@@ -125,3 +127,84 @@ def test_cluster_labels_map_members_to_representatives():
     spec, labels = cluster_with_labels(lam, 1e-9)
     assert spec.points[labels[0]] == pytest.approx(2.0)
     assert labels[1] == labels[2]
+
+
+def test_hermitian_keeps_real_eigenvectors_real():
+    a = random_normal_matrix(rng_from_seed(3), 6, ScalarRing.REAL).real
+    dec = hermitian_eigen(a)
+    assert np.isrealobj(dec.u) and np.isrealobj(dec.lam)
+    assert dec.residual <= 1e-12
+    assert not np.isrealobj(hermitian_eigen(np.array([[0, -1j], [1j, 0]])).u)
+
+
+def test_decompositions_report_their_residual():
+    a = random_normal_matrix(rng_from_seed(4), 6, ScalarRing.COMPLEX)
+    dec = normal_spectral_decomposition(a)
+    assert dec.report.predicate == "normal" and dec.report.holds
+    assert dec.residual == pytest.approx(
+        fro_norm(a - dec.reconstruct()) / fro_norm(a), abs=0.0)
+    assert dec.residual <= 1e-12
+
+
+def _brute_force_clusters(lam, cluster_tol):
+    """Reference single linkage: every pair compared, members summed in index order."""
+    lam = [complex(z) for z in lam]
+    m = len(lam)
+    comp = list(range(m))
+    for i in range(m):
+        for j in range(i + 1, m):
+            if abs(lam[i] - lam[j]) <= cluster_tol and comp[i] != comp[j]:
+                old = comp[j]
+                comp = [comp[i] if c == old else c for c in comp]
+    first = []
+    for c in comp:
+        if c not in first:
+            first.append(c)
+    sums = [0j] * len(first)
+    counts = [0] * len(first)
+    for z, c in zip(lam, comp):
+        sums[first.index(c)] += z
+        counts[first.index(c)] += 1
+    means = (np.array(sums) / np.array(counts)).tolist()
+    order = sorted(range(len(first)), key=lambda k: (means[k].real, means[k].imag))
+    rank = {k: r for r, k in enumerate(order)}
+    labels = [rank[first.index(c)] for c in comp]
+    return [means[k] for k in order], [counts[k] for k in order], labels
+
+
+def _assert_same_clustering(lam, cluster_tol):
+    spec, labels = cluster_with_labels(lam, cluster_tol)
+    points, mults, ref_labels = _brute_force_clusters(lam, cluster_tol)
+    assert list(spec.points) == points
+    assert list(spec.multiplicities) == mults
+    assert labels.tolist() == ref_labels
+
+
+_grid = st.sampled_from([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    re=st.lists(_grid, min_size=1, max_size=24),
+    im=st.lists(_grid, min_size=24, max_size=24),
+    jitter=st.floats(min_value=0.0, max_value=0.3),
+    cluster_tol=st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.6]),
+)
+def test_sweep_clustering_matches_brute_force_on_ties(re, im, jitter, cluster_tol):
+    lam = [complex(x + jitter * k % 0.1, y) for k, (x, y) in enumerate(zip(re, im))]
+    _assert_same_clustering(lam, cluster_tol)
+
+
+def test_sweep_clustering_matches_brute_force_random():
+    gen = rng_from_seed(29)
+    for trial in range(300):
+        m = int(gen.integers(1, 41))
+        cluster_tol = float(gen.choice([0.0, 1e-3, 0.05, 0.2]))
+        if trial % 3 == 0:  # complex scatter
+            lam = gen.uniform(-1, 1, m) + 1j * gen.uniform(-1, 1, m)
+        elif trial % 3 == 1:  # chains: steps just below and above the tolerance
+            steps = gen.uniform(0.5, 1.1, m) * max(cluster_tol, 1e-3)
+            lam = np.cumsum(steps) + 1j * gen.uniform(-0.3, 0.3, m) * cluster_tol
+        else:  # exact repeats, real and complex
+            lam = gen.choice(np.linspace(-1, 1, 5), m) + 1j * gen.choice([0.0, 0.5], m)
+        _assert_same_clustering(lam, cluster_tol)

@@ -8,7 +8,6 @@ from cfckit.scalars import (
     RestrictionFailure,
     ScalarRing,
     embed,
-    restrict_all,
     restrict_scalar,
     truncated_sub,
 )
@@ -80,13 +79,6 @@ def test_truncated_sub_properties(x, y):
 def test_truncated_sub_rejects_negative_operands():
     with pytest.raises(ValueError):
         truncated_sub(-1, 2)
-
-
-def test_restrict_all_reports_worst_residual():
-    check = restrict_all([1 + 0j, 2 + 1e-3j], ScalarRing.REAL, 1e-6)
-    assert not check.ok
-    assert check.max_residual == pytest.approx(1e-3)
-    assert check.restricted_values == (1.0,)
 
 
 def test_ring_tags_round_trip_strings():
