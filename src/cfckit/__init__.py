@@ -8,17 +8,19 @@ __version__ = "0.1.0"
 from .cfc import (
     CfcOutcome,
     ScalarFunction,
+    SpectralPlan,
     builtin_function,
     cfc,
     cfc_builtin,
     cfc_n,
     neg_part,
+    plan,
     pos_part,
 )
 from .eigen import (
     ClusteredSpectrum,
     SpectralDecomposition,
-    cluster_eigenvalues,
+    cluster_with_labels,
     hermitian_eigen,
     normal_spectral_decomposition,
 )
@@ -59,9 +61,9 @@ from .unitization import (
 )
 
 __all__ = [
-    "CfcOutcome", "ScalarFunction", "builtin_function", "cfc", "cfc_builtin",
-    "cfc_n", "neg_part", "pos_part", "ClusteredSpectrum",
-    "SpectralDecomposition", "cluster_eigenvalues", "hermitian_eigen",
+    "CfcOutcome", "ScalarFunction", "SpectralPlan", "builtin_function", "cfc",
+    "cfc_builtin", "cfc_n", "neg_part", "plan", "pos_part", "ClusteredSpectrum",
+    "SpectralDecomposition", "cluster_with_labels", "hermitian_eigen",
     "normal_spectral_decomposition", "PredicateReport", "StarSubalgebra",
     "adjoint", "elemental_subalgebra", "is_nonneg", "is_selfadjoint",
     "is_star_normal", "operator_norm", "subalgebra_contains", "LawReport",

@@ -1,8 +1,9 @@
-"""The functional calculus itself: unital `cfc` over each scalar ring with
-junk-value semantics (failed predicate or unevaluable function yields the
-zero matrix, never an exception), the non-unital `cfc_n` with its f(0) = 0
-guard, and named derived constructions (sqrt, abs, exp, log, inv, powers,
-positive/negative parts).
+"""The functional calculus itself: the `SpectralPlan` of an element (ring
+predicate checked, decomposed and clustered once, then applied to any number
+of functions), unital `cfc` over each scalar ring with junk-value semantics
+(failed predicate or unevaluable function yields the zero matrix, never an
+exception), the non-unital `cfc_n` with its f(0) = 0 guard, and named derived
+constructions (sqrt, abs, exp, log, inv, powers, positive/negative parts).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 
 from .eigen import (
     DEFAULT_CLUSTER_REL,
+    ClusteredSpectrum,
     NoConvergence,
     SpectralDecomposition,
     cluster_with_labels,
@@ -113,41 +115,79 @@ def _eval_at(f: ScalarFunction, x, tol: float):
     return complex(out.real)
 
 
-def _spectral_values(f, dec, ring, tol, cluster_tol, scale, zero_to_zero=False):
-    """f applied once per eigenvalue cluster, broadcast back to eigenvalues."""
-    spec, labels = cluster_with_labels(dec.lam, cluster_tol)
-    rtol = tol * max(1.0, scale)
-    fvals = []
-    for rep in spec.points:
-        if zero_to_zero and abs(rep) <= max(cluster_tol, rtol):
-            fvals.append(0.0 + 0.0j)
-            continue
-        x = restrict_scalar(rep, ring, rtol)
-        fvals.append(_eval_at(f, x, tol))
-    return np.array(fvals, dtype=np.complex128)[labels]
+@dataclass(slots=True)
+class SpectralPlan:
+    """a with its ring predicate checked, decomposed and clustered once, for
+    any number of functions.  If the predicate or the eigensolver failed,
+    `reason` (predicate_failed | decomposition_failed) and `error` say so."""
+
+    a: np.ndarray
+    ring: ScalarRing
+    tol: float
+    cluster_tol: float
+    scale: float
+    dec: Optional[SpectralDecomposition] = None
+    spec: Optional[ClusteredSpectrum] = None
+    labels: Optional[np.ndarray] = None
+    reason: Optional[str] = None
+    error: Optional[Exception] = None
+
+    def points(self) -> tuple:
+        """The clustered spectrum restricted to the ring; raises the stored
+        PredicateFailure or NoConvergence, or a RestrictionFailure."""
+        if self.error is not None:
+            raise self.error
+        rtol = self.tol * max(1.0, self.scale)
+        return tuple(restrict_scalar(z, self.ring, rtol) for z in self.spec.points)
+
+    def apply(self, f: ScalarFunction, zero_to_zero: bool = False) -> CfcOutcome:
+        """u diag(f(lam)) u*, f evaluated once per cluster, or junk with its
+        reason; with zero_to_zero, clusters at 0 map to 0 unevaluated."""
+        n = self.a.shape[0]
+        if self.reason is not None:
+            return _junk(n, self.reason)
+        rtol = self.tol * max(1.0, self.scale)
+        fvals = []
+        try:
+            for rep in self.spec.points:
+                if zero_to_zero and abs(rep) <= max(self.cluster_tol, rtol):
+                    fvals.append(0.0 + 0.0j)
+                    continue
+                x = restrict_scalar(rep, self.ring, rtol)
+                fvals.append(_eval_at(f, x, self.tol))
+        except RestrictionFailure:
+            return _junk(n, "predicate_failed")
+        except _EvalFailed:
+            return _junk(n, "eval_failed")
+        fvals = np.array(fvals, dtype=np.complex128)[self.labels]
+        u = self.dec.u
+        if np.isrealobj(u) and not fvals.imag.any():
+            value = ((u * fvals.real) @ u.T).astype(np.complex128)
+        else:
+            value = (u * fvals) @ adjoint(u)
+        return CfcOutcome(value=value, junk=False)
 
 
-def _apply(f, a, ring, tol, cluster_tol, zero_to_zero=False) -> CfcOutcome:
-    """u diag(f(lam)) u* from one decomposition, or junk with its reason."""
-    n = a.shape[0]
+def plan(
+    a, ring: ScalarRing = ScalarRing.COMPLEX, tol: float = DEFAULT_TOL,
+    cluster_tol: float | None = None,
+) -> SpectralPlan:
+    """Check the ring predicate, decompose and cluster a, once; the default
+    cluster_tol is DEFAULT_CLUSTER_REL * ||a||_F."""
+    a = as_matrix(a)
     scale = fro_norm(a)
     if cluster_tol is None:
         cluster_tol = DEFAULT_CLUSTER_REL * scale
     try:
         dec = ring_decomposition(a, ring, tol, cluster_tol)
-        fvals = _spectral_values(f, dec, ring, tol, cluster_tol, scale, zero_to_zero)
-    except (PredicateFailure, RestrictionFailure):
-        return _junk(n, "predicate_failed")
-    except NoConvergence:
-        return _junk(n, "decomposition_failed")
-    except _EvalFailed:
-        return _junk(n, "eval_failed")
-    u = dec.u
-    if np.isrealobj(u) and not fvals.imag.any():
-        value = ((u * fvals.real) @ u.T).astype(np.complex128)
-    else:
-        value = (u * fvals) @ adjoint(u)
-    return CfcOutcome(value=value, junk=False)
+    except PredicateFailure as exc:
+        return SpectralPlan(a, ring, tol, cluster_tol, scale, error=exc,
+                            reason="predicate_failed")
+    except NoConvergence as exc:
+        return SpectralPlan(a, ring, tol, cluster_tol, scale, error=exc,
+                            reason="decomposition_failed")
+    spec, labels = cluster_with_labels(dec.lam, cluster_tol)
+    return SpectralPlan(a, ring, tol, cluster_tol, scale, dec, spec, labels)
 
 
 def cfc(
@@ -160,7 +200,7 @@ def cfc(
     evaluate at some spectral point, the outcome is the zero matrix flagged
     as junk.
     """
-    return _apply(f, as_matrix(a), ring, tol, cluster_tol)
+    return plan(a, ring, tol, cluster_tol).apply(f)
 
 
 def cfc_n(
@@ -175,7 +215,6 @@ def cfc_n(
     When a subalgebra B is supplied, membership of a is a precondition and
     membership of the result is asserted (range containment).
     """
-    a = as_matrix(a)
     if B is not None:
         inside, residual = B.contains(a, max(tol, 1e-8))
         if not inside:
@@ -186,10 +225,11 @@ def cfc_n(
     except _EvalFailed:
         reason = "eval_failed"
     if reason is not None:
+        a = as_matrix(a)
         if not predicate_for_ring(a, ring, tol).holds:
             reason = "predicate_failed"
         return _junk(a.shape[0], reason)
-    out = _apply(f, a, ring, tol, cluster_tol, zero_to_zero=True)
+    out = plan(a, ring, tol, cluster_tol).apply(f, zero_to_zero=True)
     if B is not None and not out.junk:
         inside, residual = B.contains(out.value, max(tol, 1e-8))
         if not inside:
@@ -280,8 +320,8 @@ def loewner_le(f: ScalarFunction, g: ScalarFunction, a,
     implies cfc(g, a) - cfc(f, a) is nonnegative."""
     from .matrix_core import is_nonneg
 
-    lhs = cfc(f, a, ring, tol)
-    rhs = cfc(g, a, ring, tol)
+    p = plan(a, ring, tol)
+    lhs, rhs = p.apply(f), p.apply(g)
     if lhs.junk or rhs.junk:
         return False
     return is_nonneg(rhs.value - lhs.value, max(tol, 1e-8) * 100).holds

@@ -32,6 +32,11 @@ from .spectrum import (
 )
 from .unitization import UnitizationElement, uni_norm, uni_norm_via_map, uni_represent
 
+# unitize-info builds the n^2 x n^2 complex map of uni_norm_via_map (16 n^4
+# bytes) only within this budget, that is for n <= 45; above it the field
+# norm_via_map is null.
+MAP_BUDGET_BYTES = 64 * 2**20
+
 
 def _add_common(p, matrix_required=True):
     p.add_argument("--matrix", required=matrix_required, help="path to a matrix JSON file")
@@ -162,13 +167,14 @@ def _run_check_laws(args) -> int:
 
 def _run_unitize_info(args) -> int:
     a = load_matrix(args.matrix)
+    n = a.shape[0]
     x = UnitizationElement(0.0, a)
     result = spectrum(uni_represent(x), _ring(args), _tol(args), args.cluster_tol)
     _emit({
-        "n": a.shape[0],
-        "represented_dim": 2 * a.shape[0],
+        "n": n,
+        "represented_dim": 2 * n,
         "norm": uni_norm(x),
-        "norm_via_map": uni_norm_via_map(x),
+        "norm_via_map": uni_norm_via_map(x) if 16 * n**4 <= MAP_BUDGET_BYTES else None,
         "quasispectrum": _spectrum_json(result),
     }, args)
     return 0

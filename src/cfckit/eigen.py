@@ -135,11 +135,6 @@ def normal_spectral_decomposition(
     return SpectralDecomposition(u=u[:, order], lam=lam[order], a=a, report=report)
 
 
-def cluster_eigenvalues(lam, cluster_tol: float) -> ClusteredSpectrum:
-    spec, _ = cluster_with_labels(lam, cluster_tol)
-    return spec
-
-
 def cluster_with_labels(lam, cluster_tol: float):
     """Single-linkage clustering of eigenvalues in the complex plane.
 

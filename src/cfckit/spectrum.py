@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cfc import ring_decomposition
-from .eigen import cluster_eigenvalues, default_cluster_tol
+from .cfc import plan
+from .eigen import cluster_with_labels
 from .matrix_core import (
     NotInSubalgebra,
     PredicateFailure,  # re-exported: the spectra raise it
@@ -37,14 +37,6 @@ class QuasiregularWitness:
     residual: float
 
 
-def _restrict_points(spec, ring: ScalarRing, tol: float, scale: float, source: str):
-    rtol = tol * max(1.0, scale)
-    points = tuple(restrict_scalar(z, ring, rtol) for z in spec.points)
-    return SpectrumResult(
-        ring=ring, points=points, multiplicities=spec.multiplicities, source=source
-    )
-
-
 def spectrum(
     a, ring: ScalarRing = ScalarRing.COMPLEX, tol: float = DEFAULT_TOL,
     cluster_tol: float | None = None,
@@ -55,12 +47,8 @@ def spectrum(
     when it fails); a restriction failure afterwards signals an inconsistent
     predicate/tolerance interplay and is an error.
     """
-    a = as_matrix(a)
-    if cluster_tol is None:
-        cluster_tol = default_cluster_tol(a)
-    dec = ring_decomposition(a, ring, tol, cluster_tol)
-    spec = cluster_eigenvalues(dec.lam, cluster_tol)
-    return _restrict_points(spec, ring, tol, fro_norm(a), source="eigen")
+    p = plan(a, ring, tol, cluster_tol)
+    return SpectrumResult(ring, p.points(), p.spec.multiplicities, "eigen")
 
 
 def is_quasiregular(B: StarSubalgebra, x, tol: float = DEFAULT_TOL):
@@ -107,7 +95,7 @@ def is_quasiregular_ambient(B: StarSubalgebra, x, tol: float = DEFAULT_TOL) -> b
 
 
 def _quasi_result(points, mults, ring, tol, scale, source, cluster_tol):
-    spec = cluster_eigenvalues(np.asarray(points, dtype=np.complex128), cluster_tol)
+    spec, _ = cluster_with_labels(np.asarray(points, dtype=np.complex128), cluster_tol)
     # clustering collapses duplicates; recover multiplicities from the inputs
     out_points = []
     out_mults = []
@@ -138,14 +126,13 @@ def quasispectrum_intrinsic(
     inside, residual = B.contains(a, max(tol, 1e-8))
     if not inside:
         raise NotInSubalgebra(f"element not in subalgebra (residual {residual:.3e})")
-    if cluster_tol is None:
-        cluster_tol = default_cluster_tol(a)
-    dec = ring_decomposition(a, ring, tol, cluster_tol)
-    ambient = cluster_eigenvalues(dec.lam, cluster_tol)
+    p = plan(a, ring, tol, cluster_tol)
+    if p.error is not None:
+        raise p.error
     points = [0.0 + 0.0j]
     mults = [1]
-    zero_cut = max(cluster_tol, 1e-300)
-    for r, m in zip(ambient.points, ambient.multiplicities):
+    zero_cut = max(p.cluster_tol, 1e-300)
+    for r, m in zip(p.spec.points, p.spec.multiplicities):
         if abs(r) <= zero_cut:
             mults[0] = m
             continue
@@ -153,7 +140,7 @@ def quasispectrum_intrinsic(
         if not quasireg:
             points.append(r)
             mults.append(m)
-    return _quasi_result(points, mults, ring, tol, fro_norm(a), "intrinsic_quasi", cluster_tol)
+    return _quasi_result(points, mults, ring, tol, p.scale, "intrinsic_quasi", p.cluster_tol)
 
 
 def quasispectrum_via_unitization(
@@ -163,10 +150,5 @@ def quasispectrum_via_unitization(
     """Quasispectrum as the spectrum of (0, a) in the 2n block representation
     of the minimal unitization; equals sigma(a) union {0} in M_n.  The block
     representation diag(0, a) meets the ring predicate exactly when a does."""
-    a = as_matrix(a)
-    if cluster_tol is None:
-        cluster_tol = default_cluster_tol(a)
-    rep = uni_represent(UnitizationElement(0.0, a))
-    dec = ring_decomposition(rep, ring, tol, cluster_tol)
-    spec = cluster_eigenvalues(dec.lam, cluster_tol)
-    return _restrict_points(spec, ring, tol, fro_norm(a), source="unitization_quasi")
+    p = plan(uni_represent(UnitizationElement(0.0, a)), ring, tol, cluster_tol)
+    return SpectrumResult(ring, p.points(), p.spec.multiplicities, "unitization_quasi")

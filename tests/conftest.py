@@ -1,3 +1,4 @@
+import importlib
 import os
 from pathlib import Path
 
@@ -23,3 +24,18 @@ def rel_err(x, y):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """Counts the calls of cfc.ring_decomposition, which only plans make."""
+    mod = importlib.import_module("cfckit.cfc")
+    calls = [0]
+    inner = mod.ring_decomposition
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(mod, "ring_decomposition", counted)
+    return calls

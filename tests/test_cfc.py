@@ -1,8 +1,12 @@
+import contextlib
 import importlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfckit.cfc import (
     ScalarFunction,
@@ -14,6 +18,7 @@ from cfckit.cfc import (
     identity_function,
     loewner_le,
     neg_part,
+    plan,
     pos_part,
 )
 from cfckit.matrix_core import (
@@ -290,12 +295,13 @@ def test_range_lies_in_elemental_subalgebra():
     assert subalgebra_contains(B, out.value, 1e-8)[0]
 
 
-def test_loewner_forward_direction():
+def test_loewner_forward_direction(decompositions):
     gen = rng_from_seed(14)
     a = random_normal_matrix(gen, 4, ScalarRing.REAL)
     f = ScalarFunction(lambda x: x, ScalarRing.REAL)
     g = ScalarFunction(lambda x: x + 1.0, ScalarRing.REAL)
     assert loewner_le(f, g, a, ScalarRing.REAL)
+    assert decompositions[0] == 1  # one plan serves f and g
 
 
 def test_junk_totality_fuzz():
@@ -437,3 +443,57 @@ def test_eigensolver_failure_is_junk(monkeypatch):
                     cfc_n(identity_function(ring), a, None, ring)):
             assert out.junk and out.reason == "decomposition_failed"
             assert np.all(out.value == 0)
+        # a failed f(0) = 0 condition is found before any eigensolve
+        out = cfc_n(ScalarFunction(lambda x: x + 1, ring), a, None, ring)
+        assert out.junk and out.reason == "zero_condition_failed"
+
+
+def _same_outcome(x, y):
+    return (x.junk == y.junk and x.reason == y.reason
+            and x.value.dtype == y.value.dtype and np.array_equal(x.value, y.value))
+
+
+def _plan_input(kind, ring, gen, n):
+    if kind == "normal":
+        return random_normal_matrix(gen, n, ring)
+    if kind == "non_normal":
+        return np.diag(gen.standard_normal(n)) + np.eye(n, k=1)
+    # selfadjoint with eigenvalues -1, 0 and 1: indefinite, so junk over R>=0
+    return random_with_spectrum(gen, np.arange(n) % 3 - 1.0)
+
+
+def _plan_functions(ring, gen):
+    """Functions applied in turn to one plan, failing ones among them."""
+    return [
+        builtin_function("exp", ring),
+        builtin_function("log", ring),      # eval_failed at 0
+        random_poly_function(gen, ring),
+        builtin_function("inv", ring),      # eval_failed at 0
+        builtin_function("abs", ring),
+        ScalarFunction(lambda x: x * x, ring, "sq"),
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6),
+       kind=st.sampled_from(("normal", "non_normal", "indefinite")),
+       ring=st.sampled_from(list(ScalarRing)), broken_eigh=st.booleans())
+def test_one_plan_applies_like_separate_cfc_calls(seed, n, kind, ring, broken_eigh):
+    gen = rng_from_seed(seed)
+    a = _plan_input(kind, ring, gen, n)
+    fs = _plan_functions(ring, gen)
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    with (mock.patch.object(np.linalg, "eigh", no_convergence) if broken_eigh
+          else contextlib.nullcontext()):
+        p = plan(a, ring)
+        for f in fs:
+            assert _same_outcome(p.apply(f), cfc(f, a, ring))
+        for f in fs[-2:]:  # f(0) = 0, so cfc_n goes on to the plan
+            assert _same_outcome(p.apply(f, zero_to_zero=True), cfc_n(f, a, None, ring))
+    junk_plan = broken_eigh or kind == "non_normal" or (
+        kind == "indefinite" and ring is ScalarRing.NNREAL)
+    assert (p.reason is not None) == junk_plan
+

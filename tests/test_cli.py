@@ -102,6 +102,36 @@ def test_unitize_info(matrix_file):
     assert out["norm_via_map"] == pytest.approx(out["norm"], abs=1e-9)
 
 
+def _unitize_info_in_process(tmp_path, n):
+    import cfckit.cli
+
+    a = np.diag(np.arange(1.0, n + 1.0))
+    src, dst = tmp_path / "a.json", tmp_path / "out.json"
+    src.write_text(json.dumps(matrix_to_json(a)))
+    assert cfckit.cli.main(["unitize-info", "--matrix", str(src), "--out", str(dst)]) == 0
+    return json.loads(dst.read_text())
+
+
+def test_unitize_info_skips_the_map_above_its_byte_budget(tmp_path, monkeypatch):
+    def no_kron(*args, **kwargs):
+        raise AssertionError("the n^2 x n^2 map was built")
+
+    monkeypatch.setattr(np, "kron", no_kron)
+    out = _unitize_info_in_process(tmp_path, 48)
+    assert out["norm_via_map"] is None
+    assert out["norm"] == pytest.approx(48.0)
+    assert out["represented_dim"] == 96
+
+
+def test_unitize_info_builds_the_map_up_to_its_byte_budget(tmp_path, monkeypatch):
+    import cfckit.cli
+
+    monkeypatch.setattr(cfckit.cli, "uni_norm_via_map", lambda x: -1.0)  # no 65 MB map
+    assert 16 * 45**4 <= cfckit.cli.MAP_BUDGET_BYTES < 16 * 46**4
+    assert _unitize_info_in_process(tmp_path, 45)["norm_via_map"] == -1.0
+    assert _unitize_info_in_process(tmp_path, 46)["norm_via_map"] is None
+
+
 def test_check_laws_passing(matrix_file):
     proc = run_cli("check-laws", "--matrix", matrix_file, "--ring", "real",
                    "--trials", "3", "--seed", "0")

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from cfckit.eigen import (
     NotSelfadjoint,
-    cluster_eigenvalues,
     cluster_with_labels,
     hermitian_eigen,
     normal_spectral_decomposition,
@@ -100,15 +99,15 @@ def test_one_by_one_short_circuit():
 
 
 def test_cluster_examples():
-    spec = cluster_eigenvalues([1.0, 1.0 + 1e-14, 2.0], 1e-9)
+    spec, _ = cluster_with_labels([1.0, 1.0 + 1e-14, 2.0], 1e-9)
     assert spec.points == pytest.approx((1.0, 2.0))
     assert spec.multiplicities == (2, 1)
 
-    spec = cluster_eigenvalues([3.0], 1.0)
+    spec, _ = cluster_with_labels([3.0], 1.0)
     assert spec.points == ((3 + 0j),)
     assert spec.multiplicities == (1,)
 
-    spec = cluster_eigenvalues([0.0, 1.0, 2.0], 1e-9)
+    spec, _ = cluster_with_labels([0.0, 1.0, 2.0], 1e-9)
     assert spec.size == 3
 
 
@@ -117,7 +116,7 @@ def test_cluster_is_nonempty_for_any_matrix():
     for n in range(1, 9):
         a = random_normal_matrix(gen, n, ScalarRing.COMPLEX)
         dec = normal_spectral_decomposition(a)
-        spec = cluster_eigenvalues(dec.lam, 1e-8)
+        spec, _ = cluster_with_labels(dec.lam, 1e-8)
         assert spec.size >= 1
         assert sum(spec.multiplicities) == n
 

@@ -155,3 +155,19 @@ def test_check_laws_report_shapes():
     d = report.to_dict()
     assert set(d) == {"all_passed", "laws"}
     assert "law" in report.table()
+
+
+@pytest.mark.parametrize("ring, most", [
+    (ScalarRing.COMPLEX, 3), (ScalarRing.REAL, 3), (ScalarRing.NNREAL, 2),
+])
+def test_check_laws_trial_decomposes_at_most_three_times(decompositions, ring, most):
+    """One plan of a, one of f(a), and the negation law's cfc on -a (no
+    negation law over R>=0)."""
+    gen = rng_from_seed(33)
+    a = random_with_spectrum(gen, np.arange(6) * 0.25 + (0.5j if ring is ScalarRing.COMPLEX else 0))
+    if ring is not ScalarRing.COMPLEX:
+        a = (a + adjoint(a)) / 2
+    report = check_laws(a, random_poly_function(gen, ring), random_poly_function(gen, ring), ring)
+    assert report.all_passed
+    assert not any(e.skipped for e in report.entries if e.name != "negation")
+    assert decompositions[0] <= most
