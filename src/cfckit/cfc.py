@@ -11,13 +11,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
 
 from .eigen import (
     DEFAULT_CLUSTER_REL,
-    ClusteredSpectrum,
     NoConvergence,
     SpectralDecomposition,
     cluster_with_labels,
@@ -25,6 +25,7 @@ from .eigen import (
     normal_spectral_decomposition,
 )
 from .matrix_core import (
+    EPS_FLOOR,
     NotInSubalgebra,
     PredicateFailure,
     StarSubalgebra,
@@ -91,35 +92,23 @@ def ring_decomposition(
 
 
 def _eval_at(f: ScalarFunction, x, tol: float):
-    """Evaluate f with ring discipline; any failure raises _EvalFailed.
-
-    NNReal inputs arrive clamped; NNReal outputs within -tol of zero are
-    clamped, larger violations fail.  Real outputs must have imaginary part
-    within tol.
-    """
+    """f(x) restricted to f's ring within tol; any failure (an exception from
+    f, a non-finite value, a value off the ring) raises _EvalFailed."""
     try:
-        out = f.eval(x)
+        out = complex(f.eval(x))
+        if not (math.isfinite(out.real) and math.isfinite(out.imag)):
+            raise ValueError(f"non-finite value at {x!r}")
+        return restrict_scalar(out, f.ring, tol)
     except Exception as exc:  # domain errors are data, not bugs
         raise _EvalFailed(str(exc)) from exc
-    out = complex(out)
-    if not (math.isfinite(out.real) and math.isfinite(out.imag)):
-        raise _EvalFailed(f"non-finite value at {x!r}")
-    if f.ring is ScalarRing.COMPLEX:
-        return out
-    if abs(out.imag) > tol:
-        raise _EvalFailed(f"value {out!r} is not real at {x!r}")
-    if f.ring is ScalarRing.NNREAL:
-        if out.real < -tol:
-            raise _EvalFailed(f"value {out!r} is negative at {x!r}")
-        return complex(max(out.real, 0.0))
-    return complex(out.real)
 
 
 @dataclass(slots=True)
 class SpectralPlan:
-    """a with its ring predicate checked, decomposed and clustered once, for
-    any number of functions.  If the predicate or the eigensolver failed,
-    `reason` (predicate_failed | decomposition_failed) and `error` say so."""
+    """a with its ring predicate checked, decomposed, clustered and its
+    clustered spectrum restricted to the ring once, for any number of
+    functions.  If the predicate, the eigensolver or the restriction failed,
+    `error` holds the failure and every apply is junk."""
 
     a: np.ndarray
     ring: ScalarRing
@@ -127,36 +116,44 @@ class SpectralPlan:
     cluster_tol: float
     scale: float
     dec: Optional[SpectralDecomposition] = None
-    spec: Optional[ClusteredSpectrum] = None
+    # cluster representatives restricted to the ring, sorted by (re, im)
+    ring_points: tuple = ()
+    multiplicities: tuple = ()
     labels: Optional[np.ndarray] = None
-    reason: Optional[str] = None
     error: Optional[Exception] = None
+
+    @property
+    def reason(self) -> Optional[str]:
+        """The junk reason of every apply, or None for a sound plan."""
+        if self.error is None:
+            return None
+        failed = "decomposition" if isinstance(self.error, NoConvergence) else "predicate"
+        return f"{failed}_failed"
+
+    @property
+    def zero_cut(self) -> float:
+        """A point is 0 when its modulus is at most this: cluster_tol, which
+        scales with ||a||, floored so that an exact 0 always is."""
+        return max(self.cluster_tol, EPS_FLOOR)
 
     def points(self) -> tuple:
         """The clustered spectrum restricted to the ring; raises the stored
-        PredicateFailure or NoConvergence, or a RestrictionFailure."""
+        PredicateFailure, NoConvergence or RestrictionFailure."""
         if self.error is not None:
             raise self.error
-        rtol = self.tol * max(1.0, self.scale)
-        return tuple(restrict_scalar(z, self.ring, rtol) for z in self.spec.points)
+        return self.ring_points
 
     def apply(self, f: ScalarFunction, zero_to_zero: bool = False) -> CfcOutcome:
         """u diag(f(lam)) u*, f evaluated once per cluster, or junk with its
-        reason; with zero_to_zero, clusters at 0 map to 0 unevaluated."""
+        reason; with zero_to_zero, points at 0 map to 0 unevaluated."""
         n = self.a.shape[0]
-        if self.reason is not None:
+        if self.error is not None:
             return _junk(n, self.reason)
-        rtol = self.tol * max(1.0, self.scale)
+        cut = self.zero_cut if zero_to_zero else -1.0  # moduli are never negative
         fvals = []
         try:
-            for rep in self.spec.points:
-                if zero_to_zero and abs(rep) <= max(self.cluster_tol, rtol):
-                    fvals.append(0.0 + 0.0j)
-                    continue
-                x = restrict_scalar(rep, self.ring, rtol)
-                fvals.append(_eval_at(f, x, self.tol))
-        except RestrictionFailure:
-            return _junk(n, "predicate_failed")
+            for x in self.ring_points:
+                fvals.append(0.0 if abs(x) <= cut else _eval_at(f, x, self.tol))
         except _EvalFailed:
             return _junk(n, "eval_failed")
         fvals = np.array(fvals, dtype=np.complex128)[self.labels]
@@ -172,22 +169,22 @@ def plan(
     a, ring: ScalarRing = ScalarRing.COMPLEX, tol: float = DEFAULT_TOL,
     cluster_tol: float | None = None,
 ) -> SpectralPlan:
-    """Check the ring predicate, decompose and cluster a, once; the default
-    cluster_tol is DEFAULT_CLUSTER_REL * ||a||_F."""
+    """Check the ring predicate, decompose and cluster a and restrict its
+    clustered spectrum to the ring (within tol * max(1, ||a||_F)), once; the
+    default cluster_tol is DEFAULT_CLUSTER_REL * ||a||_F."""
     a = as_matrix(a)
     scale = fro_norm(a)
     if cluster_tol is None:
         cluster_tol = DEFAULT_CLUSTER_REL * scale
     try:
         dec = ring_decomposition(a, ring, tol, cluster_tol)
-    except PredicateFailure as exc:
-        return SpectralPlan(a, ring, tol, cluster_tol, scale, error=exc,
-                            reason="predicate_failed")
-    except NoConvergence as exc:
-        return SpectralPlan(a, ring, tol, cluster_tol, scale, error=exc,
-                            reason="decomposition_failed")
-    spec, labels = cluster_with_labels(dec.lam, cluster_tol)
-    return SpectralPlan(a, ring, tol, cluster_tol, scale, dec, spec, labels)
+        spec, labels = cluster_with_labels(dec.lam, cluster_tol)
+        rtol = tol * max(1.0, scale)
+        points = tuple(map(restrict_scalar, spec.points, repeat(ring), repeat(rtol)))
+    except (PredicateFailure, NoConvergence, RestrictionFailure) as exc:
+        return SpectralPlan(a, ring, tol, cluster_tol, scale, error=exc)
+    return SpectralPlan(a, ring, tol, cluster_tol, scale, dec, points,
+                        spec.multiplicities, labels)
 
 
 def cfc(

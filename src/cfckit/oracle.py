@@ -28,7 +28,7 @@ from .matrix_core import (
     subalgebra_contains,
     zeros,
 )
-from .scalars import DEFAULT_TOL, ScalarRing, embed
+from .scalars import DEFAULT_TOL, ScalarRing, restrict_scalar
 from .spectrum import spectrum
 
 # Interpolation is skipped when the spectrum is this close to degenerate,
@@ -140,18 +140,9 @@ def _interpolate_on(f: ScalarFunction, a, points, tol: float) -> np.ndarray:
                 f"minimum spectral gap {min(gaps):.3e} below guard "
                 f"({GAP_GUARD_REL:.0e} of diameter {diameter:.3e})"
             )
-    fvals = [embed(_call(f, x), ScalarRing.COMPLEX) for x in points]
+    fvals = [complex(restrict_scalar(f.eval(x), f.ring, tol)) for x in points]
     interp = lagrange_interpolant(nodes, fvals)
     return poly_eval(interp, a, tol)
-
-
-def _call(f: ScalarFunction, x):
-    out = complex(f.eval(x))
-    if f.ring is ScalarRing.NNREAL:
-        return max(out.real, 0.0)
-    if f.ring is ScalarRing.REAL:
-        return out.real
-    return out
 
 
 @dataclass(frozen=True)
@@ -299,9 +290,8 @@ def check_laws(
     r = _rel(out_cong.value - out_f.value, scale_f)
     entries.append(LawEntry("congruence", r, tol_h, r <= tol_h))
 
-    mapped = sorted(
-        (complex(_call(f, x)) for x in points), key=lambda z: (z.real, z.imag)
-    )
+    fpoints = [complex(restrict_scalar(f.eval(x), f.ring, tol)) for x in points]
+    mapped = sorted(fpoints, key=lambda z: (z.real, z.imag))
     pf = plan(out_f.value, ring, max(tol, 1e-7), cluster_tol)
     diam = max(
         (abs(complex(p) - complex(q)) for p in mapped for q in mapped), default=0.0
@@ -331,7 +321,7 @@ def check_laws(
         r = _rel(out_neg.value - out_f.value, scale_f)
         entries.append(LawEntry("negation", r, tol_h, r <= tol_h))
 
-    fmax = max((abs(complex(_call(f, x))) for x in points), default=0.0)
+    fmax = max((abs(z) for z in fpoints), default=0.0)
     r = abs(operator_norm(out_f.value) - fmax) / max(1.0, fmax)
     entries.append(LawEntry("isometry", r, tol, r <= tol))
 

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cfc import plan
-from .eigen import cluster_with_labels
 from .matrix_core import (
     NotInSubalgebra,
     PredicateFailure,  # re-exported: the spectra raise it
@@ -19,7 +18,7 @@ from .matrix_core import (
     fro_norm,
     identity,
 )
-from .scalars import DEFAULT_TOL, ScalarRing, restrict_scalar
+from .scalars import DEFAULT_TOL, ScalarRing, embed
 from .unitization import UnitizationElement, uni_represent
 
 
@@ -48,7 +47,7 @@ def spectrum(
     predicate/tolerance interplay and is an error.
     """
     p = plan(a, ring, tol, cluster_tol)
-    return SpectrumResult(ring, p.points(), p.spec.multiplicities, "eigen")
+    return SpectrumResult(ring, p.points(), p.multiplicities, "eigen")
 
 
 def is_quasiregular(B: StarSubalgebra, x, tol: float = DEFAULT_TOL):
@@ -94,24 +93,6 @@ def is_quasiregular_ambient(B: StarSubalgebra, x, tol: float = DEFAULT_TOL) -> b
     return inside
 
 
-def _quasi_result(points, mults, ring, tol, scale, source, cluster_tol):
-    spec, _ = cluster_with_labels(np.asarray(points, dtype=np.complex128), cluster_tol)
-    # clustering collapses duplicates; recover multiplicities from the inputs
-    out_points = []
-    out_mults = []
-    for p in spec.points:
-        total = 0
-        for q, m in zip(points, mults):
-            if abs(q - p) <= max(cluster_tol, 1e-300) or q == p:
-                total += m
-        out_points.append(p)
-        out_mults.append(total)
-    base = SpectrumResult(ring, tuple(out_points), tuple(out_mults), source)
-    rtol = tol * max(1.0, scale)
-    restricted = tuple(restrict_scalar(z, ring, rtol) for z in base.points)
-    return SpectrumResult(ring, restricted, base.multiplicities, source)
-
-
 def quasispectrum_intrinsic(
     B: StarSubalgebra, a, ring: ScalarRing = ScalarRing.COMPLEX,
     tol: float = DEFAULT_TOL, cluster_tol: float | None = None,
@@ -127,20 +108,17 @@ def quasispectrum_intrinsic(
     if not inside:
         raise NotInSubalgebra(f"element not in subalgebra (residual {residual:.3e})")
     p = plan(a, ring, tol, cluster_tol)
-    if p.error is not None:
-        raise p.error
-    points = [0.0 + 0.0j]
-    mults = [1]
-    zero_cut = max(p.cluster_tol, 1e-300)
-    for r, m in zip(p.spec.points, p.spec.multiplicities):
-        if abs(r) <= zero_cut:
-            mults[0] = m
-            continue
-        quasireg, _ = is_quasiregular(B, -(1.0 / r) * a, tol)
-        if not quasireg:
-            points.append(r)
-            mults.append(m)
-    return _quasi_result(points, mults, ring, tol, p.scale, "intrinsic_quasi", p.cluster_tol)
+    zero_mult = 1
+    found = []
+    for r, m in zip(p.points(), p.multiplicities):
+        if abs(r) <= p.zero_cut:
+            zero_mult = m
+        elif not is_quasiregular(B, -(1.0 / r) * a, tol)[0]:
+            found.append((r, m))
+    found.append((embed(0.0, ring), zero_mult))
+    found.sort(key=lambda rm: (rm[0].real, rm[0].imag))
+    return SpectrumResult(ring, tuple(r for r, _ in found), tuple(m for _, m in found),
+                          "intrinsic_quasi")
 
 
 def quasispectrum_via_unitization(
@@ -151,4 +129,4 @@ def quasispectrum_via_unitization(
     of the minimal unitization; equals sigma(a) union {0} in M_n.  The block
     representation diag(0, a) meets the ring predicate exactly when a does."""
     p = plan(uni_represent(UnitizationElement(0.0, a)), ring, tol, cluster_tol)
-    return SpectrumResult(ring, p.points(), p.spec.multiplicities, "unitization_quasi")
+    return SpectrumResult(ring, p.points(), p.multiplicities, "unitization_quasi")

@@ -39,7 +39,7 @@ from cfckit.sampling import (
     rng_from_seed,
 )
 from cfckit.scalars import ScalarRing
-from cfckit.spectrum import spectrum
+from cfckit.spectrum import quasispectrum_intrinsic, spectrum
 
 E11 = np.array([[1, 0], [0, 0]], dtype=complex)
 NILPOTENT = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -98,6 +98,19 @@ def test_cfc_n_identity_and_zero_condition():
     out = cfc_n(shifted, a)
     assert out.junk and out.reason == "zero_condition_failed"
     assert np.all(out.value == 0)
+
+
+def test_cfc_n_zero_rule_is_relative_to_the_norm():
+    """A point is 0 only within cluster_tol, a fraction of ||a||: a small a
+    keeps its small eigenvalues, in cfc_n as in its quasispectrum."""
+    for s in (1.0, 1e-10, 1e-150):
+        a = s * np.diag([1.0, 2.0, 0.0])
+        out = cfc_n(identity_function(), a)
+        assert not out.junk
+        assert fro_norm(out.value - a) <= 1e-12 * fro_norm(a)
+        quasi = quasispectrum_intrinsic(elemental_subalgebra(a, unital=False), a)
+        assert np.allclose(quasi.points, [0.0, s, 2 * s], rtol=1e-12, atol=0.0)
+        assert quasi.multiplicities == (1, 1, 1)
 
 
 def test_cfc_n_range_containment():
