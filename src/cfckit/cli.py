@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Verbs: apply, apply-n, spectrum, quasispectrum, check-laws, unitize-info.
-Junk calculus outcomes are valid results and exit 0; I/O and parse problems
-exit 1; failed law checks exit 2.
+Junk calculus outcomes are valid results and exit 0; I/O, parse and
+validation errors, a failed predicate where no junk value exists (spectra)
+and eigensolver failures exit 1; failed law checks exit 2.
 """
 
 from __future__ import annotations
@@ -12,20 +13,18 @@ import sys
 
 from . import __version__
 from .cfc import cfc, cfc_n
+from .eigen import NoConvergence
 from .io import (
-    FormatError,
     dump_json,
     function_from_spec,
     load_basis,
     load_matrix,
     matrix_to_json,
 )
-from .matrix_core import DimensionMismatch, NotInSubalgebra, NotNormal
 from .oracle import check_laws
 from .sampling import random_normal_matrix, random_poly_function, rng_from_seed
-from .scalars import RestrictionFailure, ScalarRing, default_tol
+from .scalars import ScalarRing, default_tol
 from .spectrum import (
-    PredicateFailure,
     quasispectrum_intrinsic,
     quasispectrum_via_unitization,
     spectrum,
@@ -192,11 +191,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.verb]()
-    except (FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (PredicateFailure, RestrictionFailure, NotNormal, NotInSubalgebra,
-            DimensionMismatch, ValueError) as exc:
+    except (OSError, ValueError, NoConvergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 from .cfc import ScalarFunction, builtin_function
-from .matrix_core import as_matrix, subalgebra_from_matrices
+from .matrix_core import (
+    StarSubalgebra,
+    adjoint,
+    as_matrix,
+    fro_norm,
+    identity,
+    subalgebra_from_matrices,
+)
 from .oracle import StarPolynomial
 from .scalars import ScalarRing
 
@@ -49,26 +57,28 @@ def matrix_from_json(obj) -> np.ndarray:
         raise FormatError(f"field 'entries': {exc}") from exc
 
 
-def load_matrix(path: str) -> np.ndarray:
+def _read_json(path: str):
+    """The JSON document in the file at path; FormatError if it is not JSON."""
     with open(path) as fh:
         try:
-            obj = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def load_matrix(path: str) -> np.ndarray:
     try:
-        return matrix_from_json(obj)
+        return matrix_from_json(_read_json(path))
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def load_basis(path: str, tol: float):
+def load_basis(path: str, tol: float) -> StarSubalgebra:
     """Subalgebra basis file: {"unital": bool, "matrices": [matrix, ...]}
-    or a bare JSON array of matrix objects (non-unital)."""
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON ({exc})") from exc
+    or a bare JSON array of matrix objects (non-unital).  The span must be
+    closed under the adjoint and products, and contain I when marked unital,
+    within max(tol, 1e-8); else FormatError."""
+    obj = _read_json(path)
     unital = False
     if isinstance(obj, dict):
         unital = bool(obj.get("unital", False))
@@ -85,7 +95,20 @@ def load_basis(path: str, tol: float):
             matrices.append(matrix_from_json(m))
         except FormatError as exc:
             raise FormatError(f"{path}: matrices[{i}]: {exc}") from exc
-    return subalgebra_from_matrices(matrices, unital=unital, tol=tol)
+    B = subalgebra_from_matrices(matrices, unital=unital, tol=tol)
+    # the basis is orthonormal, so each residual is relative to ||x|| ||y||
+    # (a product such as P Q = 0 may come out as rounding noise)
+    n, bound = B.ambient_dim, max(tol, 1e-8)
+    checks = [("does not contain I", [identity(n) / math.sqrt(n)] if unital else []),
+              ("is not closed under the adjoint", (adjoint(b) for b in B.basis)),
+              ("is not closed under products", (x @ y for x in B.basis for y in B.basis))]
+    for failure, words in checks:
+        for w in words:
+            residual = fro_norm(w - B.project(w))
+            if residual > bound:
+                raise FormatError(f"{path}: the span of 'matrices' {failure} "
+                                  f"(residual {residual:.3e} > {bound:.3e})")
+    return B
 
 
 def function_from_spec(spec: str, ring: ScalarRing) -> ScalarFunction:

@@ -185,14 +185,24 @@ def subalgebra_contains(B: StarSubalgebra, x, tol: float = DEFAULT_TOL):
     return B.contains(x, tol)
 
 
+def _reorthogonalized(cand, basis) -> np.ndarray:
+    """cand minus its components along the orthonormal `basis`: Gram-Schmidt
+    run twice, which keeps the result orthogonal to the basis to working
+    precision even when most of cand lies in its span."""
+    r = cand.astype(np.complex128).ravel()
+    if basis:
+        q = np.array(basis).reshape(len(basis), -1)
+        for _ in range(2):
+            r -= (q.conj() @ r) @ q
+    return r.reshape(cand.shape)
+
+
 def _orthonormalize(candidates, rank_tol: float):
-    """Modified Gram-Schmidt with a relative rank cutoff."""
+    """Gram-Schmidt, twice per candidate, with a relative rank cutoff."""
     basis = []
     scale = max((fro_norm(c) for c in candidates), default=0.0)
     for cand in candidates:
-        r = cand.astype(np.complex128, copy=True)
-        for b in basis:
-            r -= frobenius_inner(b, r) * b
+        r = _reorthogonalized(cand, basis)
         nrm = fro_norm(r)
         if nrm > rank_tol * max(scale, fro_norm(cand), EPS_FLOOR):
             basis.append(r / nrm)
@@ -221,9 +231,7 @@ def elemental_subalgebra(a, unital: bool = True, tol: float = DEFAULT_TOL) -> St
         new = []
         for b in frontier:
             for cand in (b @ a, b @ ah):
-                r = cand.astype(np.complex128, copy=True)
-                for e in basis + new:
-                    r -= frobenius_inner(e, r) * e
+                r = _reorthogonalized(cand, basis + new)
                 nrm = fro_norm(r)
                 if nrm > rank_tol * max(fro_norm(cand), EPS_FLOOR):
                     new.append(r / nrm)

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from cfckit.io import FormatError, matrix_from_json, matrix_to_json
+from cfckit.io import FormatError, load_basis, matrix_from_json, matrix_to_json
 
 MATRIX = {"n": 2, "entries": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [4.0, 0.0]]}
 NONNORMAL = {"n": 2, "entries": [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
@@ -91,6 +91,46 @@ def test_quasispectrum_with_basis(tmp_path, matrix_file):
     out = json.loads(proc.stdout)
     assert out["points"] == [[0.0, 0.0], [1.0, 0.0]]
     assert out["source"] == "intrinsic_quasi"
+
+
+def _basis_file(tmp_path, obj):
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def test_basis_files_must_span_a_star_subalgebra(tmp_path, matrix_file, rng):
+    e11, e12, e22 = (matrix_to_json(np.eye(2)[:, [i]] @ np.eye(2)[[j], :])
+                     for i, j in ((0, 0), (0, 1), (1, 1)))
+    rejected = {
+        "the adjoint": [e12],                    # E21 = E12* is not in the span
+        "products": [e11, matrix_to_json(np.ones((2, 2)))],  # E11 J is not
+        "contain I": {"unital": True, "matrices": [e11]},
+    }
+    for failure, obj in rejected.items():
+        with pytest.raises(FormatError, match=failure):
+            load_basis(_basis_file(tmp_path, obj), 1e-9)
+    proc = run_cli("apply-n", "--matrix", matrix_file, "--fn", '{"builtin":"id"}',
+                   "--basis", _basis_file(tmp_path, [e12]))
+    assert proc.returncode == 1 and "adjoint" in proc.stderr
+    assert load_basis(_basis_file(tmp_path, {"unital": True, "matrices": [e11, e22]}),
+                      1e-9).dim == 2
+    # spectral projections of a random unitary: P Q = 0 only up to rounding
+    u = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0]
+    projections = [matrix_to_json(u[:, k:k + 2] @ u[:, k:k + 2].conj().T) for k in (0, 2)]
+    assert load_basis(_basis_file(tmp_path, projections), 1e-9).dim == 2
+
+
+def test_eigensolver_failure_exits_one(matrix_file, monkeypatch, capsys):
+    import cfckit.cli
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    for verb in ("spectrum", "quasispectrum", "unitize-info"):
+        assert cfckit.cli.main([verb, "--matrix", matrix_file]) == 1
+        assert "did not converge" in capsys.readouterr().err
 
 
 def test_unitize_info(matrix_file):

@@ -7,6 +7,7 @@ from cfckit.matrix_core import (
     adjoint,
     as_matrix,
     elemental_subalgebra,
+    frobenius_inner,
     is_nonneg,
     is_selfadjoint,
     is_star_normal,
@@ -109,6 +110,18 @@ def test_elemental_dimension_counts_distinct_eigenvalues(rng):
         assert elemental_subalgebra(a, unital=True).dim == k
         expected = k - (1 if 0.0 in lam else 0)
         assert elemental_subalgebra(a, unital=False).dim == expected
+
+
+def test_elemental_basis_stays_orthonormal_with_many_eigenvalues():
+    """Words in diag(0..n-1) are nearly parallel; each is orthogonalised
+    twice, so the basis stays orthonormal and spans exactly C*(a)."""
+    for n, unital, dim in ((24, False, 23), (32, True, 32)):
+        a = np.diag(np.arange(float(n)))
+        B = elemental_subalgebra(a, unital=unital)
+        assert B.dim == dim
+        gram = np.array([[frobenius_inner(x, y) for y in B.basis] for x in B.basis])
+        assert np.max(np.abs(gram - np.eye(dim))) <= 1e-12
+        assert subalgebra_contains(B, a)[0]
 
 
 def test_elemental_rejects_non_normal():
