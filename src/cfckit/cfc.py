@@ -127,8 +127,9 @@ class SpectralPlan:
         """The junk reason of every apply, or None for a sound plan."""
         if self.error is None:
             return None
-        failed = "decomposition" if isinstance(self.error, NoConvergence) else "predicate"
-        return f"{failed}_failed"
+        if isinstance(self.error, NoConvergence):
+            return "decomposition_failed"
+        return "predicate_failed"
 
     @property
     def zero_cut(self) -> float:

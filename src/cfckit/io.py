@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
@@ -99,7 +98,7 @@ def load_basis(path: str, tol: float) -> StarSubalgebra:
     # the basis is orthonormal, so each residual is relative to ||x|| ||y||
     # (a product such as P Q = 0 may come out as rounding noise)
     n, bound = B.ambient_dim, max(tol, 1e-8)
-    checks = [("does not contain I", [identity(n) / math.sqrt(n)] if unital else []),
+    checks = [("does not contain I", [identity(n) / np.sqrt(n)] if unital else []),
               ("is not closed under the adjoint", (adjoint(b) for b in B.basis)),
               ("is not closed under products", (x @ y for x in B.basis for y in B.basis))]
     for failure, words in checks:
