@@ -108,14 +108,14 @@ def quasispectrum_intrinsic(
     if not inside:
         raise NotInSubalgebra(f"element not in subalgebra (residual {residual:.3e})")
     p = plan(a, ring, tol, cluster_tol)
-    zero_mult = 1
+    zero_mult = 0
     found = []
     for r, m in zip(p.points(), p.multiplicities):
         if abs(r) <= p.zero_cut:
-            zero_mult = m
+            zero_mult += m
         elif not is_quasiregular(B, -(1.0 / r) * a, tol)[0]:
             found.append((r, m))
-    found.append((embed(0.0, ring), zero_mult))
+    found.append((embed(0.0, ring), zero_mult or 1))
     found.sort(key=lambda rm: (rm[0].real, rm[0].imag))
     return SpectrumResult(ring, tuple(r for r, _ in found), tuple(m for _, m in found),
                           "intrinsic_quasi")

@@ -79,6 +79,10 @@ def test_cfc_eval_failure_is_junk():
     assert np.all(out.value == 0)
     out = cfc_builtin("inv", np.diag([0.0, 2.0]), ScalarRing.COMPLEX)
     assert out.junk and out.reason == "eval_failed"
+    # values that are no complex number are failures of f, not of cfc
+    for value in (10**400, "a", None):
+        out = cfc(ScalarFunction(lambda x, v=value: v), np.eye(2))
+        assert out.junk and out.reason == "eval_failed"
 
 
 def test_cfc_ring_violation_is_junk():
@@ -111,6 +115,11 @@ def test_cfc_n_zero_rule_is_relative_to_the_norm():
         quasi = quasispectrum_intrinsic(elemental_subalgebra(a, unital=False), a)
         assert np.allclose(quasi.points, [0.0, s, 2 * s], rtol=1e-12, atol=0.0)
         assert quasi.multiplicities == (1, 1, 1)
+    # two clusters within cluster_tol of 0 but not of each other: both are 0
+    a = np.diag([1.0, 9e-9, -9e-9])
+    assert np.array_equal(cfc_n(identity_function(), a).value, np.diag([1.0, 0.0, 0.0]))
+    quasi = quasispectrum_intrinsic(elemental_subalgebra(a, unital=False), a)
+    assert quasi.points == (0.0, 1.0) and quasi.multiplicities == (2, 1)
 
 
 def test_cfc_n_range_containment():
