@@ -101,7 +101,9 @@ def quasispectrum_intrinsic(
     for which -(1/r) a fails quasiregularity in B.
 
     Spectral permanence makes the ambient eigenvalues an exhaustive candidate
-    set for matrix subalgebras, so no search over the plane is needed.
+    set for matrix subalgebras, so no search over the plane is needed.  The
+    points and multiplicities are the plan's; 0 takes the multiplicities of
+    the points within its zero cut (1 if there are none).
     """
     a = as_matrix(a)
     inside, residual = B.contains(a, max(tol, 1e-8))
@@ -116,9 +118,8 @@ def quasispectrum_intrinsic(
         elif not is_quasiregular(B, -(1.0 / r) * a, tol)[0]:
             found.append((r, m))
     found.append((embed(0.0, ring), zero_mult or 1))
-    found.sort(key=lambda rm: (rm[0].real, rm[0].imag))
-    return SpectrumResult(ring, tuple(r for r, _ in found), tuple(m for _, m in found),
-                          "intrinsic_quasi")
+    points, mults = zip(*sorted(found, key=lambda rm: (rm[0].real, rm[0].imag)))
+    return SpectrumResult(ring, points, mults, "intrinsic_quasi")
 
 
 def quasispectrum_via_unitization(
