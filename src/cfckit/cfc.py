@@ -1,6 +1,6 @@
 """The functional calculus itself: the `SpectralPlan` of an element (ring
-predicate checked, decomposed and clustered once, then applied to any number
-of functions), unital `cfc` over each scalar ring with junk-value semantics
+predicate checked and decomposed once, then applied to any number of
+functions), unital `cfc` over each scalar ring with junk-value semantics
 (failed predicate or unevaluable function yields the zero matrix, never an
 exception), the non-unital `cfc_n` with its f(0) = 0 guard, and named derived
 constructions (sqrt, abs, exp, log, inv, powers, positive/negative parts).
@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable, Optional
 
@@ -36,7 +37,7 @@ from .matrix_core import (
     predicate_for_ring,
     zeros,
 )
-from .scalars import DEFAULT_TOL, RestrictionFailure, ScalarRing, restrict_scalar
+from .scalars import DEFAULT_TOL, ScalarRing, restrict_scalar
 
 
 @dataclass(frozen=True)
@@ -105,10 +106,9 @@ def _eval_at(f: ScalarFunction, x, tol: float):
 
 @dataclass(slots=True)
 class SpectralPlan:
-    """a with its ring predicate checked, decomposed, clustered and its
-    clustered spectrum restricted to the ring once, for any number of
-    functions.  If the predicate, the eigensolver or the restriction failed,
-    `error` holds the failure and every apply is junk."""
+    """a with its ring predicate checked and decomposed once, for any number
+    of functions.  If the predicate or the eigensolver failed, `error` holds
+    the failure and every apply is junk."""
 
     a: np.ndarray
     ring: ScalarRing
@@ -116,11 +116,10 @@ class SpectralPlan:
     cluster_tol: float
     scale: float
     dec: Optional[SpectralDecomposition] = None
-    # cluster representatives restricted to the ring, sorted by (re, im)
-    ring_points: tuple = ()
-    multiplicities: tuple = ()
-    labels: Optional[np.ndarray] = None
+    # the eigenvalues restricted to the ring, in the order of dec.u's columns
+    values: tuple = ()
     error: Optional[Exception] = None
+    _clusters: Optional[tuple] = field(default=None, init=False, repr=False)
 
     @property
     def reason(self) -> Optional[str]:
@@ -138,26 +137,36 @@ class SpectralPlan:
         return max(self.cluster_tol, EPS_FLOOR)
 
     def points(self) -> tuple:
-        """The clustered spectrum restricted to the ring; raises the stored
-        PredicateFailure, NoConvergence or RestrictionFailure."""
+        """The cluster means restricted to the ring, sorted by (re, im),
+        clustered on first use and kept; raises the stored PredicateFailure
+        or NoConvergence."""
         if self.error is not None:
             raise self.error
-        return self.ring_points
+        if self._clusters is None:
+            spec, _ = cluster_with_labels(self.dec.lam, self.cluster_tol)
+            rtol = self.tol * max(1.0, self.scale)
+            points = tuple(map(restrict_scalar, spec.points, repeat(self.ring), repeat(rtol)))
+            self._clusters = (points, spec.multiplicities)
+        return self._clusters[0]
+
+    @property
+    def multiplicities(self) -> tuple:
+        """The cluster sizes, in the order of points()."""
+        self.points()
+        return self._clusters[1]
 
     def apply(self, f: ScalarFunction, zero_to_zero: bool = False) -> CfcOutcome:
-        """u diag(f(lam)) u*, f evaluated once per cluster, or junk with its
-        reason; with zero_to_zero, points at 0 map to 0 unevaluated."""
+        """u diag(f(lam)) u*, f evaluated at each eigenvalue, or junk with its
+        reason; with zero_to_zero, eigenvalues at 0 map to 0 unevaluated."""
         n = self.a.shape[0]
         if self.error is not None:
             return _junk(n, self.reason)
         cut = self.zero_cut if zero_to_zero else -1.0  # moduli are never negative
-        fvals = []
         try:
-            for x in self.ring_points:
-                fvals.append(0.0 if abs(x) <= cut else _eval_at(f, x, self.tol))
+            fvals = [0.0 if abs(x) <= cut else _eval_at(f, x, self.tol) for x in self.values]
         except _EvalFailed:
             return _junk(n, "eval_failed")
-        fvals = np.array(fvals, dtype=np.complex128)[self.labels]
+        fvals = np.array(fvals, dtype=np.complex128)
         u = self.dec.u
         if np.isrealobj(u) and not fvals.imag.any():
             value = ((u * fvals.real) @ u.T).astype(np.complex128)
@@ -170,8 +179,11 @@ def plan(
     a, ring: ScalarRing = ScalarRing.COMPLEX, tol: float = DEFAULT_TOL,
     cluster_tol: float | None = None,
 ) -> SpectralPlan:
-    """Check the ring predicate, decompose and cluster a and restrict its
-    clustered spectrum to the ring (within tol * max(1, ||a||_F)), once; the
+    """Check the ring predicate and decompose a once, keeping its eigenvalues
+    as ring scalars: clamped to >= 0 over R>=0, and over C with an imaginary
+    part within eps * ||a||_F of 0 set to +0.0, so that sqrt and log take
+    the principal branch (Complex.arg in (-pi, pi]) whatever the sign of the
+    rounding.  The clustered points are built only when asked for.  The
     default cluster_tol is DEFAULT_CLUSTER_REL * ||a||_F."""
     a = as_matrix(a)
     scale = fro_norm(a)
@@ -179,13 +191,15 @@ def plan(
         cluster_tol = DEFAULT_CLUSTER_REL * scale
     try:
         dec = ring_decomposition(a, ring, tol, cluster_tol)
-        spec, labels = cluster_with_labels(dec.lam, cluster_tol)
-        rtol = tol * max(1.0, scale)
-        points = tuple(map(restrict_scalar, spec.points, repeat(ring), repeat(rtol)))
-    except (PredicateFailure, NoConvergence, RestrictionFailure) as exc:
+    except (PredicateFailure, NoConvergence) as exc:
         return SpectralPlan(a, ring, tol, cluster_tol, scale, error=exc)
-    return SpectralPlan(a, ring, tol, cluster_tol, scale, dec, points,
-                        spec.multiplicities, labels)
+    values = dec.lam.tolist()
+    if ring is ScalarRing.NNREAL:
+        values = [max(x, 0.0) for x in values]
+    elif ring is ScalarRing.COMPLEX:  # +0.0: a negative real eigenvalue has arg pi
+        cut = sys.float_info.epsilon * scale
+        values = [complex(z.real) if abs(z.imag) <= cut else z for z in values]
+    return SpectralPlan(a, ring, tol, cluster_tol, scale, dec, tuple(values))
 
 
 def cfc(

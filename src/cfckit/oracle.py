@@ -10,6 +10,7 @@ general theory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -126,11 +127,13 @@ def cfc_oracle(
     evaluate the interpolant on a by plain matrix arithmetic.  Only the
     interpolation nodes come from an eigensolve; raises OracleSkipped when
     they are too close together."""
-    return _interpolate_on(f, a, spectrum(a, ring, tol, cluster_tol).points, tol)
+    points = spectrum(a, ring, tol, cluster_tol).points
+    values = [complex(restrict_scalar(f.eval(x), f.ring, tol)) for x in points]
+    return _interpolate_on(a, points, values, tol)
 
 
-def _interpolate_on(f: ScalarFunction, a, points, tol: float) -> np.ndarray:
-    """p(a) for the Lagrange interpolant p of f on the nodes `points`."""
+def _interpolate_on(a, points, values, tol: float) -> np.ndarray:
+    """p(a) for the Lagrange interpolant p through (points, values)."""
     nodes = [complex(z) for z in points]
     if len(nodes) > 1:
         gaps = [abs(p - q) for i, p in enumerate(nodes) for q in nodes[i + 1:]]
@@ -140,9 +143,7 @@ def _interpolate_on(f: ScalarFunction, a, points, tol: float) -> np.ndarray:
                 f"minimum spectral gap {min(gaps):.3e} below guard "
                 f"({GAP_GUARD_REL:.0e} of diameter {diameter:.3e})"
             )
-    fvals = [complex(restrict_scalar(f.eval(x), f.ring, tol)) for x in points]
-    interp = lagrange_interpolant(nodes, fvals)
-    return poly_eval(interp, a, tol)
+    return poly_eval(lagrange_interpolant(nodes, values), a, tol)
 
 
 @dataclass(frozen=True)
@@ -193,6 +194,23 @@ def _rel(diff, *scales) -> float:
     return fro_norm(diff) / max((1.0, *scales))
 
 
+def _memoised(f: ScalarFunction) -> ScalarFunction:
+    """f keeping its values; the keys tell 2.0 from 2+0j and 0.0 from -0.0."""
+    cache = {}
+
+    def evaluate(x):
+        try:
+            key = (type(x), x, math.copysign(1.0, x.real), math.copysign(1.0, x.imag))
+            return cache[key]
+        except KeyError:
+            cache[key] = value = f.eval(x)
+            return value
+        except (AttributeError, TypeError):  # not a hashable number
+            return f.eval(x)
+
+    return ScalarFunction(evaluate, f.ring, f.name)
+
+
 def _compose(g: ScalarFunction, f: ScalarFunction) -> ScalarFunction:
     return ScalarFunction(lambda x: g.eval(f.eval(x)), f.ring, "g.f")
 
@@ -226,8 +244,10 @@ def check_laws(
     Laws whose hypotheses fail (ring predicate, inner junk, oracle guard) are
     reported as skipped; junk totality is checked unconditionally.  One plan
     of a serves every law on a and the oracle's nodes, one of f(a) spectral
-    mapping and staged composition; negation keeps its own cfc on -a.
+    mapping and staged composition; negation keeps its own cfc on -a.  f and
+    g are evaluated once per distinct argument for the whole trial.
     """
+    f, g = _memoised(f), _memoised(g)
     pa = plan(a, ring, tol, cluster_tol)
     a = pa.a
     n = a.shape[0]
@@ -330,7 +350,7 @@ def check_laws(
     entries.append(LawEntry("range", r, max(tol, 1e-8), inside))
 
     try:
-        ref = _interpolate_on(f, a, points, tol)
+        ref = _interpolate_on(a, points, fpoints, tol)
     except OracleSkipped as exc:
         entries.append(LawEntry("oracle", 0.0, 0.0, True, skipped=True, note=str(exc)))
     else:

@@ -26,16 +26,28 @@ def rng():
     return np.random.default_rng(12345)
 
 
-@pytest.fixture
-def decompositions(monkeypatch):
-    """Counts the calls of cfc.ring_decomposition, which only plans make."""
+def _count_calls(monkeypatch, name):
+    """Counts the calls of cfc.<name>, as the calculus module binds it."""
     mod = importlib.import_module("cfckit.cfc")
     calls = [0]
-    inner = mod.ring_decomposition
+    inner = getattr(mod, name)
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(mod, "ring_decomposition", counted)
+    monkeypatch.setattr(mod, name, counted)
     return calls
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """Counts the calls of cfc.ring_decomposition, which only plans make."""
+    return _count_calls(monkeypatch, "ring_decomposition")
+
+
+@pytest.fixture
+def clusterings(monkeypatch):
+    """Counts the calls of cluster_with_labels, which a plan makes only for
+    its points and multiplicities."""
+    return _count_calls(monkeypatch, "cluster_with_labels")

@@ -1,3 +1,4 @@
+import cmath
 import contextlib
 import importlib
 import math
@@ -21,6 +22,7 @@ from cfckit.cfc import (
     plan,
     pos_part,
 )
+from cfckit.eigen import DEFAULT_CLUSTER_REL
 from cfckit.matrix_core import (
     NotInSubalgebra,
     adjoint,
@@ -38,7 +40,7 @@ from cfckit.sampling import (
     random_with_spectrum,
     rng_from_seed,
 )
-from cfckit.scalars import ScalarRing
+from cfckit.scalars import DEFAULT_TOL, ScalarRing
 from cfckit.spectrum import quasispectrum_intrinsic, spectrum
 
 E11 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -470,6 +472,53 @@ def test_eigensolver_failure_is_junk(monkeypatch):
         assert out.junk and out.reason == "zero_condition_failed"
 
 
+def test_cfc_evaluates_each_eigenvalue_without_clustering(clusterings):
+    a = random_with_spectrum(rng_from_seed(12), [0.0, 0.5, 0.5, 1.0])
+    for ring in ScalarRing:
+        assert not cfc(builtin_function("exp", ring), a, ring).junk
+        assert not cfc_n(identity_function(ring), a, None, ring).junk
+        assert not cfc_builtin("sqrt", a, ring).junk
+    assert clusterings[0] == 0
+
+
+def test_chained_clusters_do_not_move_values():
+    """Single-linkage chaining merges 399 eigenvalues 0.9 cluster_tol apart
+    into one cluster; each value is still f at its own eigenvalue."""
+    d = 1 + 0.9 * np.arange(399) * DEFAULT_CLUSTER_REL * math.sqrt(399)
+    assert spectrum(np.diag(d), ScalarRing.REAL).multiplicities == (399,)
+    out = cfc_builtin("exp", np.diag(d), ScalarRing.REAL)
+    ref = np.diag(np.exp(d))
+    assert not out.junk
+    assert fro_norm(out.value - ref) <= 1e-13 * fro_norm(ref)
+
+
+@pytest.mark.parametrize("name, fn", [("sqrt", cmath.sqrt), ("log", cmath.log)])
+def test_branch_cut_follows_the_exact_eigenvalue(name, fn):
+    """A negative real eigenvalue takes the principal branch (arg in
+    (-pi, pi]) whatever the sign of the rounding in its computed imaginary
+    part."""
+    lam = np.array([-0.75, -0.25 - 1j, 0.25 - 1j])
+    flam = np.array([fn(complex(z)) for z in lam])
+    gen = rng_from_seed(14)
+    for _ in range(200):
+        u = random_unitary(gen, 3)
+        ref = (u * flam) @ adjoint(u)
+        out = cfc_builtin(name, (u * lam) @ adjoint(u))
+        assert not out.junk
+        assert fro_norm(out.value - ref) <= 1e-12 * fro_norm(ref)
+
+
+def test_nnreal_eigenvalue_just_below_zero_is_clamped():
+    """The R>=0 predicate admits lam_min >= -tol ||a||_F, within the
+    restriction band, so the plan cannot fail to restrict its eigenvalues:
+    both the value and the point are clamped to 0."""
+    a = np.diag([-0.9 * DEFAULT_TOL * math.sqrt(5.0), 1.0, 2.0])
+    out = cfc_builtin("sqrt", a, ScalarRing.NNREAL)
+    assert not out.junk
+    assert np.allclose(out.value, np.diag([0.0, 1.0, math.sqrt(2.0)]), rtol=0, atol=1e-15)
+    assert plan(a, ScalarRing.NNREAL).points() == (0.0, 1.0, 2.0)
+
+
 def _same_outcome(x, y):
     return (x.junk == y.junk and x.reason == y.reason
             and x.value.dtype == y.value.dtype and np.array_equal(x.value, y.value))
@@ -478,6 +527,13 @@ def _same_outcome(x, y):
 def _plan_input(kind, ring, gen, n):
     if kind == "normal":
         return random_normal_matrix(gen, n, ring)
+    if kind == "near_degenerate":
+        # log-uniform steps of [0.1, 10] * cluster_tol from 1, complex over
+        # C: about half of them join a cluster, and clusters may chain
+        steps = 10.0 ** gen.uniform(-1, 1, n - 1) * DEFAULT_CLUSTER_REL * math.sqrt(n)
+        if ring is ScalarRing.COMPLEX:
+            steps = steps * np.exp(2j * np.pi * gen.uniform(size=n - 1))
+        return random_with_spectrum(gen, 1 + np.concatenate([[0.0], np.cumsum(steps)]))
     if kind == "non_normal":
         return np.diag(gen.standard_normal(n)) + np.eye(n, k=1)
     # selfadjoint with eigenvalues -1, 0 and 1: indefinite, so junk over R>=0
@@ -498,7 +554,7 @@ def _plan_functions(ring, gen):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6),
-       kind=st.sampled_from(("normal", "non_normal", "indefinite")),
+       kind=st.sampled_from(("normal", "near_degenerate", "non_normal", "indefinite")),
        ring=st.sampled_from(list(ScalarRing)), broken_eigh=st.booleans())
 def test_one_plan_applies_like_separate_cfc_calls(seed, n, kind, ring, broken_eigh):
     gen = rng_from_seed(seed)
@@ -518,4 +574,8 @@ def test_one_plan_applies_like_separate_cfc_calls(seed, n, kind, ring, broken_ei
     junk_plan = broken_eigh or kind == "non_normal" or (
         kind == "indefinite" and ring is ScalarRing.NNREAL)
     assert (p.reason is not None) == junk_plan
+    if kind == "near_degenerate" and not junk_plan:
+        # each eigenvalue keeps its own value, even inside a cluster
+        out = p.apply(identity_function(ring))
+        assert fro_norm(out.value - p.a) <= 1e-12 * fro_norm(p.a)
 

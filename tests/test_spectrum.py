@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cfckit.cfc import plan
 from cfckit.matrix_core import (
     NotInSubalgebra,
     elemental_subalgebra,
@@ -166,3 +167,20 @@ def test_quasispectrum_spectral_mapping():
     assert len(lhs) == len(rhs)
     for x, y in zip(lhs, rhs):
         assert abs(x - y) <= 1e-8
+
+
+def test_spectra_cluster_once_and_plans_keep_their_clusters(clusterings):
+    a = random_with_spectrum(rng_from_seed(13), [0.0, 0.5, 0.5, 1.0])
+    B = elemental_subalgebra(a, unital=False)
+    for ring in ScalarRing:
+        for spectral in (lambda: spectrum(a, ring),
+                         lambda: quasispectrum_via_unitization(a, ring),
+                         lambda: quasispectrum_intrinsic(B, a, ring)):
+            before = clusterings[0]
+            spectral()
+            assert clusterings[0] == before + 1
+    before = clusterings[0]
+    p = plan(a)
+    assert clusterings[0] == before
+    assert p.points() == p.points() and p.multiplicities == (1, 2, 1)
+    assert clusterings[0] == before + 1
