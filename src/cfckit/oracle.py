@@ -128,12 +128,14 @@ def cfc_oracle(
     interpolation nodes come from an eigensolve; raises OracleSkipped when
     they are too close together."""
     points = spectrum(a, ring, tol, cluster_tol).points
+    nodes = _guarded_nodes(points)
     values = [complex(restrict_scalar(f.eval(x), f.ring, tol)) for x in points]
-    return _interpolate_on(a, points, values, tol)
+    return poly_eval(lagrange_interpolant(nodes, values), a, tol)
 
 
-def _interpolate_on(a, points, values, tol: float) -> np.ndarray:
-    """p(a) for the Lagrange interpolant p through (points, values)."""
+def _guarded_nodes(points) -> list:
+    """The points as interpolation nodes; raises OracleSkipped when two of
+    them are closer than GAP_GUARD_REL of the diameter."""
     nodes = [complex(z) for z in points]
     if len(nodes) > 1:
         gaps = [abs(p - q) for i, p in enumerate(nodes) for q in nodes[i + 1:]]
@@ -143,7 +145,7 @@ def _interpolate_on(a, points, values, tol: float) -> np.ndarray:
                 f"minimum spectral gap {min(gaps):.3e} below guard "
                 f"({GAP_GUARD_REL:.0e} of diameter {diameter:.3e})"
             )
-    return poly_eval(lagrange_interpolant(nodes, values), a, tol)
+    return nodes
 
 
 @dataclass(frozen=True)
@@ -295,13 +297,12 @@ def check_laws(
     r = _rel(out_c.value - c * identity(n))
     entries.append(LawEntry("const", r, tol, r <= tol))
 
-    # congruence: perturb f by |vanishing polynomial|, which is 0 on the spectrum
-    points = pa.points()
-
+    # congruence: perturb f by |vanishing polynomial|, which is 0 at every
+    # eigenvalue the calculus evaluates f at
     def vanish(x):
         z = complex(x)
         prod = 1.0 + 0.0j
-        for p in points:
+        for p in pa.values:
             prod *= z - complex(p)
         return abs(prod)
 
@@ -310,6 +311,9 @@ def check_laws(
     r = _rel(out_cong.value - out_f.value, scale_f)
     entries.append(LawEntry("congruence", r, tol_h, r <= tol_h))
 
+    # the spectrum's points (cluster means) serve spectral mapping and the
+    # oracle's nodes; the isometry reads f where the calculus evaluated it
+    points = pa.points()
     fpoints = [complex(restrict_scalar(f.eval(x), f.ring, tol)) for x in points]
     mapped = sorted(fpoints, key=lambda z: (z.real, z.imag))
     pf = plan(out_f.value, ring, max(tol, 1e-7), cluster_tol)
@@ -341,7 +345,8 @@ def check_laws(
         r = _rel(out_neg.value - out_f.value, scale_f)
         entries.append(LawEntry("negation", r, tol_h, r <= tol_h))
 
-    fmax = max((abs(z) for z in fpoints), default=0.0)
+    fmax = max((abs(restrict_scalar(f.eval(x), f.ring, tol)) for x in pa.values),
+               default=0.0)
     r = abs(operator_norm(out_f.value) - fmax) / max(1.0, fmax)
     entries.append(LawEntry("isometry", r, tol, r <= tol))
 
@@ -350,10 +355,11 @@ def check_laws(
     entries.append(LawEntry("range", r, max(tol, 1e-8), inside))
 
     try:
-        ref = _interpolate_on(a, points, fpoints, tol)
+        nodes = _guarded_nodes(points)
     except OracleSkipped as exc:
         entries.append(LawEntry("oracle", 0.0, 0.0, True, skipped=True, note=str(exc)))
     else:
+        ref = poly_eval(lagrange_interpolant(nodes, fpoints), a, tol)
         t = 1e-8 * max(1.0, 1.0 + fmax, scale_a)
         r = fro_norm(out_f.value - ref) / max(1.0, (1.0 + fmax) * max(scale_a, 1.0))
         entries.append(LawEntry("oracle", r, t, r <= t))

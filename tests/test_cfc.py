@@ -508,6 +508,21 @@ def test_branch_cut_follows_the_exact_eigenvalue(name, fn):
         assert fro_norm(out.value - ref) <= 1e-12 * fro_norm(ref)
 
 
+def test_branch_cut_with_a_neighbour_just_beyond_cluster_tol():
+    """A neighbour whose real part lies just beyond cluster_tol pulls the
+    computed eigenvector of -0.75 towards itself, and its imaginary part
+    into -0.75's Rayleigh quotient: several eps ||a||_F at n = 2."""
+    gen = rng_from_seed(15)
+    for _ in range(2000):
+        kappa = gen.uniform(-1.0, 1.0)
+        gap = 1.001 * DEFAULT_CLUSTER_REL * math.sqrt(2 * 0.75**2 + kappa**2)
+        lam = np.array([-0.75, -0.75 + gap + 1j * kappa])
+        u = random_unitary(gen, 2)
+        ref = (u * np.sqrt(lam)) @ adjoint(u)
+        out = cfc_builtin("sqrt", (u * lam) @ adjoint(u))
+        assert fro_norm(out.value - ref) <= 1e-6 * fro_norm(ref)
+
+
 def test_nnreal_eigenvalue_just_below_zero_is_clamped():
     """The R>=0 predicate admits lam_min >= -tol ||a||_F, within the
     restriction band, so the plan cannot fail to restrict its eigenvalues:

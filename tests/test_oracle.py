@@ -112,9 +112,27 @@ def test_oracle_consistency_with_direct_polynomials():
 
 
 def test_oracle_gap_guard():
+    def fails(x):
+        raise ZeroDivisionError("f is never evaluated on skipped nodes")
+
     a = random_with_spectrum(rng_from_seed(6), [0.0, 1e-9, 1.0])
     with pytest.raises(OracleSkipped):
         cfc_oracle(identity_function(), a, cluster_tol=1e-12)
+    with pytest.raises(OracleSkipped):
+        cfc_oracle(ScalarFunction(fails), a, cluster_tol=1e-12)
+
+
+def test_check_laws_passes_inside_a_cluster_with_spread():
+    """3 and 3 + 1e-8 form one cluster: the calculus takes f at each of
+    them, and the isometry and congruence laws read the same values."""
+    report = check_laws(
+        np.diag([1.0, 3.0, 3.0 + 1e-8]),
+        builtin_function("exp", ScalarRing.REAL),
+        ScalarFunction(lambda x: x * x - x, ScalarRing.REAL),
+        ScalarRing.REAL,
+    )
+    assert report.all_passed
+    assert not any(e.skipped for e in report.entries)
 
 
 def test_check_laws_all_pass_on_good_input():
