@@ -33,7 +33,6 @@ from .matrix_core import (
     is_selfadjoint,
     is_star_normal,
     operator_norm,
-    subalgebra_contains,
 )
 from .oracle import (
     LawReport,
@@ -66,7 +65,7 @@ __all__ = [
     "SpectralDecomposition", "cluster_with_labels", "hermitian_eigen",
     "normal_spectral_decomposition", "PredicateReport", "StarSubalgebra",
     "adjoint", "elemental_subalgebra", "is_nonneg", "is_selfadjoint",
-    "is_star_normal", "operator_norm", "subalgebra_contains", "LawReport",
+    "is_star_normal", "operator_norm", "LawReport",
     "StarPolynomial", "cfc_oracle", "check_laws", "lagrange_interpolant",
     "poly_eval", "ScalarRing", "embed", "restrict_scalar", "truncated_sub",
     "QuasiregularWitness", "SpectrumResult", "is_quasiregular",

@@ -33,6 +33,7 @@ from .matrix_core import (
     adjoint,
     as_matrix,
     fro_norm,
+    is_nonneg,
     nonneg_report,
     predicate_for_ring,
     zeros,
@@ -292,13 +293,7 @@ def builtin_function(name: str, ring: ScalarRing = ScalarRing.COMPLEX,
     elif name == "exp":
         fn = math.exp if real else cmath.exp
     elif name == "log":
-        if real:
-            fn = math.log
-        else:
-            def fn(x):
-                if x == 0:
-                    raise ValueError("log of zero")
-                return cmath.log(x)
+        fn = math.log if real else cmath.log  # both raise ValueError at 0
     elif name == "inv":
         fn = lambda x: 1.0 / x
     elif name == "pow":
@@ -337,8 +332,6 @@ def loewner_le(f: ScalarFunction, g: ScalarFunction, a,
                ring: ScalarRing = ScalarRing.REAL, tol: float = DEFAULT_TOL) -> bool:
     """Forward direction of the order law: f <= g pointwise on the spectrum
     implies cfc(g, a) - cfc(f, a) is nonnegative."""
-    from .matrix_core import is_nonneg
-
     p = plan(a, ring, tol)
     lhs, rhs = p.apply(f), p.apply(g)
     if lhs.junk or rhs.junk:

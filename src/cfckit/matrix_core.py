@@ -14,6 +14,16 @@ from .scalars import DEFAULT_TOL, ScalarRing
 # Floor for relative residuals so the zero matrix passes every predicate exactly.
 EPS_FLOOR = 1e-300
 
+# Where the Arnoldi chain of C*(a) breaks down: a residual this small relative
+# to its candidate (the rounding of diagonal inputs, which commutes with a), or
+# a unit direction whose commutator with a exceeds this times ||a||_F.  On
+# random-unitary conjugates up to n = 64 the rounding direction at breakdown
+# measured 0.017-0.32 ||a||_F, and true directions stay below 1e-6 ||a||_F up
+# to about 45 distinct eigenvalues on a line or disk; past that the chain
+# stops short, inside C*(a).
+CHAIN_RESIDUAL_REL = 1e-12
+CHAIN_COMMUTATOR_REL = 1e-6
+
 
 class DimensionMismatch(ValueError):
     pass
@@ -181,10 +191,6 @@ class StarSubalgebra:
         return residual <= tol, residual
 
 
-def subalgebra_contains(B: StarSubalgebra, x, tol: float = DEFAULT_TOL):
-    return B.contains(x, tol)
-
-
 def _reorthogonalized(cand, basis) -> np.ndarray:
     """cand minus its components along the orthonormal `basis`: Gram-Schmidt
     run twice, which keeps the result orthogonal to the basis to working
@@ -197,24 +203,15 @@ def _reorthogonalized(cand, basis) -> np.ndarray:
     return r.reshape(cand.shape)
 
 
-def _orthonormalize(candidates, rank_tol: float):
-    """Gram-Schmidt, twice per candidate, with a relative rank cutoff."""
-    basis = []
-    scale = max((fro_norm(c) for c in candidates), default=0.0)
-    for cand in candidates:
-        r = _reorthogonalized(cand, basis)
-        nrm = fro_norm(r)
-        if nrm > rank_tol * max(scale, fro_norm(cand), EPS_FLOOR):
-            basis.append(r / nrm)
-    return basis
-
-
 def elemental_subalgebra(a, unital: bool = True, tol: float = DEFAULT_TOL) -> StarSubalgebra:
     """Orthonormal basis of the star-subalgebra generated by a normal element.
 
-    Built by closing the span of words in a and a* under right multiplication
-    by the generators (every word extends a shorter one).  For a normal with
-    k distinct eigenvalues the unital dimension is k; the non-unital one drops
+    For normal a, C*(a) is the polynomials in a (with p(0) = 0 when not
+    unital), so a* is never needed: one Arnoldi chain x_0 = I (or a),
+    x_{k+1} = q_k a, each step orthogonalised twice, spans it.  The chain
+    ends at n elements, at a residual of rounding size, or at a unit
+    direction that does not commute with a, which is rounding noise.  For k
+    distinct eigenvalues the unital dimension is k; the non-unital one drops
     to k - 1 when 0 is an eigenvalue.
     """
     a = as_matrix(a)
@@ -222,23 +219,19 @@ def elemental_subalgebra(a, unital: bool = True, tol: float = DEFAULT_TOL) -> St
     if not report.holds:
         raise NotNormal(report)
     n = a.shape[0]
-    ah = adjoint(a)
-    rank_tol = max(tol, 1e-12)
-    seeds = [identity(n)] if unital else [a, ah]
-    basis = _orthonormalize(seeds, rank_tol)
-    frontier = list(basis)
-    for _ in range(n * n):
-        new = []
-        for b in frontier:
-            for cand in (b @ a, b @ ah):
-                r = _reorthogonalized(cand, basis + new)
-                nrm = fro_norm(r)
-                if nrm > rank_tol * max(fro_norm(cand), EPS_FLOOR):
-                    new.append(r / nrm)
-        if not new:
+    scale = fro_norm(a)
+    cand = identity(n) if unital else a
+    basis = []
+    while len(basis) < n:
+        r = _reorthogonalized(cand, basis)
+        nrm = fro_norm(r)
+        if nrm <= CHAIN_RESIDUAL_REL * fro_norm(cand):
             break
-        basis.extend(new)
-        frontier = new
+        q = r / nrm
+        if fro_norm(q @ a - a @ q) > CHAIN_COMMUTATOR_REL * scale:
+            break
+        basis.append(q)
+        cand = q @ a
     return StarSubalgebra(ambient_dim=n, basis=tuple(basis), unital=unital)
 
 
@@ -251,5 +244,11 @@ def subalgebra_from_matrices(mats, unital: bool = False, tol: float = DEFAULT_TO
     for m in mats:
         if m.shape[0] != n:
             raise DimensionMismatch("basis matrices have mixed dimensions")
-    basis = _orthonormalize(mats, max(tol, 1e-12))
+    rank_tol = max(tol, 1e-12) * max(max(fro_norm(m) for m in mats), EPS_FLOOR)
+    basis = []
+    for m in mats:
+        r = _reorthogonalized(m, basis)
+        nrm = fro_norm(r)
+        if nrm > rank_tol:
+            basis.append(r / nrm)
     return StarSubalgebra(ambient_dim=n, basis=tuple(basis), unital=unital)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -7,14 +9,14 @@ from cfckit.matrix_core import (
     adjoint,
     as_matrix,
     elemental_subalgebra,
+    fro_norm,
     frobenius_inner,
     is_nonneg,
     is_selfadjoint,
     is_star_normal,
     operator_norm,
-    subalgebra_contains,
 )
-from cfckit.sampling import random_normal_matrix, rng_from_seed
+from cfckit.sampling import random_normal_matrix, random_unitary, rng_from_seed
 from cfckit.scalars import ScalarRing
 
 E11 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -112,16 +114,68 @@ def test_elemental_dimension_counts_distinct_eigenvalues(rng):
         assert elemental_subalgebra(a, unital=False).dim == expected
 
 
+def _conjugate(seed, spectrum):
+    """(generator, lam, u, u diag(lam) u*): lam drawn by `spectrum`, then u
+    a random unitary, from one seeded generator."""
+    gen = rng_from_seed(seed)
+    lam = np.asarray(spectrum(gen), dtype=complex)
+    u = random_unitary(gen, len(lam))
+    return gen, lam, u, (u * lam) @ adjoint(u)
+
+
+def _disk(n):
+    return lambda gen: np.sqrt(gen.uniform(0, 1, n)) * np.exp(2j * np.pi * gen.uniform(0, 1, n))
+
+
+def _circle(k, copies=1):
+    return lambda gen: np.repeat(np.exp(2j * np.pi * np.arange(k) / k), copies)
+
+
+def _line(k, copies=1):
+    return lambda gen: np.repeat(np.linspace(-1.0, 1.0, k), copies)
+
+
 def test_elemental_basis_stays_orthonormal_with_many_eigenvalues():
     """Words in diag(0..n-1) are nearly parallel; each is orthogonalised
-    twice, so the basis stays orthonormal and spans exactly C*(a)."""
+    twice, so the basis stays orthonormal and spans exactly C*(a).  On
+    random-unitary conjugates rounding leaves the diagonal, and the chain
+    must end where C*(a) does, not grow into M_n."""
     for n, unital, dim in ((24, False, 23), (32, True, 32)):
         a = np.diag(np.arange(float(n)))
         B = elemental_subalgebra(a, unital=unital)
         assert B.dim == dim
         gram = np.array([[frobenius_inner(x, y) for y in B.basis] for x in B.basis])
         assert np.max(np.abs(gram - np.eye(dim))) <= 1e-12
-        assert subalgebra_contains(B, a)[0]
+        assert B.contains(a)[0]
+    near_degenerate = lambda gen: np.concatenate([[0.0, 1.0, 1.0 + 1e-5], np.linspace(2.0, 3.0, 9)])
+    spectra = [near_degenerate, _line(26), _circle(26), _line(13, 2), _disk(26),
+               _line(32), _circle(32), _line(16, 2), _circle(64), _circle(32, 2)]
+    for seed, spectrum in enumerate(spectra):
+        gen, lam, u, a = _conjugate(seed, spectrum)
+        distinct, label = np.unique(lam, return_inverse=True)
+        B = elemental_subalgebra(a, unital=True)
+        assert B.dim == len(distinct)
+        q = np.array(B.basis).reshape(B.dim, -1)
+        assert np.max(np.abs(q.conj() @ q.T - np.eye(B.dim))) <= 1e-12
+        values = gen.standard_normal(len(distinct)) + 1j * gen.standard_normal(len(distinct))
+        for f in (lam, np.exp(lam), values[label]):
+            assert B.contains((u * f) @ adjoint(u), 1e-8)[0]
+
+
+def test_elemental_chain_stays_inside_c_star_at_n_64():
+    """Past about 45 distinct eigenvalues on a line or disk the chain stops
+    short of C*(a), but what it keeps commutes with a, holds a and exp(a),
+    and is built in well under a second."""
+    for seed, spectrum in enumerate((_line(64), _disk(64), _line(32, 2))):
+        _, lam, u, a = _conjugate(seed, spectrum)
+        start = time.perf_counter()
+        B = elemental_subalgebra(a, unital=True)
+        assert time.perf_counter() - start < 1.0
+        assert B.dim <= len(np.unique(lam))
+        for b in B.basis:
+            assert fro_norm(b @ a - a @ b) <= 1e-6 * fro_norm(a)
+        for f in (lam, np.exp(lam)):
+            assert B.contains((u * f) @ adjoint(u), 1e-8)[0]
 
 
 def test_elemental_rejects_non_normal():
@@ -134,21 +188,21 @@ def test_subalgebra_closure_invariants(rng):
     a = random_normal_matrix(gen, 4, ScalarRing.COMPLEX)
     B = elemental_subalgebra(a, unital=True, tol=1e-9)
     for b in B.basis:
-        assert subalgebra_contains(B, adjoint(b), 1e-8)[0]
+        assert B.contains(adjoint(b), 1e-8)[0]
         for c in B.basis:
-            assert subalgebra_contains(B, b @ c, 1e-8)[0]
+            assert B.contains(b @ c, 1e-8)[0]
 
 
 def test_subalgebra_contains_examples():
     B = elemental_subalgebra(E11, unital=False)
-    assert subalgebra_contains(B, E11)[0]
-    assert not subalgebra_contains(B, np.eye(2))[0]
+    assert B.contains(E11)[0]
+    assert not B.contains(np.eye(2))[0]
     Bn = elemental_subalgebra(np.diag([1.0, 2.0, 3.0]), unital=False)
     a3 = np.diag([1.0, 8.0, 27.0])
-    assert subalgebra_contains(Bn, a3, 1e-8)[0]
+    assert Bn.contains(a3, 1e-8)[0]
 
 
 def test_subalgebra_contains_dimension_mismatch():
     B = elemental_subalgebra(E11, unital=False)
     with pytest.raises(DimensionMismatch):
-        subalgebra_contains(B, np.eye(3))
+        B.contains(np.eye(3))

@@ -9,7 +9,6 @@ from cfckit.oracle import (
     StarPolynomial,
     cfc_oracle,
     check_laws,
-    interpolation_residual,
     lagrange_interpolant,
     poly_eval,
 )
@@ -73,7 +72,9 @@ def test_interpolation_exact_at_nodes():
     pts = np.linspace(-1, 1, 6) + 1j * gen.uniform(-1, 1, 6)
     vals = gen.uniform(-1, 1, 6) + 1j * gen.uniform(-1, 1, 6)
     p = lagrange_interpolant(pts, vals)
-    assert interpolation_residual(p, pts, vals) <= 1e-12 * max(np.abs(vals))
+    f = p.as_function()
+    residual = max(abs(f.eval(z) - v) for z, v in zip(pts, vals))
+    assert residual <= 1e-12 * max(np.abs(vals))
 
 
 def test_cfc_oracle_examples():
