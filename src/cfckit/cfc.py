@@ -81,20 +81,26 @@ def _junk(n: int, reason: str) -> CfcOutcome:
 
 
 def ring_decomposition(
-    a, ring: ScalarRing, tol: float = DEFAULT_TOL, cluster_tol: float | None = None
+    a, ring: ScalarRing, tol: float = DEFAULT_TOL, cluster_tol: float | None = None,
+    *, scale=None,
 ) -> SpectralDecomposition:
     """Spectral decomposition of a for the calculus over `ring`, checking the
     ring's predicate exactly once on the way: the normal decomposition over
-    C, the Hermitian one over R, whose least eigenvalue decides R>=0.
+    C, the Hermitian one over R, whose least eigenvalue decides R>=0.  A
+    caller that has coerced a with as_matrix passes ||a||_F as `scale`, which
+    the predicate and the decomposition then share.
 
     Raises PredicateFailure when the predicate fails and NoConvergence when
     the eigensolver does.
     """
+    if scale is None:
+        a = as_matrix(a)
+        scale = fro_norm(a)
     if ring is ScalarRing.COMPLEX:
-        return normal_spectral_decomposition(a, tol, cluster_tol)
-    dec = hermitian_eigen(a, tol)
+        return normal_spectral_decomposition(a, tol, cluster_tol, scale=scale)
+    dec = hermitian_eigen(a, tol, scale=scale)
     if ring is ScalarRing.NNREAL:
-        report = nonneg_report(dec.report, float(dec.lam[0]), fro_norm(dec.a))
+        report = nonneg_report(dec.report, float(dec.lam[0]), scale)
         if not report.holds:
             raise PredicateFailure(report)
     return dec
@@ -198,7 +204,7 @@ def plan(
     if cluster_tol is None:
         cluster_tol = DEFAULT_CLUSTER_REL * scale
     try:
-        dec = ring_decomposition(a, ring, tol, cluster_tol)
+        dec = ring_decomposition(a, ring, tol, cluster_tol, scale=scale)
     except (PredicateFailure, NoConvergence) as exc:
         return SpectralPlan(a, ring, tol, cluster_tol, scale, error=exc)
     values = dec.lam.tolist()
@@ -245,10 +251,9 @@ def cfc_n(
     except _EvalFailed:
         reason = "eval_failed"
     if reason is not None:
-        a = as_matrix(a)
-        if not predicate_for_ring(a, ring, tol).holds:
+        if not predicate_for_ring(a, ring, tol).holds:  # coerces a, or raises
             reason = "predicate_failed"
-        return _junk(a.shape[0], reason)
+        return _junk(np.shape(a)[0], reason)
     out = plan(a, ring, tol, cluster_tol).apply(f, zero_to_zero=True)
     if B is not None and not out.junk:
         inside, residual = B.contains(out.value, max(tol, 1e-8))

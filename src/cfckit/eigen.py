@@ -18,6 +18,7 @@ from .matrix_core import (
     adjoint,
     as_matrix,
     fro_norm,
+    hermitian_parts,
     is_selfadjoint,
     is_star_normal,
 )
@@ -61,10 +62,6 @@ class ClusteredSpectrum:
         return len(self.points)
 
 
-def default_cluster_tol(a) -> float:
-    return DEFAULT_CLUSTER_REL * fro_norm(a)
-
-
 def _eigh(h):
     """np.linalg.eigh, in real arithmetic when h has no imaginary part."""
     try:
@@ -75,13 +72,16 @@ def _eigh(h):
         raise NoConvergence(str(exc)) from exc
 
 
-def hermitian_eigen(h, tol: float = DEFAULT_TOL) -> SpectralDecomposition:
+def hermitian_eigen(h, tol: float = DEFAULT_TOL, *, scale=None) -> SpectralDecomposition:
     """Eigendecomposition of a selfadjoint matrix; eigenvalues real, ascending.
 
-    Real symmetric input stays in real arithmetic: u comes back real.
+    Real symmetric input stays in real arithmetic: u comes back real.  A
+    caller that has coerced h with as_matrix passes ||h||_F as `scale`.
     """
-    h = as_matrix(h)
-    report = is_selfadjoint(h, tol)
+    if scale is None:
+        h = as_matrix(h)
+        scale = fro_norm(h)
+    report = is_selfadjoint(h, tol, scale=scale)
     if not report.holds:
         raise NotSelfadjoint(report)
     w, u = _eigh((h + adjoint(h)) / 2)
@@ -100,16 +100,22 @@ def _contiguous_clusters(sorted_reals, cluster_tol):
 
 
 def normal_spectral_decomposition(
-    a, tol: float = DEFAULT_TOL, cluster_tol: float | None = None
+    a, tol: float = DEFAULT_TOL, cluster_tol: float | None = None, *, scale=None
 ) -> SpectralDecomposition:
     """Unitary diagonalization of a normal matrix.
 
-    Writes a = h + i k with commuting Hermitian parts, diagonalizes h, then
-    diagonalizes the compression of k inside each eigenvalue cluster of h.
-    Eigenvalues come back sorted lexicographically by (re, im).
+    Writes a = h + i k with commuting Hermitian parts, which the normality
+    check shares, diagonalizes h, then diagonalizes the compression of k
+    inside each eigenvalue cluster of h.  Eigenvalues come back sorted
+    lexicographically by (re, im).  A caller that has coerced a with
+    as_matrix passes ||a||_F as `scale`; the default cluster_tol is
+    DEFAULT_CLUSTER_REL * ||a||_F.
     """
-    a = as_matrix(a)
-    report = is_star_normal(a, tol)
+    if scale is None:
+        a = as_matrix(a)
+        scale = fro_norm(a)
+    h, k = hermitian_parts(a)
+    report = is_star_normal(a, tol, scale=scale, parts=(h, k))
     if not report.holds:
         raise NotNormal(report)
     n = a.shape[0]
@@ -118,10 +124,8 @@ def normal_spectral_decomposition(
             u=np.eye(1, dtype=np.complex128), lam=a[0].copy(), a=a, report=report
         )
     if cluster_tol is None:
-        cluster_tol = default_cluster_tol(a)
-    ah = adjoint(a)
-    k = (a - ah) / 2j
-    wh, u = _eigh((a + ah) / 2)
+        cluster_tol = DEFAULT_CLUSTER_REL * scale
+    wh, u = _eigh(h)
     u = u.astype(np.complex128, copy=False)
     for idx in _contiguous_clusters(wh, cluster_tol):
         if len(idx) == 1:

@@ -113,22 +113,38 @@ class PredicateReport:
     tol_used: float
 
 
-def is_star_normal(a, tol: float = DEFAULT_TOL) -> PredicateReport:
-    """Does a commute with its adjoint?  Residual relative to ||a||^2,
-    taken of a / max|a_ij| when the products would overflow or underflow."""
-    a = as_matrix(a)
-    scale = fro_norm(a)
-    if scale > 0.0 and not 1e-100 <= scale <= 1e100:  # products may leave the float range
+def hermitian_parts(a):
+    """(h, k), both Hermitian, with a = h + i k."""
+    ah = adjoint(a)
+    return (a + ah) / 2, (a - ah) / 2j
+
+
+def is_star_normal(a, tol: float = DEFAULT_TOL, *, scale=None, parts=None) -> PredicateReport:
+    """Does a commute with its adjoint?  With a = h + i k (hermitian_parts),
+    a*a - aa* = 2i (hk - (hk)*), so one product decides it.  The residual is
+    ||a*a - aa*||_F / ||a||_F^2, taken of a / max|a_ij| when the product
+    would overflow or underflow.  A caller that has coerced a with as_matrix
+    passes ||a||_F as `scale`, and may pass its hermitian_parts as `parts`."""
+    if scale is None:
+        a = as_matrix(a)
+        scale = fro_norm(a)
+    if scale > 0.0 and not 1e-100 <= scale <= 1e100:  # the product may leave the float range
         a = a / np.max(np.abs(a))
         scale = fro_norm(a)
-    ah = adjoint(a)
-    residual = fro_norm(ah @ a - a @ ah) / max(scale ** 2, EPS_FLOOR)
+        parts = None
+    h, k = hermitian_parts(a) if parts is None else parts
+    p = h @ k
+    residual = 2 * fro_norm(p - adjoint(p)) / max(scale ** 2, EPS_FLOOR)
     return PredicateReport("normal", residual <= tol, residual, tol)
 
 
-def is_selfadjoint(a, tol: float = DEFAULT_TOL) -> PredicateReport:
-    a = as_matrix(a)
-    residual = fro_norm(a - adjoint(a)) / max(fro_norm(a), EPS_FLOOR)
+def is_selfadjoint(a, tol: float = DEFAULT_TOL, *, scale=None) -> PredicateReport:
+    """Is a = a*?  Residual ||a - a*||_F / ||a||_F; a caller that has coerced
+    a with as_matrix passes ||a||_F as `scale`."""
+    if scale is None:
+        a = as_matrix(a)
+        scale = fro_norm(a)
+    residual = fro_norm(a - adjoint(a)) / max(scale, EPS_FLOOR)
     return PredicateReport("selfadjoint", residual <= tol, residual, tol)
 
 
@@ -142,9 +158,10 @@ def nonneg_report(sa: PredicateReport, lam_min: float, scale: float) -> Predicat
 def is_nonneg(a, tol: float = DEFAULT_TOL) -> PredicateReport:
     """Selfadjoint with spectrum in [0, inf); equivalent to a = b* b in M_n."""
     a = as_matrix(a)
-    sa = is_selfadjoint(a, tol)
+    scale = fro_norm(a)
+    sa = is_selfadjoint(a, tol, scale=scale)
     lam_min = np.linalg.eigvalsh((a + adjoint(a)) / 2)[0] if sa.holds else 0.0
-    return nonneg_report(sa, float(lam_min), fro_norm(a))
+    return nonneg_report(sa, float(lam_min), scale)
 
 
 def predicate_for_ring(a, ring: ScalarRing, tol: float = DEFAULT_TOL) -> PredicateReport:
@@ -191,16 +208,16 @@ class StarSubalgebra:
         return residual <= tol, residual
 
 
-def _reorthogonalized(cand, basis) -> np.ndarray:
-    """cand minus its components along the orthonormal `basis`: Gram-Schmidt
-    run twice, which keeps the result orthogonal to the basis to working
-    precision even when most of cand lies in its span."""
+def _reorthogonalized(cand, q) -> np.ndarray:
+    """cand, flattened, minus its components along the orthonormal rows of
+    q: Gram-Schmidt run twice, which keeps the result orthogonal to q to
+    working precision even when most of cand lies in its span.  The
+    coefficients q^* r are taken as conj(q conj(r)), so no row of q is
+    conjugated."""
     r = cand.astype(np.complex128).ravel()
-    if basis:
-        q = np.array(basis).reshape(len(basis), -1)
-        for _ in range(2):
-            r -= (q.conj() @ r) @ q
-    return r.reshape(cand.shape)
+    for _ in range(2):
+        r -= np.conj(q @ np.conj(r)) @ q
+    return r
 
 
 def elemental_subalgebra(a, unital: bool = True, tol: float = DEFAULT_TOL) -> StarSubalgebra:
@@ -212,27 +229,30 @@ def elemental_subalgebra(a, unital: bool = True, tol: float = DEFAULT_TOL) -> St
     ends at n elements, at a residual of rounding size, or at a unit
     direction that does not commute with a, which is rounding noise.  For k
     distinct eigenvalues the unital dimension is k; the non-unital one drops
-    to k - 1 when 0 is an eigenvalue.
+    to k - 1 when 0 is an eigenvalue.  The basis is built in place, one row
+    of an (n, n^2) array per element.
     """
     a = as_matrix(a)
-    report = is_star_normal(a, tol)
+    scale = fro_norm(a)
+    report = is_star_normal(a, tol, scale=scale)
     if not report.holds:
         raise NotNormal(report)
     n = a.shape[0]
-    scale = fro_norm(a)
+    q = np.empty((n, n * n), dtype=np.complex128)
+    k = 0
     cand = identity(n) if unital else a
-    basis = []
-    while len(basis) < n:
-        r = _reorthogonalized(cand, basis)
+    while k < n:
+        r = _reorthogonalized(cand, q[:k])
         nrm = fro_norm(r)
         if nrm <= CHAIN_RESIDUAL_REL * fro_norm(cand):
             break
-        q = r / nrm
-        if fro_norm(q @ a - a @ q) > CHAIN_COMMUTATOR_REL * scale:
+        np.divide(r, nrm, out=q[k])
+        qk = q[k].reshape(n, n)
+        if fro_norm(qk @ a - a @ qk) > CHAIN_COMMUTATOR_REL * scale:
             break
-        basis.append(q)
-        cand = q @ a
-    return StarSubalgebra(ambient_dim=n, basis=tuple(basis), unital=unital)
+        k += 1
+        cand = qk @ a
+    return StarSubalgebra(ambient_dim=n, basis=tuple(q[:k].reshape(k, n, n)), unital=unital)
 
 
 def subalgebra_from_matrices(mats, unital: bool = False, tol: float = DEFAULT_TOL) -> StarSubalgebra:
@@ -245,10 +265,12 @@ def subalgebra_from_matrices(mats, unital: bool = False, tol: float = DEFAULT_TO
         if m.shape[0] != n:
             raise DimensionMismatch("basis matrices have mixed dimensions")
     rank_tol = max(tol, 1e-12) * max(max(fro_norm(m) for m in mats), EPS_FLOOR)
-    basis = []
+    q = np.empty((len(mats), n * n), dtype=np.complex128)
+    k = 0
     for m in mats:
-        r = _reorthogonalized(m, basis)
+        r = _reorthogonalized(m, q[:k])
         nrm = fro_norm(r)
         if nrm > rank_tol:
-            basis.append(r / nrm)
-    return StarSubalgebra(ambient_dim=n, basis=tuple(basis), unital=unital)
+            np.divide(r, nrm, out=q[k])
+            k += 1
+    return StarSubalgebra(ambient_dim=n, basis=tuple(q[:k].reshape(k, n, n)), unital=unital)

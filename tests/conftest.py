@@ -51,3 +51,43 @@ def clusterings(monkeypatch):
     """Counts the calls of cluster_with_labels, which a plan makes only for
     its points and multiplicities."""
     return _count_calls(monkeypatch, "cluster_with_labels")
+
+
+PREDICATES = ("is_star_normal", "is_selfadjoint", "is_nonneg", "predicate_for_ring")
+MODULES = ("cfckit.matrix_core", "cfckit.eigen", "cfckit.cfc", "cfckit.spectrum",
+           "cfckit.oracle", "cfckit.io", "cfckit.unitization")
+
+
+@pytest.fixture
+def work_counts(monkeypatch):
+    """Counts outermost predicate evaluations and every as_matrix coercion
+    (each as bound in every module), and numpy eigensolver calls."""
+    counts = {"predicate": 0, "as_matrix": 0, "eigh": 0, "eigvalsh": 0}
+    depth = [0]
+
+    def predicate(fn):
+        def wrapper(*args, **kwargs):
+            counts["predicate"] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in MODULES:
+        mod = importlib.import_module(module)
+        for name in PREDICATES:
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, predicate(getattr(mod, name)))
+        if hasattr(mod, "as_matrix"):
+            monkeypatch.setattr(mod, "as_matrix", counted("as_matrix", mod.as_matrix))
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    return counts

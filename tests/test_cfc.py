@@ -1,6 +1,5 @@
 import cmath
 import contextlib
-import importlib
 import math
 from unittest import mock
 
@@ -352,42 +351,6 @@ def test_junk_totality_fuzz():
             assert np.all(out_n.value == 0)
 
 
-PREDICATES = ("is_star_normal", "is_selfadjoint", "is_nonneg", "predicate_for_ring")
-
-
-@pytest.fixture
-def work_counts(monkeypatch):
-    """Counts outermost predicate evaluations (as bound in every module) and
-    numpy eigensolver calls."""
-    counts = {"predicate": 0, "eigh": 0, "eigvalsh": 0}
-    depth = [0]
-
-    def predicate(fn):
-        def wrapper(*args, **kwargs):
-            counts["predicate"] += depth[0] == 0
-            depth[0] += 1
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                depth[0] -= 1
-        return wrapper
-
-    def solver(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for module in ("cfckit.matrix_core", "cfckit.eigen", "cfckit.cfc", "cfckit.spectrum"):
-        mod = importlib.import_module(module)
-        for name in PREDICATES:
-            if hasattr(mod, name):
-                monkeypatch.setattr(mod, name, predicate(getattr(mod, name)))
-    for name in ("eigh", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, solver(name, getattr(np.linalg, name)))
-    return counts
-
-
 @pytest.mark.parametrize("ring, lam, eighs", [
     (ScalarRing.COMPLEX, np.arange(8) * 0.25 + 0.5j * (np.arange(8) % 3), 1),
     # real parts 0.5 (twice) and 1.0 (three times): two repeated clusters of h
@@ -401,14 +364,21 @@ def test_cfc_checks_the_predicate_once_and_solves_once(work_counts, ring, lam, e
         a = (a + adjoint(a)) / 2
     out = cfc_builtin("exp", a, ring)
     assert not out.junk
-    assert work_counts == {"predicate": 1, "eigh": eighs, "eigvalsh": 0}
+    assert work_counts == {"predicate": 1, "as_matrix": 1, "eigh": eighs, "eigvalsh": 0}
+
+
+@pytest.mark.parametrize("ring", list(ScalarRing))
+def test_cfc_junk_input_pays_its_predicate_and_no_eigensolve(work_counts, ring):
+    out = cfc_builtin("exp", NILPOTENT, ring)
+    assert out.junk and out.reason == "predicate_failed"
+    assert work_counts == {"predicate": 1, "as_matrix": 1, "eigh": 0, "eigvalsh": 0}
 
 
 def test_spectrum_checks_the_predicate_once_and_solves_once(work_counts):
     a = random_with_spectrum(rng_from_seed(9), np.arange(8) * 0.5 + 0j)
     for ring in ScalarRing:
         spectrum(a, ring)
-    assert work_counts == {"predicate": 3, "eigh": 3, "eigvalsh": 0}
+    assert work_counts == {"predicate": 3, "as_matrix": 3, "eigh": 3, "eigvalsh": 0}
 
 
 def test_cfc_n_junk_inputs_pay_no_eigensolve(work_counts):
@@ -418,6 +388,7 @@ def test_cfc_n_junk_inputs_pay_no_eigensolve(work_counts):
     out = cfc_n(shifted, np.diag([1j, 2.0]), None, ScalarRing.REAL)
     assert out.junk and out.reason == "predicate_failed"
     assert work_counts["eigh"] == 0 and work_counts["eigvalsh"] == 0
+    assert work_counts["as_matrix"] == 2  # one per call
 
 
 def test_cfc_n_nnreal_indefinite_with_f0_nonzero_is_predicate_failed():

@@ -57,6 +57,27 @@ def test_normal_predicate():
     assert is_star_normal(np.zeros((3, 3))).holds  # predicate holds at 0
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150, 1e155])
+def test_normal_residual_from_one_product_matches_the_commutator(scale):
+    """is_star_normal forms h k (a = h + i k) in place of a*a and aa*; its
+    residual must be ||a*a - aa*||_F / ||a||_F^2 to rounding, the reference
+    taken of a / max|a_ij| so that it cannot overflow."""
+    gen = rng_from_seed(21)
+    inputs = []
+    for n in (1, 2, 4, 7):
+        square = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
+        inputs += [random_normal_matrix(gen, n, ScalarRing.COMPLEX),
+                   random_normal_matrix(gen, n, ScalarRing.REAL),
+                   square, np.triu(square, 1)]
+    for a in inputs:
+        a = scale * a
+        b = a / max(np.max(np.abs(a)), 1e-300)
+        direct = fro_norm(adjoint(b) @ b - b @ adjoint(b)) / max(fro_norm(b) ** 2, 1e-300)
+        rep = is_star_normal(a)
+        assert abs(rep.residual - direct) <= 1e-14 * max(1.0, direct)
+        assert rep.holds == (direct <= rep.tol_used)
+
+
 def test_selfadjoint_predicate():
     assert is_selfadjoint(np.array([[0, 1], [1, 0]])).holds
     assert not is_selfadjoint(np.array([[0, -1], [1, 0]])).holds
