@@ -82,23 +82,20 @@ def _junk(n: int, reason: str) -> CfcOutcome:
 
 def ring_decomposition(
     a, ring: ScalarRing, tol: float = DEFAULT_TOL, cluster_tol: float | None = None,
-    *, scale=None,
+    *, scale: float,
 ) -> SpectralDecomposition:
     """Spectral decomposition of a for the calculus over `ring`, checking the
     ring's predicate exactly once on the way: the normal decomposition over
-    C, the Hermitian one over R, whose least eigenvalue decides R>=0.  A
-    caller that has coerced a with as_matrix passes ||a||_F as `scale`, which
-    the predicate and the decomposition then share.
+    C, the Hermitian one over R, whose least eigenvalue decides R>=0.  `a` is
+    coerced by as_matrix and `scale` is its ||a||_F, which the predicate and
+    the decomposition share.
 
     Raises PredicateFailure when the predicate fails and NoConvergence when
     the eigensolver does.
     """
-    if scale is None:
-        a = as_matrix(a)
-        scale = fro_norm(a)
     if ring is ScalarRing.COMPLEX:
-        return normal_spectral_decomposition(a, tol, cluster_tol, scale=scale)
-    dec = hermitian_eigen(a, tol, scale=scale)
+        return normal_spectral_decomposition(a, tol, cluster_tol, _scale=scale)
+    dec = hermitian_eigen(a, tol, _scale=scale)
     if ring is ScalarRing.NNREAL:
         report = nonneg_report(dec.report, float(dec.lam[0]), scale)
         if not report.holds:

@@ -15,10 +15,9 @@ from .matrix_core import (
     NotNormal,
     NotSelfadjoint,
     PredicateReport,
+    _coerced,
     adjoint,
-    as_matrix,
     fro_norm,
-    hermitian_parts,
     is_selfadjoint,
     is_star_normal,
 )
@@ -72,16 +71,13 @@ def _eigh(h):
         raise NoConvergence(str(exc)) from exc
 
 
-def hermitian_eigen(h, tol: float = DEFAULT_TOL, *, scale=None) -> SpectralDecomposition:
+def hermitian_eigen(h, tol: float = DEFAULT_TOL, *, _scale=None) -> SpectralDecomposition:
     """Eigendecomposition of a selfadjoint matrix; eigenvalues real, ascending.
 
-    Real symmetric input stays in real arithmetic: u comes back real.  A
-    caller that has coerced h with as_matrix passes ||h||_F as `scale`.
+    Real symmetric input stays in real arithmetic: u comes back real.
     """
-    if scale is None:
-        h = as_matrix(h)
-        scale = fro_norm(h)
-    report = is_selfadjoint(h, tol, scale=scale)
+    h, scale = _coerced(h, _scale)
+    report = is_selfadjoint(h, tol, _scale=scale)
     if not report.holds:
         raise NotSelfadjoint(report)
     w, u = _eigh((h + adjoint(h)) / 2)
@@ -100,22 +96,17 @@ def _contiguous_clusters(sorted_reals, cluster_tol):
 
 
 def normal_spectral_decomposition(
-    a, tol: float = DEFAULT_TOL, cluster_tol: float | None = None, *, scale=None
+    a, tol: float = DEFAULT_TOL, cluster_tol: float | None = None, *, _scale=None
 ) -> SpectralDecomposition:
     """Unitary diagonalization of a normal matrix.
 
-    Writes a = h + i k with commuting Hermitian parts, which the normality
-    check shares, diagonalizes h, then diagonalizes the compression of k
-    inside each eigenvalue cluster of h.  Eigenvalues come back sorted
-    lexicographically by (re, im).  A caller that has coerced a with
-    as_matrix passes ||a||_F as `scale`; the default cluster_tol is
-    DEFAULT_CLUSTER_REL * ||a||_F.
+    Writes a = h + i k with commuting Hermitian parts, diagonalizes h, then
+    diagonalizes k = (a - a*) / 2i compressed to each eigenvalue cluster of
+    h.  Eigenvalues come back sorted lexicographically by (re, im).  The
+    default cluster_tol is DEFAULT_CLUSTER_REL * ||a||_F.
     """
-    if scale is None:
-        a = as_matrix(a)
-        scale = fro_norm(a)
-    h, k = hermitian_parts(a)
-    report = is_star_normal(a, tol, scale=scale, parts=(h, k))
+    a, scale = _coerced(a, _scale)
+    report = is_star_normal(a, tol, _scale=scale)
     if not report.holds:
         raise NotNormal(report)
     n = a.shape[0]
@@ -125,14 +116,14 @@ def normal_spectral_decomposition(
         )
     if cluster_tol is None:
         cluster_tol = DEFAULT_CLUSTER_REL * scale
-    wh, u = _eigh(h)
+    wh, u = _eigh((a + adjoint(a)) / 2)
     u = u.astype(np.complex128, copy=False)
     for idx in _contiguous_clusters(wh, cluster_tol):
         if len(idx) == 1:
             continue
         cols = u[:, idx]
-        kc = adjoint(cols) @ k @ cols
-        _, v = _eigh((kc + adjoint(kc)) / 2)
+        c = adjoint(cols) @ a @ cols
+        _, v = _eigh((c - adjoint(c)) / 2j)
         u[:, idx] = cols @ v
     lam = np.sum(np.conj(u) * (a @ u), axis=0)
     order = np.lexsort((lam.imag, lam.real))

@@ -113,37 +113,33 @@ class PredicateReport:
     tol_used: float
 
 
-def hermitian_parts(a):
-    """(h, k), both Hermitian, with a = h + i k."""
-    ah = adjoint(a)
-    return (a + ah) / 2, (a - ah) / 2j
-
-
-def is_star_normal(a, tol: float = DEFAULT_TOL, *, scale=None, parts=None) -> PredicateReport:
-    """Does a commute with its adjoint?  With a = h + i k (hermitian_parts),
-    a*a - aa* = 2i (hk - (hk)*), so one product decides it.  The residual is
-    ||a*a - aa*||_F / ||a||_F^2, taken of a / max|a_ij| when the product
-    would overflow or underflow.  A caller that has coerced a with as_matrix
-    passes ||a||_F as `scale`, and may pass its hermitian_parts as `parts`."""
+def _coerced(a, scale):
+    """(as_matrix(a), ||a||_F), or (a, scale) as given by a caller in this
+    package that has already coerced a and taken its norm."""
     if scale is None:
         a = as_matrix(a)
-        scale = fro_norm(a)
+        return a, fro_norm(a)
+    return a, scale
+
+
+def is_star_normal(a, tol: float = DEFAULT_TOL, *, _scale=None) -> PredicateReport:
+    """Does a commute with its adjoint?  With a = h + i k, h and k Hermitian,
+    a*a - aa* = 2i (hk - (hk)*), so one product decides it.  The residual is
+    ||a*a - aa*||_F / ||a||_F^2, taken of a / max|a_ij| when the product
+    would overflow or underflow."""
+    a, scale = _coerced(a, _scale)
     if scale > 0.0 and not 1e-100 <= scale <= 1e100:  # the product may leave the float range
         a = a / np.max(np.abs(a))
         scale = fro_norm(a)
-        parts = None
-    h, k = hermitian_parts(a) if parts is None else parts
-    p = h @ k
-    residual = 2 * fro_norm(p - adjoint(p)) / max(scale ** 2, EPS_FLOOR)
+    ah = adjoint(a)
+    p = (a + ah) @ (a - ah)  # 4i hk, so 2 ||hk - (hk)*||_F = ||p + p*||_F / 2
+    residual = fro_norm(p + adjoint(p)) / 2 / max(scale ** 2, EPS_FLOOR)
     return PredicateReport("normal", residual <= tol, residual, tol)
 
 
-def is_selfadjoint(a, tol: float = DEFAULT_TOL, *, scale=None) -> PredicateReport:
-    """Is a = a*?  Residual ||a - a*||_F / ||a||_F; a caller that has coerced
-    a with as_matrix passes ||a||_F as `scale`."""
-    if scale is None:
-        a = as_matrix(a)
-        scale = fro_norm(a)
+def is_selfadjoint(a, tol: float = DEFAULT_TOL, *, _scale=None) -> PredicateReport:
+    """Is a = a*?  Residual ||a - a*||_F / ||a||_F."""
+    a, scale = _coerced(a, _scale)
     residual = fro_norm(a - adjoint(a)) / max(scale, EPS_FLOOR)
     return PredicateReport("selfadjoint", residual <= tol, residual, tol)
 
@@ -159,7 +155,7 @@ def is_nonneg(a, tol: float = DEFAULT_TOL) -> PredicateReport:
     """Selfadjoint with spectrum in [0, inf); equivalent to a = b* b in M_n."""
     a = as_matrix(a)
     scale = fro_norm(a)
-    sa = is_selfadjoint(a, tol, scale=scale)
+    sa = is_selfadjoint(a, tol, _scale=scale)
     lam_min = np.linalg.eigvalsh((a + adjoint(a)) / 2)[0] if sa.holds else 0.0
     return nonneg_report(sa, float(lam_min), scale)
 
@@ -230,15 +226,15 @@ def elemental_subalgebra(a, unital: bool = True, tol: float = DEFAULT_TOL) -> St
     direction that does not commute with a, which is rounding noise.  For k
     distinct eigenvalues the unital dimension is k; the non-unital one drops
     to k - 1 when 0 is an eigenvalue.  The basis is built in place, one row
-    of an (n, n^2) array per element.
+    of n^2 entries per element, in an array whose rows double as needed.
     """
     a = as_matrix(a)
     scale = fro_norm(a)
-    report = is_star_normal(a, tol, scale=scale)
+    report = is_star_normal(a, tol, _scale=scale)
     if not report.holds:
         raise NotNormal(report)
     n = a.shape[0]
-    q = np.empty((n, n * n), dtype=np.complex128)
+    q = np.empty((min(n, 4), n * n), dtype=np.complex128)
     k = 0
     cand = identity(n) if unital else a
     while k < n:
@@ -246,13 +242,18 @@ def elemental_subalgebra(a, unital: bool = True, tol: float = DEFAULT_TOL) -> St
         nrm = fro_norm(r)
         if nrm <= CHAIN_RESIDUAL_REL * fro_norm(cand):
             break
+        if k == len(q):
+            grown = np.empty((min(2 * k, n), n * n), dtype=np.complex128)
+            grown[:k] = q
+            q = grown
         np.divide(r, nrm, out=q[k])
         qk = q[k].reshape(n, n)
         if fro_norm(qk @ a - a @ qk) > CHAIN_COMMUTATOR_REL * scale:
             break
         k += 1
         cand = qk @ a
-    return StarSubalgebra(ambient_dim=n, basis=tuple(q[:k].reshape(k, n, n)), unital=unital)
+    basis = q[:k].reshape(k, n, n).copy()  # frees the spare rows with q
+    return StarSubalgebra(ambient_dim=n, basis=tuple(basis), unital=unital)
 
 
 def subalgebra_from_matrices(mats, unital: bool = False, tol: float = DEFAULT_TOL) -> StarSubalgebra:

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from cfckit.eigen import (
     hermitian_eigen,
     normal_spectral_decomposition,
 )
-from cfckit.matrix_core import NotNormal, adjoint, fro_norm
+from cfckit.matrix_core import NotNormal, adjoint, fro_norm, is_selfadjoint, is_star_normal
 from cfckit.sampling import random_normal_matrix, random_unitary, rng_from_seed
 from cfckit.scalars import ScalarRing
 
@@ -207,3 +209,30 @@ def test_sweep_clustering_matches_brute_force_random():
         else:  # exact repeats, real and complex
             lam = gen.choice(np.linspace(-1, 1, 5), m) + 1j * gen.choice([0.0, 0.5], m)
         _assert_same_clustering(lam, cluster_tol)
+
+
+@pytest.mark.parametrize("fn, params", [
+    (is_star_normal, ["a", "tol"]),
+    (is_selfadjoint, ["a", "tol"]),
+    (hermitian_eigen, ["h", "tol"]),
+    (normal_spectral_decomposition, ["a", "tol", "cluster_tol"]),
+])
+def test_public_predicates_and_decompositions_check_their_own_input(fn, params):
+    """The package passes ||a||_F on to these under a private keyword; called
+    without it they take only their public parameters, coerce and check the
+    input, and decide the predicate from the input alone."""
+    public = [p for p in inspect.signature(fn).parameters if not p.startswith("_")]
+    assert public == params
+    for bad in ([[1.0, np.nan], [0.0, 1.0]], np.ones((2, 3)), [[np.inf]]):
+        with pytest.raises(ValueError, match="square|finite"):
+            fn(bad)
+    report = lambda out: getattr(out, "report", out)  # a decomposition carries its report
+    herm = [[2.0, 1j], [-1j, 3.0]]
+    assert report(fn(herm)) == report(fn(np.array(herm, dtype=complex)))
+    for scale in (1e-150, 1.0, 1e8, 1e150):
+        nilpotent = scale * np.array([[0, 1], [0, 0]], dtype=complex)
+        if fn in (is_star_normal, is_selfadjoint):
+            assert not fn(nilpotent).holds
+        else:
+            with pytest.raises((NotNormal, NotSelfadjoint)):
+                fn(nilpotent)

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,6 +198,23 @@ def test_elemental_chain_stays_inside_c_star_at_n_64():
             assert fro_norm(b @ a - a @ b) <= 1e-6 * fro_norm(a)
         for f in (lam, np.exp(lam)):
             assert B.contains((u * f) @ adjoint(u), 1e-8)[0]
+
+
+def test_elemental_basis_is_sized_by_its_dimension_not_by_n():
+    """A projection's C*(a) has dimension 2 at any n: building it holds a
+    few n x n rows, not an (n, n^2) array, and the basis keeps only its own."""
+    n = 128
+    a = np.diag(np.arange(n) % 2).astype(np.complex128)
+    tracemalloc.start()
+    try:
+        B = elemental_subalgebra(a, unital=True)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    entry = np.dtype(np.complex128).itemsize * n * n
+    assert B.dim == 2
+    assert peak <= 16 * entry  # n^3 entries would be 128 * entry
+    assert held <= 3 * entry
 
 
 def test_elemental_rejects_non_normal():
