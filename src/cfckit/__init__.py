@@ -39,7 +39,6 @@ from .oracle import (
     StarPolynomial,
     cfc_oracle,
     check_laws,
-    lagrange_interpolant,
     poly_eval,
 )
 from .scalars import ScalarRing, embed, restrict_scalar, truncated_sub
@@ -65,9 +64,9 @@ __all__ = [
     "SpectralDecomposition", "cluster_with_labels", "hermitian_eigen",
     "normal_spectral_decomposition", "PredicateReport", "StarSubalgebra",
     "adjoint", "elemental_subalgebra", "is_nonneg", "is_selfadjoint",
-    "is_star_normal", "operator_norm", "LawReport",
-    "StarPolynomial", "cfc_oracle", "check_laws", "lagrange_interpolant",
-    "poly_eval", "ScalarRing", "embed", "restrict_scalar", "truncated_sub",
+    "is_star_normal", "operator_norm", "LawReport", "StarPolynomial",
+    "cfc_oracle", "check_laws", "poly_eval", "ScalarRing", "embed",
+    "restrict_scalar", "truncated_sub",
     "QuasiregularWitness", "SpectrumResult", "is_quasiregular",
     "quasispectrum_intrinsic", "quasispectrum_via_unitization", "spectrum",
     "UnitizationElement", "uni_mul", "uni_norm", "uni_represent", "uni_star",

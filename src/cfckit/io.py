@@ -45,15 +45,25 @@ def matrix_from_json(obj) -> np.ndarray:
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != n * n:
         raise FormatError(f"field 'entries' must hold exactly n^2 = {n * n} pairs")
-    flat = np.empty(n * n, dtype=np.complex128)
-    for i, pair in enumerate(entries):
-        if (not isinstance(pair, list)) or len(pair) != 2:
-            raise FormatError(f"field 'entries[{i}]' must be a [re, im] pair")
-        flat[i] = complex(float(pair[0]), float(pair[1]))
+    flat = np.array(_complex_pairs(entries, "entries"), dtype=np.complex128)
     try:
         return as_matrix(flat.reshape(n, n))
     except ValueError as exc:
         raise FormatError(f"field 'entries': {exc}") from exc
+
+
+def _complex_pairs(pairs, field: str) -> list:
+    """[re, im] pairs of numbers as complex numbers, or FormatError naming the
+    first bad field[i]; one try around the whole loop keeps long files fast."""
+    out = []
+    try:
+        for i, pair in enumerate(pairs):
+            if type(pair) is not list or len(pair) != 2:
+                raise TypeError("not a list of two")
+            out.append(complex(float(pair[0]), float(pair[1])))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"field '{field}[{i}]' must be a pair of numbers ({exc})") from exc
+    return out
 
 
 def _read_json(path: str):
@@ -112,7 +122,8 @@ def load_basis(path: str, tol: float) -> StarSubalgebra:
 
 def function_from_spec(spec: str, ring: ScalarRing) -> ScalarFunction:
     """Parse a function spec:  {"builtin": name[, "k": int][, "t": float]}
-    | {"poly": [[re, im], ...]}  | {"poly2": [[k, m, re, im], ...]}."""
+    | {"poly": [[re, im], ...]}  | {"poly2": [[k, m, re, im], ...]}, the
+    exponents k and m of poly2 nonnegative integers."""
     try:
         obj = json.loads(spec)
     except json.JSONDecodeError as exc:
@@ -120,42 +131,37 @@ def function_from_spec(spec: str, ring: ScalarRing) -> ScalarFunction:
     if not isinstance(obj, dict):
         raise FormatError("function spec must be a JSON object")
     if "builtin" in obj:
+        k, t = obj.get("k"), obj.get("t")
+        if k is not None and type(k) is not int:  # bool is not a JSON integer
+            raise FormatError("field 'k' must be an integer")
+        if t is not None and type(t) not in (int, float):
+            raise FormatError("field 't' must be a number")
         try:
-            return builtin_function(
-                obj["builtin"], ring, k=obj.get("k"), t=obj.get("t")
-            )
-        except ValueError as exc:
+            return builtin_function(obj["builtin"], ring, k=k, t=t)
+        except (ValueError, OverflowError) as exc:
             raise FormatError(f"field 'builtin': {exc}") from exc
     if "poly" in obj:
         coeffs = obj["poly"]
         if not isinstance(coeffs, list):
             raise FormatError("field 'poly' must be an array of [re, im] pairs")
-        terms = []
-        for d, pair in enumerate(coeffs):
-            if (not isinstance(pair, list)) or len(pair) != 2:
-                raise FormatError(f"field 'poly[{d}]' must be a [re, im] pair")
-            terms.append((d, 0, complex(float(pair[0]), float(pair[1]))))
-        return _poly_function(StarPolynomial(tuple(terms)), ring)
+        terms = [(d, 0, c) for d, c in enumerate(_complex_pairs(coeffs, "poly"))]
+        return StarPolynomial(tuple(terms)).as_function(ring)
     if "poly2" in obj:
         rows = obj["poly2"]
         if not isinstance(rows, list):
             raise FormatError("field 'poly2' must be an array of [k, m, re, im] rows")
-        terms = []
         for i, row in enumerate(rows):
-            if (not isinstance(row, list)) or len(row) != 4:
-                raise FormatError(f"field 'poly2[{i}]' must be a [k, m, re, im] row")
-            terms.append((int(row[0]), int(row[1]),
-                          complex(float(row[2]), float(row[3]))))
+            if not (type(row) is list and len(row) == 4
+                    and all(type(e) is int and e >= 0 for e in row[:2])):
+                raise FormatError(f"field 'poly2[{i}]' must be a [k, m, re, im] row "
+                                  "with integers k, m >= 0")
+        coeffs = _complex_pairs([row[2:] for row in rows], "poly2")
+        terms = [(row[0], row[1], c) for row, c in zip(rows, coeffs)]
         try:
-            return _poly_function(StarPolynomial(tuple(terms)), ring)
+            return StarPolynomial(tuple(terms)).as_function(ring)
         except ValueError as exc:
             raise FormatError(f"field 'poly2': {exc}") from exc
     raise FormatError("function spec needs one of the fields 'builtin', 'poly', 'poly2'")
-
-
-def _poly_function(p: StarPolynomial, ring: ScalarRing) -> ScalarFunction:
-    # ring discipline (real/nonnegative values) is enforced at evaluation time
-    return p.as_function(ring)
 
 
 def dump_json(obj, out_path=None) -> str:

@@ -97,12 +97,17 @@ def fro_norm(a) -> float:
 
 
 def operator_norm(a) -> float:
-    """Largest singular value, via the Hermitian eigenproblem for a* a."""
+    """Largest singular value, via the Hermitian eigenproblem for a* a, taken
+    of a / max|a_ij| outside ||a||_F in [1e-100, 1e100], as is_star_normal."""
     a = as_matrix(a)
+    peak = 1.0
+    if not 1e-100 <= fro_norm(a) <= 1e100:  # a* a may leave the float range
+        peak = float(np.max(np.abs(a))) or 1.0
+        a = a / peak
     gram = adjoint(a) @ a
     gram = (gram + adjoint(gram)) / 2
     w = np.linalg.eigvalsh(gram)
-    return float(np.sqrt(max(w[-1], 0.0)))
+    return peak * float(np.sqrt(max(w[-1], 0.0)))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Independent ground truth for the calculus: polynomials in z and conj(z)
-evaluated by direct matrix arithmetic (no eigendecomposition), exact Lagrange
-interpolation on the finite spectrum, and the law-check harness.
+evaluated by direct matrix arithmetic (no eigendecomposition), interpolation
+on the finite spectrum in Newton form at Leja-ordered nodes, and the
+law-check harness.
 
 On a finite spectrum the interpolant in z alone already agrees with f at every
 spectral point, so exact interpolation stands in for a density argument; this
@@ -29,16 +30,11 @@ from .matrix_core import (
     zeros,
 )
 from .scalars import DEFAULT_TOL, ScalarRing, restrict_scalar
-from .spectrum import spectrum
 
-# Interpolation is skipped when the spectrum is this close to degenerate,
-# relative to its diameter: Lagrange weights would test floating point,
-# not mathematics.
+# Interpolation is skipped when two nodes are closer than this, relative to
+# the spectrum's diameter: divided differences over such gaps would test
+# floating point, not mathematics.
 GAP_GUARD_REL = 1e-6
-
-
-class DuplicatePoints(ValueError):
-    pass
 
 
 class OracleSkipped(RuntimeError):
@@ -86,31 +82,6 @@ def poly_eval(p: StarPolynomial, a, tol: float = DEFAULT_TOL) -> np.ndarray:
     return out
 
 
-def lagrange_interpolant(points, values) -> StarPolynomial:
-    """The unique degree < k polynomial in z through the given nodes,
-    assembled from the Lagrange basis in monomial coefficients."""
-    points = [complex(p) for p in points]
-    values = [complex(v) for v in values]
-    if len(points) != len(values):
-        raise ValueError("points and values must have equal length")
-    k = len(points)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if points[i] == points[j]:
-                raise DuplicatePoints(f"repeated interpolation node {points[i]}")
-    coeffs = np.zeros(k, dtype=np.complex128)
-    for j in range(k):
-        basis = np.array([1.0 + 0.0j])
-        denom = 1.0 + 0.0j
-        for i in range(k):
-            if i == j:
-                continue
-            basis = np.convolve(basis, np.array([-points[i], 1.0 + 0.0j]))
-            denom *= points[j] - points[i]
-        coeffs[: len(basis)] += values[j] * basis / denom
-    return StarPolynomial(tuple((d, 0, complex(c)) for d, c in enumerate(coeffs)))
-
-
 def cfc_oracle(
     f: ScalarFunction, a, ring: ScalarRing = ScalarRing.COMPLEX,
     tol: float = DEFAULT_TOL, cluster_tol: float | None = None,
@@ -118,26 +89,45 @@ def cfc_oracle(
     """Uniqueness oracle: interpolate f on the clustered spectrum of a, then
     evaluate the interpolant on a by plain matrix arithmetic.  Only the
     interpolation nodes come from an eigensolve; raises OracleSkipped when
-    they are too close together."""
-    points = spectrum(a, ring, tol, cluster_tol).points
-    nodes = _guarded_nodes(points)
-    values = [complex(restrict_scalar(f.eval(x), f.ring, tol)) for x in points]
-    return poly_eval(lagrange_interpolant(nodes, values), a, tol)
+    they are too close together, before f is evaluated."""
+    p = plan(a, ring, tol, cluster_tol)
+    points = p.points()
+    values = (complex(restrict_scalar(f.eval(x), f.ring, tol)) for x in points)
+    return _interpolate(p.a, points, values)
 
 
-def _guarded_nodes(points) -> list:
-    """The points as interpolation nodes; raises OracleSkipped when two of
-    them are closer than GAP_GUARD_REL of the diameter."""
-    nodes = [complex(z) for z in points]
-    if len(nodes) > 1:
-        gaps = [abs(p - q) for i, p in enumerate(nodes) for q in nodes[i + 1:]]
-        diameter = max(gaps)
-        if min(gaps) < GAP_GUARD_REL * diameter:
-            raise OracleSkipped(
-                f"minimum spectral gap {min(gaps):.3e} below guard "
-                f"({GAP_GUARD_REL:.0e} of diameter {diameter:.3e})"
-            )
-    return nodes
+def _interpolate(a: np.ndarray, points, values) -> np.ndarray:
+    """p(a) with no eigensolve, p of degree < k through the k pairs
+    (points[i], values[i]) in Newton form at the points x in Leja order:
+    p(a) = d_0 + (a/c - y_0)(d_1 + (a/c - y_1)(...)) in k - 1 products, with
+    y = x / c, c = diameter / 4 (a segment's capacity) and d the divided
+    differences at y.  values, maybe lazy, is read after the gap guard."""
+    x = np.array(points, dtype=np.complex128)
+    k, n = len(x), a.shape[0]
+    dist = np.abs(x[:, None] - x)
+    gap, diameter = dist[np.triu_indices(k, 1)].min(initial=math.inf), dist.max()
+    if gap < GAP_GUARD_REL * diameter:
+        raise OracleSkipped(f"minimum spectral gap {gap:.3e} below guard "
+                            f"({GAP_GUARD_REL:.0e} of diameter {diameter:.3e})")
+    c = diameter / 4 or 1.0
+    # Leja order: the node of largest modulus first, then each time the node
+    # with the largest product of distances to those already taken
+    order = [int(np.argmax(np.abs(x)))]
+    reach = np.ones(k)
+    for _ in range(k - 1):
+        reach *= dist[order[-1]] / c
+        reach[order] = -1.0
+        order.append(int(np.argmax(reach)))
+    y = x[order] / c
+    d = np.array(list(values), dtype=np.complex128)[order]
+    for j in range(1, k):
+        d[j:] = (d[j:] - d[j - 1:-1]) / (y[j:] - y[:-j])
+    b = a / c
+    out = d[-1] * identity(n)
+    for dj, yj in zip(d[-2::-1], y[-2::-1]):
+        out = b @ out - yj * out
+        out.flat[:: n + 1] += dj
+    return out
 
 
 @dataclass(frozen=True)
@@ -346,11 +336,10 @@ def check_laws(
     entries.append(LawEntry("range", r, max(tol, 1e-8), inside))
 
     try:
-        nodes = _guarded_nodes(points)
+        ref = _interpolate(a, points, fpoints)
     except OracleSkipped as exc:
         entries.append(LawEntry("oracle", 0.0, 0.0, True, skipped=True, note=str(exc)))
     else:
-        ref = poly_eval(lagrange_interpolant(nodes, fpoints), a, tol)
         t = 1e-8 * max(1.0, 1.0 + fmax, scale_a)
         r = fro_norm(out_f.value - ref) / max(1.0, (1.0 + fmax) * max(scale_a, 1.0))
         entries.append(LawEntry("oracle", r, t, r <= t))

@@ -14,7 +14,7 @@ from .matrix_core import adjoint
 from .scalars import ScalarRing
 
 # Grid of admissible eigenvalue real parts in [-1, 1]; spacing 0.25 keeps
-# Lagrange interpolation on up to 8 nodes well conditioned.
+# every spectrum far from the oracle's gap guard and clustering tolerance.
 _GRID = np.linspace(-1.0, 1.0, 9)
 
 

@@ -541,12 +541,13 @@ def _plan_functions(ring, gen):
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6),
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from((2, 3, 4, 5, 6, 24, 64)),
        kind=st.sampled_from(("normal", "near_degenerate", "non_normal", "indefinite")),
-       ring=st.sampled_from(list(ScalarRing)), broken_eigh=st.booleans())
-def test_one_plan_applies_like_separate_cfc_calls(seed, n, kind, ring, broken_eigh):
+       ring=st.sampled_from(list(ScalarRing)), broken_eigh=st.booleans(),
+       scale=st.sampled_from((1e-150, 1e-12, 1.0, 1e12, 1e150)))
+def test_one_plan_applies_like_separate_cfc_calls(seed, n, kind, ring, broken_eigh, scale):
     gen = rng_from_seed(seed)
-    a = _plan_input(kind, ring, gen, n)
+    a = scale * _plan_input(kind, ring, gen, n)
     fs = _plan_functions(ring, gen)
 
     def no_convergence(*args, **kwargs):

@@ -5,7 +5,14 @@ import sys
 import numpy as np
 import pytest
 
-from cfckit.io import FormatError, load_basis, matrix_from_json, matrix_to_json
+from cfckit.io import (
+    FormatError,
+    function_from_spec,
+    load_basis,
+    matrix_from_json,
+    matrix_to_json,
+)
+from cfckit.scalars import ScalarRing
 
 MATRIX = {"n": 2, "entries": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [4.0, 0.0]]}
 NONNORMAL = {"n": 2, "entries": [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
@@ -232,6 +239,53 @@ def test_matrix_from_json_field_errors():
         matrix_from_json({"entries": []})
     with pytest.raises(FormatError, match="entries"):
         matrix_from_json({"n": 1, "entries": [[1.0]]})
+    with pytest.raises(FormatError, match=r"'entries\[0\]'"):
+        matrix_from_json({"n": 1, "entries": [[None, 0]]})
+    for bad in ("abc", {}, [1.0], 10**400):
+        with pytest.raises(FormatError, match=r"'entries\[1\]'"):
+            matrix_from_json({"n": 2, "entries": [[1.0, 0.0], [bad, 0.0], [0.0, 0.0], [0.0, 1.0]]})
+
+
+@pytest.mark.parametrize("spec, field", [
+    ('{"poly2": [[null, 0, 1, 0]]}', r"'poly2\[0\]'"),
+    ('{"poly2": [[1, 0, 1, 0], [-1, 0, 1, 0]]}', r"'poly2\[1\]'"),
+    ('{"poly2": [[1.7, 0, 1, 0]]}', r"'poly2\[0\]'"),
+    ('{"poly2": [[1, true, 1, 0]]}', r"'poly2\[0\]'"),
+    ('{"poly2": [[1, 0, "a", 0]]}', r"'poly2\[0\]'"),
+    ('{"poly2": [[1, 0, 1]]}', r"'poly2\[0\]'"),
+    ('{"poly2": [[1, 0, 1, 0], [1, 0, 2, 0]]}', "'poly2'"),
+    ('{"poly": [[1, 0], [{}, 0]]}', r"'poly\[1\]'"),
+    ('{"poly": [["x", 0]]}', r"'poly\[0\]'"),
+    ('{"poly": 3}', "'poly'"),
+    ('{"builtin": "pow", "k": [2]}', "'k'"),
+    ('{"builtin": "pow", "k": 2.5}', "'k'"),
+    ('{"builtin": "pow"}', "'builtin'"),
+    ('{"builtin": "rpow", "t": "a"}', "'t'"),
+    ('{"builtin": "nope"}', "'builtin'"),
+    ('{"neither": 1}', "'builtin', 'poly', 'poly2'"),
+    ('[1]', "JSON object"),
+    ('{', "valid JSON"),
+])
+def test_function_from_spec_field_errors(spec, field):
+    with pytest.raises(FormatError, match=field):
+        function_from_spec(spec, ScalarRing.COMPLEX)
+
+
+def test_function_from_spec_accepts_its_three_forms():
+    assert function_from_spec('{"builtin": "pow", "k": 3}', ScalarRing.REAL).eval(2.0) == 8.0
+    assert function_from_spec('{"builtin": "rpow", "t": 0.5}',
+                              ScalarRing.REAL).eval(4.0) == 2.0
+    assert function_from_spec('{"poly": [[1, 0], [0, 2]]}',
+                              ScalarRing.COMPLEX).eval(3.0) == 1 + 6j
+    p2 = function_from_spec('{"poly2": [[1, 1, 1, 0], [0, 0, 2, 0]]}', ScalarRing.COMPLEX)
+    assert p2.eval(1j) == 3.0  # z conj(z) + 2
+
+
+@pytest.mark.parametrize("fn", ['{"poly": [[null, 0]]}', '{"builtin": "pow", "k": [2]}'])
+def test_cli_reports_a_bad_function_field(matrix_file, fn):
+    proc = run_cli("apply", "--matrix", matrix_file, "--fn", fn)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 def test_env_var_overrides_tol(tmp_path, matrix_file):

@@ -42,6 +42,9 @@ def test_operator_norm_examples():
     assert operator_norm(np.eye(5)) == pytest.approx(1.0)
     # a* a = diag(0, 4), largest eigenvalue 4, norm sqrt(4) = 2
     assert operator_norm(np.array([[0, 2], [0, 0]])) == pytest.approx(2.0)
+    # a* a overflows or underflows at these scales unless a is rescaled
+    for s in (1e155, 1e-170, 1e-160):
+        assert operator_norm(s * np.diag([3.0, 1.0])) == pytest.approx(3.0 * s, rel=1e-12)
 
 
 def test_cstar_identity_on_random_matrices(rng):

@@ -1,15 +1,16 @@
+import time
+
 import numpy as np
 import pytest
 
 from cfckit.cfc import ScalarFunction, builtin_function, cfc, identity_function
 from cfckit.matrix_core import NotNormal, adjoint, fro_norm
 from cfckit.oracle import (
-    DuplicatePoints,
     OracleSkipped,
     StarPolynomial,
+    _interpolate,
     cfc_oracle,
     check_laws,
-    lagrange_interpolant,
     poly_eval,
 )
 from cfckit.sampling import (
@@ -46,35 +47,15 @@ def test_star_polynomial_rejects_duplicate_terms():
         StarPolynomial(((1, 0, 1.0), (1, 0, 2.0)))
 
 
-def test_lagrange_two_point_example():
-    # through (1, 1) and (4, 2): p(z) = (z + 2) / 3
-    p = lagrange_interpolant([1.0, 4.0], [1.0, 2.0])
-    coeffs = {k: c for k, m, c in p.terms}
-    assert coeffs[0] == pytest.approx(2.0 / 3.0)
-    assert coeffs[1] == pytest.approx(1.0 / 3.0)
-
-
-def test_lagrange_trivial_cases():
-    p = lagrange_interpolant([2.5], [7.0])
-    assert p.as_function().eval(123.0) == pytest.approx(7.0)
-    p = lagrange_interpolant([0.0, 1.0], [0.0, 1.0])
-    f = p.as_function()
-    assert f.eval(0.5) == pytest.approx(0.5)
-
-
-def test_lagrange_duplicate_points():
-    with pytest.raises(DuplicatePoints):
-        lagrange_interpolant([1.0, 1.0], [1.0, 2.0])
-
-
 def test_interpolation_exact_at_nodes():
     gen = rng_from_seed(2)
     pts = np.linspace(-1, 1, 6) + 1j * gen.uniform(-1, 1, 6)
     vals = gen.uniform(-1, 1, 6) + 1j * gen.uniform(-1, 1, 6)
-    p = lagrange_interpolant(pts, vals)
-    f = p.as_function()
-    residual = max(abs(f.eval(z) - v) for z, v in zip(pts, vals))
-    assert residual <= 1e-12 * max(np.abs(vals))
+    out = _interpolate(np.diag(pts), pts, vals)
+    assert fro_norm(out - np.diag(vals)) <= 1e-12 * max(np.abs(vals))
+    # one node gives a constant; through (1, 1) and (4, 2), p(z) = (z + 2) / 3
+    assert np.allclose(_interpolate(np.diag([5.0, 6.0]), [2.5], [7.0]), 7.0 * np.eye(2))
+    assert np.allclose(_interpolate(np.array([[7.0]]), [1.0, 4.0], [1.0, 2.0]), [[3.0]])
 
 
 def test_cfc_oracle_examples():
@@ -190,3 +171,70 @@ def test_check_laws_trial_decomposes_at_most_three_times(decompositions, ring, m
     assert report.all_passed
     assert not any(e.skipped for e in report.entries if e.name != "negation")
     assert decompositions[0] <= most
+
+
+def _family(name, n, gen):
+    """n distinct eigenvalues: a grid on [-1, 1], the n-th roots of unity,
+    or uniform points in the unit disk."""
+    if name == "line":
+        return np.linspace(-1.0, 1.0, n)
+    if name == "circle":
+        return np.exp(2j * np.pi * np.arange(n) / n)
+    return np.sqrt(gen.uniform(0, 1, n)) * np.exp(2j * np.pi * gen.uniform(0, 1, n))
+
+
+@pytest.mark.parametrize("n", [24, 32, 64])
+@pytest.mark.parametrize("family", ["line", "circle", "disk"])
+def test_oracle_law_holds_on_large_spectra(family, n):
+    """Newton interpolation at Leja points keeps the oracle law within its
+    bound up to n = 64, where monomial coefficients lose every digit."""
+    gen = rng_from_seed(40 + n)
+    ring = ScalarRing.REAL if family == "line" else ScalarRing.COMPLEX
+    a = random_with_spectrum(gen, _family(family, n, gen))
+    if ring is ScalarRing.REAL:
+        a = (a + adjoint(a)) / 2
+    for f in (builtin_function("exp", ring), random_poly_function(gen, ring)):
+        start = time.perf_counter()
+        report = check_laws(a, f, random_poly_function(gen, ring), ring)
+        elapsed = time.perf_counter() - start
+        by_name = {e.name: e for e in report.entries}
+        assert report.all_passed, report.table()
+        assert not by_name["oracle"].skipped
+        assert elapsed < 2.0
+        # cfc_oracle against cfc, within the oracle law's bound
+        direct, scale = cfc(f, a, ring).value, fro_norm(a)
+        fmax = max(abs(complex(f.eval(x))) for x in spectrum(a, ring).points)
+        err = fro_norm(direct - cfc_oracle(f, a, ring))
+        assert err / max(1.0, (1.0 + fmax) * max(scale, 1.0)) <= 1e-8 * max(1.0, 1.0 + fmax, scale)
+
+
+SCALE_SPECTRA = {
+    ScalarRing.COMPLEX: [-1.0, 1j, 0.5 + 0.5j, -0.5j, 2.0, -1.0 - 1j],
+    ScalarRing.REAL: np.linspace(-1.0, 1.0, 6),
+    ScalarRing.NNREAL: np.linspace(0.0, 1.0, 6),
+}
+
+
+@pytest.mark.parametrize("s", [1e-160, 1e-150, 1e150, 1e155])
+@pytest.mark.parametrize("ring", list(ScalarRing))
+def test_oracle_and_laws_hold_at_extreme_scales(ring, s):
+    """Nodes scaled by the diameter keep every product of the oracle in
+    range at norms where powers of a overflow or underflow."""
+    a = random_with_spectrum(rng_from_seed(7), SCALE_SPECTRA[ring])
+    if ring is not ScalarRing.COMPLEX:
+        a = (a + adjoint(a)) / 2
+    a = s * a
+    f = ScalarFunction(lambda x: (x / s) ** 2 + 1, ring, "(x/s)^2+1")
+    g = ScalarFunction(lambda x: x / s, ring, "x/s")
+    report = check_laws(a, f, g, ring)
+    assert report.all_passed, report.table()
+    assert not any(e.skipped for e in report.entries if e.name != "negation")
+    direct = cfc(f, a, ring).value
+    assert fro_norm(cfc_oracle(f, a, ring) - direct) <= 1e-12 * fro_norm(direct)
+
+
+@pytest.mark.parametrize("ring", list(ScalarRing))
+def test_cfc_oracle_coerces_once_and_checks_the_predicate_once(work_counts, ring):
+    a = random_with_spectrum(rng_from_seed(34), np.arange(5) * 0.25 + 0j)
+    cfc_oracle(builtin_function("exp", ring), a, ring)
+    assert work_counts["predicate"] == 1 and work_counts["as_matrix"] == 1
