@@ -5,6 +5,7 @@ and eigenvalue clustering.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -25,6 +26,15 @@ from .scalars import DEFAULT_TOL
 
 # Clusters are cut at this fraction of ||a|| unless the caller overrides.
 DEFAULT_CLUSTER_REL = 1e-8
+
+# A cluster of h's eigenvalues on which a's compression is diagonal to within
+# this fraction of ||a||_F is left as h's eigensolver returned it: the cluster
+# is one eigenspace of a, which any orthonormal basis diagonalizes.  With
+# exact multiplicities the off-diagonal rounding measured at most 7.2 eps
+# ||a||_F (n = 4 to 512, up to 256-fold), so the cut has about 9x headroom;
+# distinct eigenvalues sharing a real part leave an off-diagonal of the order
+# of their distance.  A skipped cluster adds at most the cut to the residual.
+DIAGONAL_CUT_REL = 64 * sys.float_info.epsilon
 
 
 class NoConvergence(RuntimeError):
@@ -84,15 +94,17 @@ def hermitian_eigen(h, tol: float = DEFAULT_TOL, *, _scale=None) -> SpectralDeco
     return SpectralDecomposition(u=u, lam=w, a=h, report=report)
 
 
-def _contiguous_clusters(sorted_reals, cluster_tol):
-    """Index groups of an ascending real sequence, split at gaps > cluster_tol."""
-    groups = [[0]]
-    for i in range(1, len(sorted_reals)):
-        if sorted_reals[i] - sorted_reals[i - 1] <= cluster_tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
+def _repeated_runs(sorted_reals, cluster_tol):
+    """Slices of the runs of two or more entries of an ascending real
+    sequence, split at gaps > cluster_tol."""
+    xs = sorted_reals.tolist()
+    runs, start = [], 0
+    for i in range(1, len(xs) + 1):
+        if i == len(xs) or xs[i] - xs[i - 1] > cluster_tol:
+            if i - start > 1:
+                runs.append(slice(start, i))
+            start = i
+    return runs
 
 
 def normal_spectral_decomposition(
@@ -100,10 +112,13 @@ def normal_spectral_decomposition(
 ) -> SpectralDecomposition:
     """Unitary diagonalization of a normal matrix.
 
-    Writes a = h + i k with commuting Hermitian parts, diagonalizes h, then
-    diagonalizes k = (a - a*) / 2i compressed to each eigenvalue cluster of
-    h.  Eigenvalues come back sorted lexicographically by (re, im).  The
-    default cluster_tol is DEFAULT_CLUSTER_REL * ||a||_F.
+    Writes a = h + i k with commuting Hermitian parts and diagonalizes h.  On
+    each eigenvalue cluster of h it compresses a to c = u_c* a u_c and, unless
+    c is already diagonal (the cluster is one eigenspace of a), diagonalizes
+    (c - c*) / 2i, k's compression: one eigensolve plus one per cluster of h
+    on which a is not already diagonal.  Eigenvalues come back sorted
+    lexicographically by (re, im).  The default cluster_tol is
+    DEFAULT_CLUSTER_REL * ||a||_F.
     """
     a, scale = _coerced(a, _scale)
     report = is_star_normal(a, tol, _scale=scale)
@@ -118,14 +133,18 @@ def normal_spectral_decomposition(
         cluster_tol = DEFAULT_CLUSTER_REL * scale
     wh, u = _eigh((a + adjoint(a)) / 2)
     u = u.astype(np.complex128, copy=False)
-    for idx in _contiguous_clusters(wh, cluster_tol):
-        if len(idx) == 1:
+    au = a @ u
+    cut = DIAGONAL_CUT_REL * scale
+    for cols in _repeated_runs(wh, cluster_tol):
+        c = adjoint(u[:, cols]) @ au[:, cols]
+        off = c.copy()
+        off.flat[:: len(c) + 1] = 0.0
+        if fro_norm(off) <= cut:
             continue
-        cols = u[:, idx]
-        c = adjoint(cols) @ a @ cols
         _, v = _eigh((c - adjoint(c)) / 2j)
-        u[:, idx] = cols @ v
-    lam = np.sum(np.conj(u) * (a @ u), axis=0)
+        u[:, cols] = u[:, cols] @ v
+        au[:, cols] = au[:, cols] @ v
+    lam = np.sum(np.conj(u) * au, axis=0)
     order = np.lexsort((lam.imag, lam.real))
     return SpectralDecomposition(u=u[:, order], lam=lam[order], a=a, report=report)
 

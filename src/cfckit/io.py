@@ -52,16 +52,25 @@ def matrix_from_json(obj) -> np.ndarray:
         raise FormatError(f"field 'entries': {exc}") from exc
 
 
+# json loads a number as an int or a float; true/false load as bool, a
+# subclass of int that the exact type test leaves out.
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def _complex_pairs(pairs, field: str) -> list:
-    """[re, im] pairs of numbers as complex numbers, or FormatError naming the
-    first bad field[i]; one try around the whole loop keeps long files fast."""
+    """[re, im] pairs of JSON numbers as complex numbers, or FormatError naming
+    the first bad field[i]; one try around the whole loop keeps long files
+    fast."""
     out = []
     try:
         for i, pair in enumerate(pairs):
             if type(pair) is not list or len(pair) != 2:
                 raise TypeError("not a list of two")
-            out.append(complex(float(pair[0]), float(pair[1])))
-    except (TypeError, ValueError, OverflowError) as exc:
+            re, im = pair
+            if type(re) not in _NUMBER_TYPES or type(im) not in _NUMBER_TYPES:
+                raise TypeError("not a pair of JSON numbers")
+            out.append(complex(re, im))
+    except (TypeError, OverflowError) as exc:
         raise FormatError(f"field '{field}[{i}]' must be a pair of numbers ({exc})") from exc
     return out
 

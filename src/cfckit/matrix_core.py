@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,11 +78,6 @@ def adjoint(a) -> np.ndarray:
     return np.conj(np.asarray(a)).T
 
 
-def frobenius_inner(x, y) -> complex:
-    """trace(x* y), the Frobenius inner product."""
-    return complex(np.vdot(x, y))
-
-
 def fro_norm(a) -> float:
     """Frobenius norm, recomputed on a / max|a_ij| when the plain sum of
     squares overflows or underflows."""
@@ -130,12 +126,15 @@ def _coerced(a, scale):
 def is_star_normal(a, tol: float = DEFAULT_TOL, *, _scale=None) -> PredicateReport:
     """Does a commute with its adjoint?  With a = h + i k, h and k Hermitian,
     a*a - aa* = 2i (hk - (hk)*), so one product decides it.  The residual is
-    ||a*a - aa*||_F / ||a||_F^2, taken of a / max|a_ij| when the product
-    would overflow or underflow."""
+    ||a*a - aa*||_F / ||a||_F^2, taken of a / ||a||_F (of a / max|a_ij| if
+    ||a||_F overflows) when the product would overflow or underflow."""
     a, scale = _coerced(a, _scale)
     if scale > 0.0 and not 1e-100 <= scale <= 1e100:  # the product may leave the float range
-        a = a / np.max(np.abs(a))
-        scale = fro_norm(a)
+        if scale < math.inf:
+            a, scale = a / scale, 1.0
+        else:
+            a = a / np.max(np.abs(a))
+            scale = fro_norm(a)
     ah = adjoint(a)
     p = (a + ah) @ (a - ah)  # 4i hk, so 2 ||hk - (hk)*||_F = ||p + p*||_F / 2
     residual = fro_norm(p + adjoint(p)) / 2 / max(scale ** 2, EPS_FLOOR)
@@ -188,14 +187,18 @@ class StarSubalgebra:
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        """The basis as the rows of one (dim, n^2) array."""
+        return np.array(self.basis, dtype=np.complex128).reshape(self.dim, self.ambient_dim ** 2)
+
     def coordinates(self, x) -> np.ndarray:
-        return np.array([frobenius_inner(b, x) for b in self.basis])
+        """trace(b* x) for each basis element b, taken as conj(rows conj(x))."""
+        return np.conj(self._rows @ np.conj(np.ravel(x)))
 
     def project(self, x) -> np.ndarray:
-        out = zeros(self.ambient_dim)
-        for c, b in zip(self.coordinates(x), self.basis):
-            out += c * b
-        return out
+        n = self.ambient_dim
+        return (self.coordinates(x) @ self._rows).reshape(n, n)
 
     def contains(self, x, tol: float = DEFAULT_TOL):
         """(membership, relative projection residual)."""
@@ -253,10 +256,10 @@ def elemental_subalgebra(a, unital: bool = True, tol: float = DEFAULT_TOL) -> St
             q = grown
         np.divide(r, nrm, out=q[k])
         qk = q[k].reshape(n, n)
-        if fro_norm(qk @ a - a @ qk) > CHAIN_COMMUTATOR_REL * scale:
+        cand = qk @ a
+        if fro_norm(cand - a @ qk) > CHAIN_COMMUTATOR_REL * scale:
             break
         k += 1
-        cand = qk @ a
     basis = q[:k].reshape(k, n, n).copy()  # frees the spare rows with q
     return StarSubalgebra(ambient_dim=n, basis=tuple(basis), unital=unital)
 

@@ -105,26 +105,34 @@ def _interpolate(a: np.ndarray, points, values) -> np.ndarray:
     x = np.array(points, dtype=np.complex128)
     k, n = len(x), a.shape[0]
     dist = np.abs(x[:, None] - x)
-    gap, diameter = dist[np.triu_indices(k, 1)].min(initial=math.inf), dist.max()
+    diameter = dist.max()
+    np.fill_diagonal(dist, math.inf)
+    gap = dist.min()
     if gap < GAP_GUARD_REL * diameter:
         raise OracleSkipped(f"minimum spectral gap {gap:.3e} below guard "
                             f"({GAP_GUARD_REL:.0e} of diameter {diameter:.3e})")
-    c = diameter / 4 or 1.0
+    c = float(diameter) / 4 or 1.0
     # Leja order: the node of largest modulus first, then each time the node
-    # with the largest product of distances to those already taken
-    order = [int(np.argmax(np.abs(x)))]
-    reach = np.ones(k)
+    # with the largest product of distances to those already taken (ties to
+    # the lowest index); O(k^2) scalar steps, in Python arithmetic since k is
+    # small next to the k - 1 products with a
+    xs, rows = x.tolist(), dist.tolist()
+    order = [max(range(k), key=lambda i: abs(xs[i]))]
+    reach = [1.0] * k
     for _ in range(k - 1):
-        reach *= dist[order[-1]] / c
-        reach[order] = -1.0
-        order.append(int(np.argmax(reach)))
-    y = x[order] / c
-    d = np.array(list(values), dtype=np.complex128)[order]
+        reach = [r * (d / c) for r, d in zip(reach, rows[order[-1]])]
+        for i in order:
+            reach[i] = -1.0
+        order.append(max(range(k), key=reach.__getitem__))
+    y = [xs[i] / c for i in order]
+    vals = [complex(v) for v in values]
+    d = [vals[i] for i in order]
     for j in range(1, k):
-        d[j:] = (d[j:] - d[j - 1:-1]) / (y[j:] - y[:-j])
+        for i in range(k - 1, j - 1, -1):
+            d[i] = (d[i] - d[i - 1]) / (y[i] - y[i - j])
     b = a / c
     out = d[-1] * identity(n)
-    for dj, yj in zip(d[-2::-1], y[-2::-1]):
+    for dj, yj in zip(reversed(d[:-1]), reversed(y[:-1])):
         out = b @ out - yj * out
         out.flat[:: n + 1] += dj
     return out

@@ -357,6 +357,10 @@ def test_junk_totality_fuzz():
     (ScalarRing.COMPLEX, [0.5 + 1j, 0.5 - 1j, 1 + 1j, 1 - 1j, 1.0, 2.0, 3.0, 4.0], 3),
     (ScalarRing.REAL, np.arange(8) - 3.5, 1),
     (ScalarRing.NNREAL, np.arange(8) * 0.5, 1),
+    # exact multiplicities: each repeated cluster of h is one eigenspace of a
+    (ScalarRing.COMPLEX, [0.5 + 1j] * 2 + [1 - 1j] * 3 + [2.0, 3.0, 4.0], 1),
+    # one exact multiplicity and one real part shared by distinct eigenvalues
+    (ScalarRing.COMPLEX, [0.5 + 1j] * 2 + [1 + 1j, 1 - 1j, 2.0, 3.0, 4.0, 5.0], 2),
 ])
 def test_cfc_checks_the_predicate_once_and_solves_once(work_counts, ring, lam, eighs):
     a = random_with_spectrum(rng_from_seed(8), np.asarray(lam, dtype=complex))

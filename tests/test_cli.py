@@ -241,9 +241,15 @@ def test_matrix_from_json_field_errors():
         matrix_from_json({"n": 1, "entries": [[1.0]]})
     with pytest.raises(FormatError, match=r"'entries\[0\]'"):
         matrix_from_json({"n": 1, "entries": [[None, 0]]})
-    for bad in ("abc", {}, [1.0], 10**400):
+    # a JSON string or boolean is not a number, even where float() takes it
+    with pytest.raises(FormatError, match=r"'entries\[0\]'"):
+        matrix_from_json({"n": 1, "entries": [["1.5", True]]})
+    for bad in ("abc", {}, [1.0], 10**400, "1.5", "nan", True, False):
         with pytest.raises(FormatError, match=r"'entries\[1\]'"):
             matrix_from_json({"n": 2, "entries": [[1.0, 0.0], [bad, 0.0], [0.0, 0.0], [0.0, 1.0]]})
+        with pytest.raises(FormatError, match=r"'entries\[1\]'"):
+            matrix_from_json({"n": 2, "entries": [[1.0, 0.0], [0.0, bad], [0.0, 0.0], [0.0, 1.0]]})
+    assert matrix_from_json({"n": 1, "entries": [[2, -1]]})[0, 0] == 2 - 1j
 
 
 @pytest.mark.parametrize("spec, field", [
@@ -256,6 +262,10 @@ def test_matrix_from_json_field_errors():
     ('{"poly2": [[1, 0, 1, 0], [1, 0, 2, 0]]}', "'poly2'"),
     ('{"poly": [[1, 0], [{}, 0]]}', r"'poly\[1\]'"),
     ('{"poly": [["x", 0]]}', r"'poly\[0\]'"),
+    ('{"poly": [["nan", 0]]}', r"'poly\[0\]'"),
+    ('{"poly": [[1, 0], [1, false]]}', r"'poly\[1\]'"),
+    ('{"poly2": [[1, 0, "1.5", 0]]}', r"'poly2\[0\]'"),
+    ('{"poly2": [[0, 0, 1, 0], [1, 0, 1, true]]}', r"'poly2\[1\]'"),
     ('{"poly": 3}', "'poly'"),
     ('{"builtin": "pow", "k": [2]}', "'k'"),
     ('{"builtin": "pow", "k": 2.5}', "'k'"),

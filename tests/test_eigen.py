@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfckit.cfc import builtin_function, cfc
 from cfckit.eigen import (
     NotSelfadjoint,
     cluster_with_labels,
@@ -12,7 +13,13 @@ from cfckit.eigen import (
     normal_spectral_decomposition,
 )
 from cfckit.matrix_core import NotNormal, adjoint, fro_norm, is_selfadjoint, is_star_normal
-from cfckit.sampling import random_normal_matrix, random_unitary, rng_from_seed
+from cfckit.oracle import cfc_oracle
+from cfckit.sampling import (
+    random_normal_matrix,
+    random_unitary,
+    random_with_spectrum,
+    rng_from_seed,
+)
 from cfckit.scalars import ScalarRing
 
 
@@ -75,6 +82,23 @@ def test_normal_handles_repeated_real_parts():
     a = (u * lam) @ adjoint(u)
     dec = normal_spectral_decomposition(a)
     assert fro_norm(a - dec.reconstruct()) <= 1e-10 * fro_norm(a)
+
+
+@pytest.mark.parametrize("n", [6, 16, 64])
+def test_normal_exact_multiplicities_agree_with_the_oracle(n):
+    # exact multiplicities, which keep h's eigenvectors, and a pair on one
+    # real part 1e-13 ||a|| apart, which needs its own eigensolve
+    lam = np.resize(np.array([0.5 + 1j, 1 - 1j, -0.25 + 0.5j]), n)
+    lam[-2:] = 1.5 + 0.2j
+    lam[-1] += 1e-13j * np.linalg.norm(lam)
+    a = random_with_spectrum(rng_from_seed(40 + n), lam)
+    dec = normal_spectral_decomposition(a)
+    assert dec.residual <= 1e-10
+    assert fro_norm(adjoint(dec.u) @ dec.u - np.eye(n)) <= 1e-12 * n
+    assert np.allclose(dec.lam, np.sort_complex(lam), atol=1e-10)
+    exp = builtin_function("exp")
+    ref = cfc_oracle(exp, a)
+    assert fro_norm(cfc(exp, a).value - ref) <= 1e-8 * fro_norm(ref)
 
 
 def test_selfadjoint_spectrum_is_real(rng):

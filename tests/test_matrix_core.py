@@ -1,3 +1,4 @@
+import math
 import time
 import tracemalloc
 
@@ -11,7 +12,6 @@ from cfckit.matrix_core import (
     as_matrix,
     elemental_subalgebra,
     fro_norm,
-    frobenius_inner,
     is_nonneg,
     is_selfadjoint,
     is_star_normal,
@@ -80,6 +80,14 @@ def test_normal_residual_from_one_product_matches_the_commutator(scale):
         rep = is_star_normal(a)
         assert abs(rep.residual - direct) <= 1e-14 * max(1.0, direct)
         assert rep.holds == (direct <= rep.tol_used)
+
+
+def test_normal_predicate_where_the_frobenius_norm_overflows():
+    # finite entries whose ||a||_F is inf: the predicate still decides
+    assert fro_norm(np.full((3, 3), 1e308)) == math.inf
+    rep = is_star_normal(np.triu(np.full((3, 3), 1e308)))
+    assert not rep.holds and rep.residual == pytest.approx(0.5773502691896257, rel=1e-12)
+    assert is_star_normal(np.diag([1e308, -1e308, 1e308j, 1e308])).holds
 
 
 def test_selfadjoint_predicate():
@@ -169,7 +177,7 @@ def test_elemental_basis_stays_orthonormal_with_many_eigenvalues():
         a = np.diag(np.arange(float(n)))
         B = elemental_subalgebra(a, unital=unital)
         assert B.dim == dim
-        gram = np.array([[frobenius_inner(x, y) for y in B.basis] for x in B.basis])
+        gram = np.array([[np.vdot(x, y) for y in B.basis] for x in B.basis])
         assert np.max(np.abs(gram - np.eye(dim))) <= 1e-12
         assert B.contains(a)[0]
     near_degenerate = lambda gen: np.concatenate([[0.0, 1.0, 1.0 + 1e-5], np.linspace(2.0, 3.0, 9)])
