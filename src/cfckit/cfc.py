@@ -12,6 +12,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import repeat
 from typing import Callable, Optional
 
@@ -21,20 +22,19 @@ from .eigen import (
     DEFAULT_CLUSTER_REL,
     NoConvergence,
     SpectralDecomposition,
+    _decompose,
+    _scaled_back,
     cluster_with_labels,
-    hermitian_eigen,
-    normal_spectral_decomposition,
 )
 from .matrix_core import (
     EPS_FLOOR,
     NotInSubalgebra,
     PredicateFailure,
     StarSubalgebra,
+    _rescaled,
     adjoint,
     as_matrix,
-    fro_norm,
     is_nonneg,
-    nonneg_report,
     predicate_for_ring,
     zeros,
 )
@@ -78,29 +78,6 @@ class _EvalFailed(Exception):
 
 def _junk(n: int, reason: str) -> CfcOutcome:
     return CfcOutcome(value=zeros(n), junk=True, reason=reason)
-
-
-def ring_decomposition(
-    a, ring: ScalarRing, tol: float = DEFAULT_TOL, cluster_tol: float | None = None,
-    *, scale: float,
-) -> SpectralDecomposition:
-    """Spectral decomposition of a for the calculus over `ring`, checking the
-    ring's predicate exactly once on the way: the normal decomposition over
-    C, the Hermitian one over R, whose least eigenvalue decides R>=0.  `a` is
-    coerced by as_matrix and `scale` is its ||a||_F, which the predicate and
-    the decomposition share.
-
-    Raises PredicateFailure when the predicate fails and NoConvergence when
-    the eigensolver does.
-    """
-    if ring is ScalarRing.COMPLEX:
-        return normal_spectral_decomposition(a, tol, cluster_tol, _scale=scale)
-    dec = hermitian_eigen(a, tol, _scale=scale)
-    if ring is ScalarRing.NNREAL:
-        report = nonneg_report(dec.report, float(dec.lam[0]), scale)
-        if not report.holds:
-            raise PredicateFailure(report)
-    return dec
 
 
 def _eval_at(f: ScalarFunction, x, tol: float):
@@ -179,7 +156,7 @@ class SpectralPlan:
             return _junk(n, "eval_failed")
         fvals = np.array(fvals, dtype=np.complex128)
         u = self.dec.u
-        if np.isrealobj(u) and not fvals.imag.any():
+        if u.dtype == np.float64 and not np.count_nonzero(fvals.imag):
             value = ((u * fvals.real) @ u.T).astype(np.complex128)
         else:
             value = (u * fvals) @ adjoint(u)
@@ -194,23 +171,27 @@ def plan(
     as ring scalars: clamped to >= 0 over R>=0, and over C with an imaginary
     part within REAL_SNAP_REL * ||a||_F of 0 set to +0.0, so that sqrt and
     log take the principal branch (Complex.arg in (-pi, pi]) whatever the
-    sign of the rounding.  The clustered points are built only when asked for.  The
-    default cluster_tol is DEFAULT_CLUSTER_REL * ||a||_F."""
+    sign of the rounding.  The clustered points are built only when asked
+    for.  The default cluster_tol is DEFAULT_CLUSTER_REL * ||a||_F.  a = c b
+    is decomposed as b = _rescaled(a), and the eigenvalues, cluster_tol and
+    the snap cut are multiplied back by c, finite where ||a||_F is not."""
     a = as_matrix(a)
-    scale = fro_norm(a)
+    b, scale, c = _rescaled(a)
     if cluster_tol is None:
-        cluster_tol = DEFAULT_CLUSTER_REL * scale
+        cluster_tol = DEFAULT_CLUSTER_REL * scale * c
     try:
-        dec = ring_decomposition(a, ring, tol, cluster_tol, scale=scale)
+        dec = _decompose(b, ring, tol, cluster_tol / c, scale)
+        if c != 1.0:
+            dec = _scaled_back(dec, c, a)
     except (PredicateFailure, NoConvergence) as exc:
-        return SpectralPlan(a, ring, tol, cluster_tol, scale, error=exc)
+        return SpectralPlan(a, ring, tol, cluster_tol, scale * c, error=exc)
     values = dec.lam.tolist()
     if ring is ScalarRing.NNREAL:
         values = [max(x, 0.0) for x in values]
     elif ring is ScalarRing.COMPLEX:  # +0.0: a negative real eigenvalue has arg pi
-        cut = REAL_SNAP_REL * scale
+        cut = REAL_SNAP_REL * scale * c
         values = [complex(z.real) if abs(z.imag) <= cut else z for z in values]
-    return SpectralPlan(a, ring, tol, cluster_tol, scale, dec, tuple(values))
+    return SpectralPlan(a, ring, tol, cluster_tol, scale * c, dec, tuple(values))
 
 
 def cfc(
@@ -282,9 +263,11 @@ def constant_function(c, ring: ScalarRing = ScalarRing.COMPLEX) -> ScalarFunctio
 _BUILTIN_NAMES = ("sqrt", "abs", "exp", "log", "inv", "pow", "rpow", "id")
 
 
+@lru_cache(maxsize=len(_BUILTIN_NAMES) * len(ScalarRing))
 def builtin_function(name: str, ring: ScalarRing = ScalarRing.COMPLEX,
                      k: int | None = None, t: float | None = None) -> ScalarFunction:
-    """Named scalar functions shared by the library and the CLI."""
+    """Named scalar functions shared by the library and the CLI, built once
+    per name, ring and parameters while they fit the bounded cache."""
     real = ring is not ScalarRing.COMPLEX
     if name == "id":
         fn = lambda x: x

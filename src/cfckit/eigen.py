@@ -1,6 +1,6 @@
-"""Spectral decompositions: Hermitian eigensolver, its extension to normal
-matrices via simultaneous diagonalization of the commuting Hermitian parts,
-and eigenvalue clustering.
+"""Spectral decompositions: one path for every scalar ring (a Hermitian
+eigensolve, extended to normal matrices by simultaneous diagonalization of
+the commuting Hermitian parts), and eigenvalue clustering.
 """
 
 from __future__ import annotations
@@ -15,14 +15,16 @@ from .matrix_core import (
     EPS_FLOOR,
     NotNormal,
     NotSelfadjoint,
+    PredicateFailure,
     PredicateReport,
-    _coerced,
+    _predicate_report,
+    _rescaled,
     adjoint,
+    as_matrix,
     fro_norm,
-    is_selfadjoint,
-    is_star_normal,
+    nonneg_report,
 )
-from .scalars import DEFAULT_TOL
+from .scalars import DEFAULT_TOL, ScalarRing
 
 # Clusters are cut at this fraction of ||a|| unless the caller overrides.
 DEFAULT_CLUSTER_REL = 1e-8
@@ -74,24 +76,11 @@ class ClusteredSpectrum:
 def _eigh(h):
     """np.linalg.eigh, in real arithmetic when h has no imaginary part."""
     try:
-        if not h.imag.any():
+        if not np.count_nonzero(h.imag):
             return np.linalg.eigh(h.real)
         return np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-
-
-def hermitian_eigen(h, tol: float = DEFAULT_TOL, *, _scale=None) -> SpectralDecomposition:
-    """Eigendecomposition of a selfadjoint matrix; eigenvalues real, ascending.
-
-    Real symmetric input stays in real arithmetic: u comes back real.
-    """
-    h, scale = _coerced(h, _scale)
-    report = is_selfadjoint(h, tol, _scale=scale)
-    if not report.holds:
-        raise NotSelfadjoint(report)
-    w, u = _eigh((h + adjoint(h)) / 2)
-    return SpectralDecomposition(u=u, lam=w, a=h, report=report)
 
 
 def _repeated_runs(sorted_reals, cluster_tol):
@@ -107,31 +96,30 @@ def _repeated_runs(sorted_reals, cluster_tol):
     return runs
 
 
-def normal_spectral_decomposition(
-    a, tol: float = DEFAULT_TOL, cluster_tol: float | None = None, *, _scale=None
-) -> SpectralDecomposition:
-    """Unitary diagonalization of a normal matrix.
-
-    Writes a = h + i k with commuting Hermitian parts and diagonalizes h.  On
-    each eigenvalue cluster of h it compresses a to c = u_c* a u_c and, unless
-    c is already diagonal (the cluster is one eigenspace of a), diagonalizes
-    (c - c*) / 2i, k's compression: one eigensolve plus one per cluster of h
-    on which a is not already diagonal.  Eigenvalues come back sorted
-    lexicographically by (re, im).  The default cluster_tol is
-    DEFAULT_CLUSTER_REL * ||a||_F.
-    """
-    a, scale = _coerced(a, _scale)
-    report = is_star_normal(a, tol, _scale=scale)
+def _decompose(a, ring, tol, cluster_tol, scale) -> SpectralDecomposition:
+    """a's decomposition for the calculus over `ring`, its predicate checked
+    once on the way (PredicateFailure, NoConvergence); a is coerced and
+    rescaled by _rescaled, scale = ||a||_F.  a - a* decides selfadjointness
+    (R, R>=0), s (a - a*) with s = a + a* normality (C), and s / 2 = h gets
+    the one Hermitian eigensolve, whose least eigenvalue decides R>=0.  Over
+    C, each cluster of h's eigenvalues (gaps <= cluster_tol) on which a's
+    compression c = u_c* a u_c is not diagonal gets one more, of
+    (c - c*) / 2i.  Eigenvalues come back sorted by (re, im)."""
+    ah = a.conj().T
+    s = a + ah
+    report = _predicate_report(a, ah, s if ring is ScalarRing.COMPLEX else None, tol, scale)
+    del ah  # the peak holds a, h and the eigensolve's output, no more
     if not report.holds:
-        raise NotNormal(report)
-    n = a.shape[0]
-    if n == 1:
-        return SpectralDecomposition(
-            u=np.eye(1, dtype=np.complex128), lam=a[0].copy(), a=a, report=report
-        )
-    if cluster_tol is None:
-        cluster_tol = DEFAULT_CLUSTER_REL * scale
-    wh, u = _eigh((a + adjoint(a)) / 2)
+        raise (NotNormal if ring is ScalarRing.COMPLEX else NotSelfadjoint)(report)
+    s /= 2
+    wh, u = _eigh(s)
+    del s
+    if ring is not ScalarRing.COMPLEX:
+        if ring is ScalarRing.NNREAL:
+            report = nonneg_report(report, float(wh[0]), scale)
+            if not report.holds:
+                raise PredicateFailure(report)
+        return SpectralDecomposition(u=u, lam=wh, a=a, report=report)
     u = u.astype(np.complex128, copy=False)
     au = a @ u
     cut = DIAGONAL_CUT_REL * scale
@@ -144,9 +132,44 @@ def normal_spectral_decomposition(
         _, v = _eigh((c - adjoint(c)) / 2j)
         u[:, cols] = u[:, cols] @ v
         au[:, cols] = au[:, cols] @ v
-    lam = np.sum(np.conj(u) * au, axis=0)
-    order = np.lexsort((lam.imag, lam.real))
-    return SpectralDecomposition(u=u[:, order], lam=lam[order], a=a, report=report)
+    lam = (np.conj(u) * au).sum(0)
+    if np.count_nonzero(lam[1:] < lam[:-1]):  # complex order is (re, im)
+        order = np.lexsort((lam.imag, lam.real))
+        u, lam = u[:, order], lam[order]
+    return SpectralDecomposition(u=u, lam=lam, a=a, report=report)
+
+
+def _scaled_back(dec, c, a) -> SpectralDecomposition:
+    """dec, of a / c, as the decomposition of a; NoConvergence when the
+    modulus of an eigenvalue of a lies beyond the float range."""
+    with np.errstate(over="ignore"):
+        lam = dec.lam * c
+        if np.count_nonzero(np.isinf(np.abs(lam))):
+            raise NoConvergence("an eigenvalue lies beyond the float range")
+    return SpectralDecomposition(dec.u, lam, a, dec.report)
+
+
+def _rescaled_decomposition(a, ring, tol, cluster_tol):
+    """_decompose of any input under the scale rule of _rescaled."""
+    a = as_matrix(a)
+    b, scale, c = _rescaled(a)
+    if cluster_tol is None:
+        cluster_tol = DEFAULT_CLUSTER_REL * scale * c
+    dec = _decompose(b, ring, tol, cluster_tol / c, scale)
+    return dec if c == 1.0 else _scaled_back(dec, c, a)
+
+
+def hermitian_eigen(h, tol: float = DEFAULT_TOL) -> SpectralDecomposition:
+    """Eigendecomposition of a selfadjoint h: lam ascending, u real if h is."""
+    return _rescaled_decomposition(h, ScalarRing.REAL, tol, None)
+
+
+def normal_spectral_decomposition(
+    a, tol: float = DEFAULT_TOL, cluster_tol: float | None = None
+) -> SpectralDecomposition:
+    """Unitary diagonalization of a normal matrix, eigenvalues sorted by
+    (re, im); cluster_tol defaults to DEFAULT_CLUSTER_REL * ||a||_F."""
+    return _rescaled_decomposition(a, ScalarRing.COMPLEX, tol, cluster_tol)
 
 
 def cluster_with_labels(lam, cluster_tol: float):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import json
 
 import numpy as np
@@ -58,9 +59,10 @@ _NUMBER_TYPES = frozenset((int, float))
 
 
 def _complex_pairs(pairs, field: str) -> list:
-    """[re, im] pairs of JSON numbers as complex numbers, or FormatError naming
-    the first bad field[i]; one try around the whole loop keeps long files
-    fast."""
+    """[re, im] pairs of finite JSON numbers as complex numbers, or FormatError
+    naming the first bad field[i]; one try around the whole loop, and one
+    finiteness pass after it (json reads NaN and Infinity as floats), keep
+    long files fast."""
     out = []
     try:
         for i, pair in enumerate(pairs):
@@ -72,6 +74,9 @@ def _complex_pairs(pairs, field: str) -> list:
             out.append(complex(re, im))
     except (TypeError, OverflowError) as exc:
         raise FormatError(f"field '{field}[{i}]' must be a pair of numbers ({exc})") from exc
+    if not all(map(cmath.isfinite, out)):
+        i = next(i for i, z in enumerate(out) if not cmath.isfinite(z))
+        raise FormatError(f"field '{field}[{i}]' must be a pair of finite numbers")
     return out
 
 

@@ -60,7 +60,7 @@ def as_matrix(a) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] < 1:
         raise ValueError("matrix dimension must be at least 1")
-    if not np.isfinite(m).all():
+    if np.count_nonzero(np.isfinite(m)) != m.size:
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -83,10 +83,10 @@ def fro_norm(a) -> float:
     squares overflows or underflows."""
     a = np.asarray(a)
     nrm = math.sqrt(np.vdot(a, a).real)
-    if 1e-150 <= nrm < math.inf:
+    if 1e-150 <= nrm < math.inf or not np.count_nonzero(a):
         return nrm
-    peak = float(np.max(np.abs(a), initial=0.0))
-    if peak == 0.0 or not math.isfinite(peak):
+    peak = float(np.max(np.abs(a)))
+    if not math.isfinite(peak):
         return nrm
     b = a / peak
     return peak * math.sqrt(np.vdot(b, b).real)
@@ -94,16 +94,25 @@ def fro_norm(a) -> float:
 
 def operator_norm(a) -> float:
     """Largest singular value, via the Hermitian eigenproblem for a* a, taken
-    of a / max|a_ij| outside ||a||_F in [1e-100, 1e100], as is_star_normal."""
-    a = as_matrix(a)
-    peak = 1.0
-    if not 1e-100 <= fro_norm(a) <= 1e100:  # a* a may leave the float range
-        peak = float(np.max(np.abs(a))) or 1.0
-        a = a / peak
+    of a rescaled as _rescaled says, so that a* a stays in the float range."""
+    a, _, c = _rescaled(as_matrix(a))
     gram = adjoint(a) @ a
     gram = (gram + adjoint(gram)) / 2
     w = np.linalg.eigvalsh(gram)
-    return peak * float(np.sqrt(max(w[-1], 0.0)))
+    return c * float(np.sqrt(max(w[-1], 0.0)))
+
+
+def _rescaled(a):
+    """(b, ||b||_F, c) with a = c b, for a coerced a: the one scale rule of the
+    package (safe scaling, Anderson, ACM TOMS 44, 2017).  b = a unless ||a||_F
+    lies outside [1e-100, 1e100], where products of a leave the float range;
+    then c = ||a||_F, or max(|re a_ij|, |im a_ij|) if ||a||_F overflows."""
+    scale = fro_norm(a)
+    if scale == 0.0 or 1e-100 <= scale <= 1e100:
+        return a, scale, 1.0
+    c = scale if scale < math.inf else float(max(np.abs(a.real).max(), np.abs(a.imag).max()))
+    b = a / c
+    return b, fro_norm(b), c
 
 
 @dataclass(frozen=True)
@@ -114,38 +123,19 @@ class PredicateReport:
     tol_used: float
 
 
-def _coerced(a, scale):
-    """(as_matrix(a), ||a||_F), or (a, scale) as given by a caller in this
-    package that has already coerced a and taken its norm."""
-    if scale is None:
-        a = as_matrix(a)
-        return a, fro_norm(a)
-    return a, scale
-
-
-def is_star_normal(a, tol: float = DEFAULT_TOL, *, _scale=None) -> PredicateReport:
-    """Does a commute with its adjoint?  With a = h + i k, h and k Hermitian,
-    a*a - aa* = 2i (hk - (hk)*), so one product decides it.  The residual is
-    ||a*a - aa*||_F / ||a||_F^2, taken of a / ||a||_F (of a / max|a_ij| if
-    ||a||_F overflows) when the product would overflow or underflow."""
-    a, scale = _coerced(a, _scale)
-    if scale > 0.0 and not 1e-100 <= scale <= 1e100:  # the product may leave the float range
-        if scale < math.inf:
-            a, scale = a / scale, 1.0
-        else:
-            a = a / np.max(np.abs(a))
-            scale = fro_norm(a)
-    ah = adjoint(a)
-    p = (a + ah) @ (a - ah)  # 4i hk, so 2 ||hk - (hk)*||_F = ||p + p*||_F / 2
-    residual = fro_norm(p + adjoint(p)) / 2 / max(scale ** 2, EPS_FLOOR)
+def _predicate_report(a, ah, s, tol: float, scale: float) -> PredicateReport:
+    """The selfadjoint report of a from its adjoint ah when s is None, else
+    the normal one from s = a + a* too; scale = ||a||_F, in the range
+    _rescaled keeps.  With a = h + i k, a*a - aa* = 2i (hk - (hk)*) and
+    s (a - a*) = 4i hk, so one product p decides normality: 2 ||hk - (hk)*||_F
+    = ||p + p*||_F / 2.  a - a* is freed before p + p* is formed."""
+    if s is None:
+        residual = fro_norm(a - ah) / max(scale, EPS_FLOOR)
+        return PredicateReport("selfadjoint", residual <= tol, residual, tol)
+    p = s @ (a - ah)
+    p += p.conj().T
+    residual = fro_norm(p) / 2 / max(scale ** 2, EPS_FLOOR)
     return PredicateReport("normal", residual <= tol, residual, tol)
-
-
-def is_selfadjoint(a, tol: float = DEFAULT_TOL, *, _scale=None) -> PredicateReport:
-    """Is a = a*?  Residual ||a - a*||_F / ||a||_F."""
-    a, scale = _coerced(a, _scale)
-    residual = fro_norm(a - adjoint(a)) / max(scale, EPS_FLOOR)
-    return PredicateReport("selfadjoint", residual <= tol, residual, tol)
 
 
 def nonneg_report(sa: PredicateReport, lam_min: float, scale: float) -> PredicateReport:
@@ -155,22 +145,33 @@ def nonneg_report(sa: PredicateReport, lam_min: float, scale: float) -> Predicat
     return PredicateReport("nonneg", residual <= sa.tol_used, residual, sa.tol_used)
 
 
-def is_nonneg(a, tol: float = DEFAULT_TOL) -> PredicateReport:
-    """Selfadjoint with spectrum in [0, inf); equivalent to a = b* b in M_n."""
-    a = as_matrix(a)
-    scale = fro_norm(a)
-    sa = is_selfadjoint(a, tol, _scale=scale)
-    lam_min = np.linalg.eigvalsh((a + adjoint(a)) / 2)[0] if sa.holds else 0.0
+def predicate_for_ring(a, ring: ScalarRing, tol: float = DEFAULT_TOL) -> PredicateReport:
+    """The element predicate a scalar ring demands of its calculus inputs,
+    taken of a rescaled by _rescaled."""
+    a, scale, _ = _rescaled(as_matrix(a))
+    ah = adjoint(a)
+    if ring is ScalarRing.COMPLEX:
+        return _predicate_report(a, ah, a + ah, tol, scale)
+    sa = _predicate_report(a, ah, None, tol, scale)
+    if ring is ScalarRing.REAL:
+        return sa
+    lam_min = np.linalg.eigvalsh((a + ah) / 2)[0] if sa.holds else 0.0
     return nonneg_report(sa, float(lam_min), scale)
 
 
-def predicate_for_ring(a, ring: ScalarRing, tol: float = DEFAULT_TOL) -> PredicateReport:
-    """The element predicate a scalar ring demands of its calculus inputs."""
-    if ring is ScalarRing.COMPLEX:
-        return is_star_normal(a, tol)
-    if ring is ScalarRing.REAL:
-        return is_selfadjoint(a, tol)
-    return is_nonneg(a, tol)
+def is_star_normal(a, tol: float = DEFAULT_TOL) -> PredicateReport:
+    """Does a commute with its adjoint?  Residual ||a*a - aa*||_F / ||a||_F^2."""
+    return predicate_for_ring(a, ScalarRing.COMPLEX, tol)
+
+
+def is_selfadjoint(a, tol: float = DEFAULT_TOL) -> PredicateReport:
+    """Is a = a*?  Residual ||a - a*||_F / ||a||_F."""
+    return predicate_for_ring(a, ScalarRing.REAL, tol)
+
+
+def is_nonneg(a, tol: float = DEFAULT_TOL) -> PredicateReport:
+    """Selfadjoint with spectrum in [0, inf); equivalent to a = b* b in M_n."""
+    return predicate_for_ring(a, ScalarRing.NNREAL, tol)
 
 
 @dataclass(frozen=True)
@@ -237,10 +238,10 @@ def elemental_subalgebra(a, unital: bool = True, tol: float = DEFAULT_TOL) -> St
     of n^2 entries per element, in an array whose rows double as needed.
     """
     a = as_matrix(a)
-    scale = fro_norm(a)
-    report = is_star_normal(a, tol, _scale=scale)
+    report = is_star_normal(a, tol)
     if not report.holds:
         raise NotNormal(report)
+    scale = fro_norm(a)
     n = a.shape[0]
     q = np.empty((min(n, 4), n * n), dtype=np.complex128)
     k = 0

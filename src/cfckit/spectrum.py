@@ -79,20 +79,6 @@ def is_quasiregular(B: StarSubalgebra, x, tol: float = DEFAULT_TOL):
     return False, None
 
 
-def is_quasiregular_ambient(B: StarSubalgebra, x, tol: float = DEFAULT_TOL) -> bool:
-    """Spectral-permanence cross-check: x is quasiregular iff I + x is
-    invertible in M_n and (I + x)^-1 - I lies back in B."""
-    x = as_matrix(x)
-    n = B.ambient_dim
-    one_plus = identity(n) + x
-    sv_min = float(np.linalg.svd(one_plus, compute_uv=False)[-1])
-    if sv_min <= tol * max(1.0, fro_norm(one_plus)):
-        return False
-    y = np.linalg.inv(one_plus) - identity(n)
-    inside, _ = B.contains(y, max(tol, 1e-8))
-    return inside
-
-
 def quasispectrum_intrinsic(
     B: StarSubalgebra, a, ring: ScalarRing = ScalarRing.COMPLEX,
     tol: float = DEFAULT_TOL, cluster_tol: float | None = None,

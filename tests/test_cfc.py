@@ -1,11 +1,13 @@
 import cmath
 import contextlib
 import math
+import sys
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfckit.cfc import (
@@ -572,3 +574,81 @@ def test_one_plan_applies_like_separate_cfc_calls(seed, n, kind, ring, broken_ei
         out = p.apply(identity_function(ring))
         assert fro_norm(out.value - p.a) <= 1e-12 * fro_norm(p.a)
 
+
+def test_abs_where_the_frobenius_norm_overflows():
+    """||a||_F = inf with finite entries: the plan decomposes a / 1e308, its
+    largest entry part, so |1e308j| = 1e308 is not lost to a + a*
+    overflowing to inf."""
+    a = np.diag([1e308, -1e308, 1e308, 1e308j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = cfc_builtin("abs", a)
+    assert not out.junk
+    assert np.allclose(np.diag(out.value), 1e308, rtol=1e-15, atol=0)
+    assert fro_norm(out.value - np.diag(np.diag(out.value))) <= 1e-15 * 1e308
+
+
+def _homogeneous_input(ring, seed):
+    """A 4x4 input of the ring with max|a_ij| about 1."""
+    gen = rng_from_seed(seed)
+    lam = gen.uniform(-1, 1, 4) + 1j * gen.uniform(-1, 1, 4)
+    if ring is not ScalarRing.COMPLEX:
+        lam = lam.real if ring is ScalarRing.REAL else np.abs(lam)
+    a = random_with_spectrum(gen, lam)
+    if ring is not ScalarRing.COMPLEX:
+        a = (a + adjoint(a)) / 2
+    return a / np.max(np.abs(a))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), ring=st.sampled_from(list(ScalarRing)),
+       name=st.sampled_from(("abs", "id")), e=st.floats(-300.0, 300.0),
+       t=st.one_of(st.none(), st.floats(0.5, 0.9)))
+@example(seed=1, ring=ScalarRing.COMPLEX, name="abs", e=0.0, t=0.9)
+@example(seed=390895, ring=ScalarRing.COMPLEX, name="id", e=0.0, t=0.5)
+def test_homogeneous_functions_commute_with_scaling(seed, ring, name, e, t):
+    """cfc(f, s a) = s cfc(f, a) for f(s x) = s f(x), s > 0, at s = 10^e
+    from 1e-300 to 1e300, and (t given) at s = t max_float / rho(a), where
+    the entries and eigenvalues of s a stay finite but ||s a||_F mostly
+    overflows to inf.  Both sides are exact to the accuracy of the
+    decomposition, eps ||a|| times max|lambda| over the least gap between
+    distinct real parts (the eigenvectors of h = (a + a*) / 2)."""
+    a = _homogeneous_input(ring, seed)
+    lam = np.linalg.eigvals(a)
+    s = 10.0 ** e if t is None else t * sys.float_info.max / np.max(np.abs(lam))
+    gap = max(np.min(np.diff(np.sort(lam.real))), DEFAULT_CLUSTER_REL)
+    tol = 64 * sys.float_info.epsilon * (1.0 + np.max(np.abs(lam)) / gap)
+    ref = cfc_builtin(name, a, ring)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = cfc_builtin(name, s * a, ring)
+    assert not ref.junk and not out.junk
+    assert np.all(np.isfinite(out.value))
+    assert fro_norm(out.value / s - ref.value) <= tol * fro_norm(ref.value)
+
+
+@pytest.mark.parametrize("a", [
+    np.full((2, 2), 1e308),                         # lambda = 2e308
+    np.array([[1e308, 0.9e308], [0.9e308, 1e308]]),  # lambda = 1.9e308, 1e307
+    np.diag([1.5e308 + 1.5e308j, 1.0]),             # finite parts, |lambda| > max
+])
+def test_an_eigenvalue_beyond_the_float_range_is_junk(a):
+    """Finite entries, an eigenvalue whose modulus is no float: no f(a) is
+    trusted, not even inv(a), to which such an eigenvalue would add 0, and
+    neither an exception nor a warning escapes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for name in ("abs", "inv", "id"):
+            out = cfc_builtin(name, a)
+            assert out.junk and out.reason == "decomposition_failed"
+
+
+def test_builtins_are_built_once_per_name_and_ring():
+    """cfc_builtin reuses one ScalarFunction per builtin, ring and
+    parameters, from a cache bounded by the names times the rings."""
+    assert builtin_function("exp", ScalarRing.REAL) is builtin_function("exp", ScalarRing.REAL)
+    assert builtin_function("exp", ScalarRing.REAL) is not builtin_function("exp")
+    assert builtin_function.cache_info().maxsize == 8 * len(ScalarRing)
+    for k in range(100):
+        assert builtin_function("pow", ScalarRing.REAL, k=k).eval(2.0) == 2.0 ** k
+    assert builtin_function.cache_info().currsize <= 8 * len(ScalarRing)

@@ -250,6 +250,11 @@ def test_matrix_from_json_field_errors():
         with pytest.raises(FormatError, match=r"'entries\[1\]'"):
             matrix_from_json({"n": 2, "entries": [[1.0, 0.0], [0.0, bad], [0.0, 0.0], [0.0, 1.0]]})
     assert matrix_from_json({"n": 1, "entries": [[2, -1]]})[0, 0] == 2 - 1j
+    # json reads the literals NaN and Infinity as floats
+    for bad in ("NaN", "Infinity", "-Infinity"):
+        obj = json.loads(f'{{"n": 2, "entries": [[1, 0], [0, 0], [0, {bad}], [1, 0]]}}')
+        with pytest.raises(FormatError, match=r"'entries\[2\]' must be a pair of finite"):
+            matrix_from_json(obj)
 
 
 @pytest.mark.parametrize("spec, field", [
@@ -263,6 +268,10 @@ def test_matrix_from_json_field_errors():
     ('{"poly": [[1, 0], [{}, 0]]}', r"'poly\[1\]'"),
     ('{"poly": [["x", 0]]}', r"'poly\[0\]'"),
     ('{"poly": [["nan", 0]]}', r"'poly\[0\]'"),
+    ('{"poly": [[NaN, 0]]}', r"'poly\[0\]' must be a pair of finite numbers"),
+    ('{"poly": [[1, 0], [0, Infinity]]}', r"'poly\[1\]' must be a pair of finite numbers"),
+    ('{"poly2": [[0, 0, 1, 0], [1, 0, -Infinity, 0]]}',
+     r"'poly2\[1\]' must be a pair of finite numbers"),
     ('{"poly": [[1, 0], [1, false]]}', r"'poly\[1\]'"),
     ('{"poly2": [[1, 0, "1.5", 0]]}', r"'poly2\[0\]'"),
     ('{"poly2": [[0, 0, 1, 0], [1, 0, 1, true]]}', r"'poly2\[1\]'"),

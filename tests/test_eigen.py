@@ -242,9 +242,8 @@ def test_sweep_clustering_matches_brute_force_random():
     (normal_spectral_decomposition, ["a", "tol", "cluster_tol"]),
 ])
 def test_public_predicates_and_decompositions_check_their_own_input(fn, params):
-    """The package passes ||a||_F on to these under a private keyword; called
-    without it they take only their public parameters, coerce and check the
-    input, and decide the predicate from the input alone."""
+    """They take only their public parameters, coerce and check the input,
+    and decide the predicate from the input alone, at any scale."""
     public = [p for p in inspect.signature(fn).parameters if not p.startswith("_")]
     assert public == params
     for bad in ([[1.0, np.nan], [0.0, 1.0]], np.ones((2, 3)), [[np.inf]]):
@@ -260,3 +259,46 @@ def test_public_predicates_and_decompositions_check_their_own_input(fn, params):
         else:
             with pytest.raises((NotNormal, NotSelfadjoint)):
                 fn(nilpotent)
+
+
+def _lexicographic(lam):
+    keys = [(complex(z).real, complex(z).imag) for z in lam]
+    return keys == sorted(keys)
+
+
+@pytest.mark.parametrize("cluster_tol", [0.0, None])
+def test_eigenvalues_come_back_sorted_by_real_then_imaginary_part(monkeypatch, cluster_tol):
+    """The decomposition sorts lam by (re, im), as computed, only when its raw
+    order is not already that; on repeated runs of h's eigenvalues and on
+    real parts one ulp apart both branches are taken, and the result is
+    always sorted."""
+    sorts = [0]
+    lexsort = np.lexsort
+
+    def counted(*args, **kwargs):
+        sorts[0] += 1
+        return lexsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "lexsort", counted)
+    one_ulp = np.nextafter(1.0, 2.0)
+    spectra = [
+        [1 + 1j, 1 - 1j, 1 + 0.5j, 2.0, 2 + 1j, 2 - 1j],  # repeated runs of h
+        [1 + 1j, one_ulp - 1j, one_ulp + 1j, 1 - 1j],      # real parts 1 ulp apart
+        [1 + 1j] * 3 + [1 - 1j] * 2 + [one_ulp + 0.5j],    # exact multiplicities
+        [0.5, one_ulp, 1.0, 2.0 + 1j],
+    ]
+    gen = rng_from_seed(31)
+    calls = 0
+    for lam in spectra:
+        for _ in range(40):
+            a = random_with_spectrum(gen, np.array(lam, dtype=complex))
+            dec = normal_spectral_decomposition(a, cluster_tol=cluster_tol)
+            calls += 1
+            assert _lexicographic(dec.lam)
+            # cluster_tol = 0 splits h's runs at rounding, which only the
+            # order, not the values, must survive
+            assert cluster_tol == 0.0 or dec.residual <= 1e-12
+        diag = normal_spectral_decomposition(np.diag(lam), cluster_tol=cluster_tol)
+        assert _lexicographic(diag.lam)
+        assert np.array_equal(diag.lam, np.sort_complex(np.array(lam, dtype=complex)))
+    assert 0 < sorts[0] < calls  # the sort was both skipped and taken

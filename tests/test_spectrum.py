@@ -4,7 +4,10 @@ import pytest
 from cfckit.cfc import plan
 from cfckit.matrix_core import (
     NotInSubalgebra,
+    as_matrix,
     elemental_subalgebra,
+    fro_norm,
+    identity,
     subalgebra_from_matrices,
 )
 from cfckit.sampling import (
@@ -13,11 +16,10 @@ from cfckit.sampling import (
     rng_from_seed,
     spaced_eigenvalues,
 )
-from cfckit.scalars import ScalarRing
+from cfckit.scalars import DEFAULT_TOL, ScalarRing
 from cfckit.spectrum import (
     PredicateFailure,
     is_quasiregular,
-    is_quasiregular_ambient,
     quasispectrum_intrinsic,
     quasispectrum_via_unitization,
     spectrum,
@@ -89,6 +91,20 @@ def test_quasiregular_requires_membership():
     B = elemental_subalgebra(E11, unital=False)
     with pytest.raises(NotInSubalgebra):
         is_quasiregular(B, np.eye(2))
+
+
+def is_quasiregular_ambient(B, x, tol=DEFAULT_TOL) -> bool:
+    """Spectral-permanence reference for is_quasiregular: x is quasiregular
+    iff I + x is invertible in M_n and (I + x)^-1 - I lies back in B."""
+    x = as_matrix(x)
+    n = B.ambient_dim
+    one_plus = identity(n) + x
+    sv_min = float(np.linalg.svd(one_plus, compute_uv=False)[-1])
+    if sv_min <= tol * max(1.0, fro_norm(one_plus)):
+        return False
+    y = np.linalg.inv(one_plus) - identity(n)
+    inside, _ = B.contains(y, max(tol, 1e-8))
+    return inside
 
 
 def test_quasiregular_ambient_cross_check():
