@@ -13,17 +13,13 @@ from .cfc import (
     cfc,
     cfc_builtin,
     cfc_n,
+    hermitian_eigen,
     neg_part,
+    normal_spectral_decomposition,
     plan,
     pos_part,
 )
-from .eigen import (
-    ClusteredSpectrum,
-    SpectralDecomposition,
-    cluster_with_labels,
-    hermitian_eigen,
-    normal_spectral_decomposition,
-)
+from .eigen import ClusteredSpectrum, SpectralDecomposition, cluster_with_labels
 from .matrix_core import (
     PredicateReport,
     StarSubalgebra,

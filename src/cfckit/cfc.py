@@ -125,13 +125,13 @@ class SpectralPlan:
         return max(self.cluster_tol, EPS_FLOOR)
 
     def points(self) -> tuple:
-        """The cluster means restricted to the ring, sorted by (re, im),
-        clustered on first use and kept; raises the stored PredicateFailure
-        or NoConvergence."""
+        """The means of eigenvalue clusters of diameter <= cluster_tol,
+        restricted to the ring and sorted by (re, im), clustered on first use
+        and kept; raises the stored PredicateFailure or NoConvergence."""
         if self.error is not None:
             raise self.error
         if self._clusters is None:
-            spec, _ = cluster_with_labels(self.dec.lam, self.cluster_tol)
+            spec = cluster_with_labels(self.dec.lam, self.cluster_tol)
             rtol = self.tol * max(1.0, self.scale)
             points = tuple(map(restrict_scalar, spec.points, repeat(self.ring), repeat(rtol)))
             self._clusters = (points, spec.multiplicities)
@@ -192,6 +192,25 @@ def plan(
         cut = REAL_SNAP_REL * scale * c
         values = [complex(z.real) if abs(z.imag) <= cut else z for z in values]
     return SpectralPlan(a, ring, tol, cluster_tol, scale * c, dec, tuple(values))
+
+
+def hermitian_eigen(h, tol: float = DEFAULT_TOL) -> SpectralDecomposition:
+    """Eigendecomposition of a selfadjoint h: lam ascending, u real if h is."""
+    p = plan(h, ScalarRing.REAL, tol)
+    if p.error is not None:
+        raise p.error
+    return p.dec
+
+
+def normal_spectral_decomposition(
+    a, tol: float = DEFAULT_TOL, cluster_tol: float | None = None
+) -> SpectralDecomposition:
+    """Unitary diagonalization of a normal matrix, eigenvalues sorted by
+    (re, im); cluster_tol defaults to DEFAULT_CLUSTER_REL * ||a||_F."""
+    p = plan(a, ScalarRing.COMPLEX, tol, cluster_tol)
+    if p.error is not None:
+        raise p.error
+    return p.dec
 
 
 def cfc(

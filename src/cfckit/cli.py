@@ -9,6 +9,7 @@ and eigensolver failures exit 1; failed law checks exit 2.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import __version__
@@ -88,8 +89,10 @@ def _ring(args) -> ScalarRing:
     return ScalarRing.from_string(args.ring)
 
 
-def _tol(args) -> float:
-    return default_tol() if args.tol is None else args.tol
+def _tolerance(name: str, value: float) -> float:
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    return value
 
 
 def _emit(obj, args) -> None:
@@ -112,10 +115,10 @@ def _run_apply(args, non_unital: bool) -> int:
     a = load_matrix(args.matrix)
     f = function_from_spec(args.fn, ring)
     if non_unital:
-        basis = load_basis(args.basis, _tol(args)) if args.basis else None
-        outcome = cfc_n(f, a, basis, ring, _tol(args), args.cluster_tol)
+        basis = load_basis(args.basis, args.tol) if args.basis else None
+        outcome = cfc_n(f, a, basis, ring, args.tol, args.cluster_tol)
     else:
-        outcome = cfc(f, a, ring, _tol(args), args.cluster_tol)
+        outcome = cfc(f, a, ring, args.tol, args.cluster_tol)
     _emit({
         "junk": outcome.junk,
         "reason": outcome.reason,
@@ -125,7 +128,7 @@ def _run_apply(args, non_unital: bool) -> int:
 
 
 def _run_spectrum(args) -> int:
-    result = spectrum(load_matrix(args.matrix), _ring(args), _tol(args), args.cluster_tol)
+    result = spectrum(load_matrix(args.matrix), _ring(args), args.tol, args.cluster_tol)
     _emit(_spectrum_json(result), args)
     return 0
 
@@ -133,17 +136,17 @@ def _run_spectrum(args) -> int:
 def _run_quasispectrum(args) -> int:
     a = load_matrix(args.matrix)
     if args.basis:
-        basis = load_basis(args.basis, _tol(args))
-        result = quasispectrum_intrinsic(basis, a, _ring(args), _tol(args), args.cluster_tol)
+        basis = load_basis(args.basis, args.tol)
+        result = quasispectrum_intrinsic(basis, a, _ring(args), args.tol, args.cluster_tol)
     else:
-        result = quasispectrum_via_unitization(a, _ring(args), _tol(args), args.cluster_tol)
+        result = quasispectrum_via_unitization(a, _ring(args), args.tol, args.cluster_tol)
     _emit(_spectrum_json(result), args)
     return 0
 
 
 def _run_check_laws(args) -> int:
     ring = _ring(args)
-    tol = _tol(args)
+    tol = args.tol
     rng = rng_from_seed(args.seed)
     fixed = load_matrix(args.matrix) if args.matrix else None
     trials = []
@@ -168,7 +171,7 @@ def _run_unitize_info(args) -> int:
     a = load_matrix(args.matrix)
     n = a.shape[0]
     x = UnitizationElement(0.0, a)
-    result = spectrum(uni_represent(x), _ring(args), _tol(args), args.cluster_tol)
+    result = spectrum(uni_represent(x), _ring(args), args.tol, args.cluster_tol)
     _emit({
         "n": n,
         "represented_dim": 2 * n,
@@ -190,6 +193,10 @@ def main(argv=None) -> int:
         "unitize-info": lambda: _run_unitize_info(args),
     }
     try:
+        args.tol = (_tolerance("CFCKIT_TOL", default_tol()) if args.tol is None
+                    else _tolerance("--tol", args.tol))
+        if args.cluster_tol is not None:
+            _tolerance("--cluster-tol", args.cluster_tol)
         return handlers[args.verb]()
     except (OSError, ValueError, NoConvergence) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,13 +18,11 @@ from .matrix_core import (
     PredicateFailure,
     PredicateReport,
     _predicate_report,
-    _rescaled,
     adjoint,
-    as_matrix,
     fro_norm,
     nonneg_report,
 )
-from .scalars import DEFAULT_TOL, ScalarRing
+from .scalars import ScalarRing
 
 # Clusters are cut at this fraction of ||a|| unless the caller overrides.
 DEFAULT_CLUSTER_REL = 1e-8
@@ -66,7 +64,6 @@ class SpectralDecomposition:
 class ClusteredSpectrum:
     points: tuple
     multiplicities: tuple
-    cluster_tol: float
 
     @property
     def size(self) -> int:
@@ -85,7 +82,9 @@ def _eigh(h):
 
 def _repeated_runs(sorted_reals, cluster_tol):
     """Slices of the runs of two or more entries of an ascending real
-    sequence, split at gaps > cluster_tol."""
+    sequence, split at gaps > cluster_tol.  A run may be wider than
+    cluster_tol: a split at a gap g would leave eigenvector errors of order
+    eps ||a|| / g."""
     xs = sorted_reals.tolist()
     runs, start = [], 0
     for i in range(1, len(xs) + 1):
@@ -149,76 +148,28 @@ def _scaled_back(dec, c, a) -> SpectralDecomposition:
     return SpectralDecomposition(dec.u, lam, a, dec.report)
 
 
-def _rescaled_decomposition(a, ring, tol, cluster_tol):
-    """_decompose of any input under the scale rule of _rescaled."""
-    a = as_matrix(a)
-    b, scale, c = _rescaled(a)
-    if cluster_tol is None:
-        cluster_tol = DEFAULT_CLUSTER_REL * scale * c
-    dec = _decompose(b, ring, tol, cluster_tol / c, scale)
-    return dec if c == 1.0 else _scaled_back(dec, c, a)
+def cluster_with_labels(lam, cluster_tol: float) -> ClusteredSpectrum:
+    """Eigenvalues grouped into clusters of diameter <= cluster_tol, whose
+    means are the points, sorted by (re, im).
 
-
-def hermitian_eigen(h, tol: float = DEFAULT_TOL) -> SpectralDecomposition:
-    """Eigendecomposition of a selfadjoint h: lam ascending, u real if h is."""
-    return _rescaled_decomposition(h, ScalarRing.REAL, tol, None)
-
-
-def normal_spectral_decomposition(
-    a, tol: float = DEFAULT_TOL, cluster_tol: float | None = None
-) -> SpectralDecomposition:
-    """Unitary diagonalization of a normal matrix, eigenvalues sorted by
-    (re, im); cluster_tol defaults to DEFAULT_CLUSTER_REL * ||a||_F."""
-    return _rescaled_decomposition(a, ScalarRing.COMPLEX, tol, cluster_tol)
-
-
-def cluster_with_labels(lam, cluster_tol: float):
-    """Single-linkage clustering of eigenvalues in the complex plane.
-
-    Returns the clustered spectrum (representatives = cluster means, sorted
-    by (re, im)) together with a label array mapping each input eigenvalue
-    to its cluster.  Sort-and-sweep: in real-part order, each eigenvalue is
-    compared only with those whose real part lies within cluster_tol, which
-    loses no pair since |re(x - y)| <= |x - y|.
+    One greedy sweep in real-part order: each eigenvalue joins the first live
+    cluster whose members all lie within cluster_tol of it, else opens a new
+    one.  A cluster stops being live once its first member's real part lies
+    more than cluster_tol behind, since |re(x - y)| <= |x - y|.
     """
-    if cluster_tol < 0:
+    if not cluster_tol >= 0:
         raise ValueError("cluster_tol must be nonnegative")
-    lam = np.asarray(lam, dtype=np.complex128)
-    zs = lam.tolist()
-    m = len(zs)
-    by_re = np.argsort(lam.real, kind="stable").tolist()
-    re = [zs[i].real for i in by_re]
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for p in range(m):
-        i = by_re[p]
-        zi, ri = zs[i], find(i)
-        for q in range(p + 1, m):
-            if re[q] - re[p] > cluster_tol:
+    clusters, live = [], 0
+    for z in sorted(np.asarray(lam, dtype=np.complex128).tolist(), key=lambda z: z.real):
+        while live < len(clusters) and z.real - clusters[live][0].real > cluster_tol:
+            live += 1
+        for c in clusters[live:]:
+            # the first member alone rules out most clusters
+            if abs(z - c[0]) <= cluster_tol and all(abs(z - w) <= cluster_tol for w in c):
+                c.append(z)
                 break
-            j = by_re[q]
-            if abs(zi - zs[j]) <= cluster_tol:
-                parent[find(j)] = ri
-
-    roots = {}
-    labels = np.array([roots.setdefault(find(i), len(roots)) for i in range(m)], dtype=np.intp)
-    k = len(roots)
-    points = np.zeros(k, dtype=np.complex128)
-    np.add.at(points, labels, lam)
-    mults = np.bincount(labels, minlength=k)
-    points /= mults
-    order = np.lexsort((points.imag, points.real))
-    remap = np.empty(k, dtype=np.intp)
-    remap[order] = np.arange(k)
-    spec = ClusteredSpectrum(
-        points=tuple(complex(z) for z in points[order]),
-        multiplicities=tuple(int(c) for c in mults[order]),
-        cluster_tol=float(cluster_tol),
-    )
-    return spec, remap[labels]
+        else:
+            clusters.append([z])
+    means = sorted(((sum(c) / len(c), len(c)) for c in clusters),
+                   key=lambda p: (p[0].real, p[0].imag))
+    return ClusteredSpectrum(tuple(z for z, _ in means), tuple(k for _, k in means))

@@ -40,7 +40,8 @@ def spectrum(
     a, ring: ScalarRing = ScalarRing.COMPLEX, tol: float = DEFAULT_TOL,
     cluster_tol: float | None = None,
 ) -> SpectrumResult:
-    """Clustered eigenvalues of a, restricted to the scalar ring.
+    """The eigenvalues of a in clusters of diameter <= cluster_tol, each
+    represented by its mean and restricted to the scalar ring.
 
     The ring predicate is checked during the decomposition (PredicateFailure
     when it fails); a restriction failure afterwards signals an inconsistent

@@ -461,10 +461,14 @@ def test_cfc_evaluates_each_eigenvalue_without_clustering(clusterings):
 
 
 def test_chained_clusters_do_not_move_values():
-    """Single-linkage chaining merges 399 eigenvalues 0.9 cluster_tol apart
-    into one cluster; each value is still f at its own eigenvalue."""
+    """399 eigenvalues 0.9 cluster_tol apart chain from end to end, yet
+    every cluster spans at most cluster_tol; each value is still f at its
+    own eigenvalue."""
     d = 1 + 0.9 * np.arange(399) * DEFAULT_CLUSTER_REL * math.sqrt(399)
-    assert spectrum(np.diag(d), ScalarRing.REAL).multiplicities == (399,)
+    spec = spectrum(np.diag(d), ScalarRing.REAL)
+    cluster_tol = DEFAULT_CLUSTER_REL * fro_norm(np.diag(d))
+    bounds = np.cumsum((0,) + spec.multiplicities)
+    assert all(d[hi - 1] - d[lo] <= cluster_tol for lo, hi in zip(bounds, bounds[1:]))
     out = cfc_builtin("exp", np.diag(d), ScalarRing.REAL)
     ref = np.diag(np.exp(d))
     assert not out.junk

@@ -315,3 +315,39 @@ def test_env_var_overrides_tol(tmp_path, matrix_file):
     proc = sp.run([sys.executable, "-m", "cfckit", "spectrum",
                    "--matrix", matrix_file], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("flags, env, name", [
+    (["--tol", "nan"], None, "--tol"),
+    (["--tol", "-1"], None, "--tol"),
+    (["--tol", "inf"], None, "--tol"),
+    (["--cluster-tol", "nan"], None, "--cluster-tol"),
+    (["--cluster-tol=-1e-8"], None, "--cluster-tol"),
+    ([], "nan", "CFCKIT_TOL"),
+    ([], "-1", "CFCKIT_TOL"),
+])
+def test_tolerances_must_be_finite_and_nonnegative(tmp_path, monkeypatch, capsys,
+                                                   flags, env, name):
+    """On diag(1, 2) a NaN or negative --tol used to print a junk
+    predicate_failed result with exit 0, and a NaN --cluster-tol clustered
+    nothing."""
+    import cfckit.cli
+
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(matrix_to_json(np.diag([1.0, 2.0]))))
+    if env is not None:
+        monkeypatch.setenv("CFCKIT_TOL", env)
+    for verb in (["apply", "--fn", '{"builtin":"exp"}'], ["spectrum"]):
+        assert cfckit.cli.main([*verb, "--matrix", str(path), *flags]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {name} must be finite and >= 0")
+
+
+def test_zero_tolerances_are_accepted(tmp_path, capsys):
+    import cfckit.cli
+
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(matrix_to_json(np.diag([1.0, 2.0]))))
+    assert cfckit.cli.main(["spectrum", "--matrix", str(path),
+                            "--tol", "0", "--cluster-tol", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["multiplicities"] == [1, 1]

@@ -5,13 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfckit.cfc import builtin_function, cfc
-from cfckit.eigen import (
-    NotSelfadjoint,
-    cluster_with_labels,
-    hermitian_eigen,
-    normal_spectral_decomposition,
-)
+from cfckit.cfc import builtin_function, cfc, hermitian_eigen, normal_spectral_decomposition
+from cfckit.eigen import DEFAULT_CLUSTER_REL, NotSelfadjoint, cluster_with_labels
 from cfckit.matrix_core import NotNormal, adjoint, fro_norm, is_selfadjoint, is_star_normal
 from cfckit.oracle import cfc_oracle
 from cfckit.sampling import (
@@ -125,16 +120,34 @@ def test_one_by_one_short_circuit():
 
 
 def test_cluster_examples():
-    spec, _ = cluster_with_labels([1.0, 1.0 + 1e-14, 2.0], 1e-9)
+    spec = cluster_with_labels([1.0, 1.0 + 1e-14, 2.0], 1e-9)
     assert spec.points == pytest.approx((1.0, 2.0))
     assert spec.multiplicities == (2, 1)
 
-    spec, _ = cluster_with_labels([3.0], 1.0)
+    spec = cluster_with_labels([3.0], 1.0)
     assert spec.points == ((3 + 0j),)
     assert spec.multiplicities == (1,)
 
-    spec, _ = cluster_with_labels([0.0, 1.0, 2.0], 1e-9)
+    spec = cluster_with_labels([0.0, 1.0, 2.0], 1e-9)
     assert spec.size == 3
+
+
+def test_a_cluster_straddling_another_point_in_real_part_stays_whole():
+    """The computed real part of i may fall between those of the two 0s of
+    {0, 0, i}; the 0s still form one cluster."""
+    spec = cluster_with_labels([-1e-17, 1j, 1e-17], 1e-8)
+    assert spec.points == (0j, 1j) and spec.multiplicities == (2, 1)
+    gen = rng_from_seed(33)
+    straddled = 0
+    for _ in range(200):
+        dec = normal_spectral_decomposition(random_with_spectrum(gen, np.array([0, 0, 1j])))
+        zeros = sorted(z.real for z in dec.lam if abs(z) < 0.5)
+        straddled += zeros[0] < dec.lam[np.abs(dec.lam) > 0.5][0].real < zeros[1]
+        spec = cluster_with_labels(dec.lam, DEFAULT_CLUSTER_REL * np.sqrt(2.0))
+        by_size = dict(zip(spec.multiplicities, spec.points))
+        assert sorted(by_size) == [1, 2]
+        assert abs(by_size[2]) <= 1e-15 and abs(by_size[1] - 1j) <= 1e-14
+    assert straddled > 0
 
 
 def test_cluster_is_nonempty_for_any_matrix():
@@ -142,16 +155,9 @@ def test_cluster_is_nonempty_for_any_matrix():
     for n in range(1, 9):
         a = random_normal_matrix(gen, n, ScalarRing.COMPLEX)
         dec = normal_spectral_decomposition(a)
-        spec, _ = cluster_with_labels(dec.lam, 1e-8)
+        spec = cluster_with_labels(dec.lam, 1e-8)
         assert spec.size >= 1
         assert sum(spec.multiplicities) == n
-
-
-def test_cluster_labels_map_members_to_representatives():
-    lam = [2.0, 1.0, 1.0 + 1e-12]
-    spec, labels = cluster_with_labels(lam, 1e-9)
-    assert spec.points[labels[0]] == pytest.approx(2.0)
-    assert labels[1] == labels[2]
 
 
 def test_hermitian_keeps_real_eigenvectors_real():
@@ -171,38 +177,65 @@ def test_decompositions_report_their_residual():
     assert dec.residual <= 1e-12
 
 
-def _brute_force_clusters(lam, cluster_tol):
-    """Reference single linkage: every pair compared, members summed in index order."""
+def _greedy_clusters(lam, cluster_tol):
+    """Reference of the sweep's rule with every cluster kept live: in stable
+    real-part order, each eigenvalue joins the first cluster opened whose
+    members all lie within cluster_tol of it, else opens a new one."""
+    clusters = []
+    for z in sorted((complex(z) for z in lam), key=lambda z: z.real):
+        for c in clusters:
+            if all(abs(z - w) <= cluster_tol for w in c):
+                c.append(z)
+                break
+        else:
+            clusters.append([z])
+    return clusters
+
+
+def _single_linkage_clusters(lam, cluster_tol):
+    """Reference single linkage: every pair compared, members in index order."""
     lam = [complex(z) for z in lam]
-    m = len(lam)
-    comp = list(range(m))
-    for i in range(m):
-        for j in range(i + 1, m):
+    comp = list(range(len(lam)))
+    for i in range(len(lam)):
+        for j in range(i + 1, len(lam)):
             if abs(lam[i] - lam[j]) <= cluster_tol and comp[i] != comp[j]:
                 old = comp[j]
                 comp = [comp[i] if c == old else c for c in comp]
-    first = []
-    for c in comp:
-        if c not in first:
-            first.append(c)
-    sums = [0j] * len(first)
-    counts = [0] * len(first)
-    for z, c in zip(lam, comp):
-        sums[first.index(c)] += z
-        counts[first.index(c)] += 1
-    means = (np.array(sums) / np.array(counts)).tolist()
-    order = sorted(range(len(first)), key=lambda k: (means[k].real, means[k].imag))
-    rank = {k: r for r, k in enumerate(order)}
-    labels = [rank[first.index(c)] for c in comp]
-    return [means[k] for k in order], [counts[k] for k in order], labels
+    return [[z for z, c in zip(lam, comp) if c == root] for root in dict.fromkeys(comp)]
+
+
+def _points(clusters):
+    """Cluster means and sizes, sorted by (re, im) of the mean."""
+    means = sorted(((sum(c) / len(c), len(c)) for c in clusters),
+                   key=lambda p: (p[0].real, p[0].imag))
+    return [z for z, _ in means], [k for _, k in means]
+
+
+def _diameter(c):
+    return max(abs(x - y) for x in c for y in c)
 
 
 def _assert_same_clustering(lam, cluster_tol):
-    spec, labels = cluster_with_labels(lam, cluster_tol)
-    points, mults, ref_labels = _brute_force_clusters(lam, cluster_tol)
-    assert list(spec.points) == points
-    assert list(spec.multiplicities) == mults
-    assert labels.tolist() == ref_labels
+    spec = cluster_with_labels(lam, cluster_tol)
+    clusters = _greedy_clusters(lam, cluster_tol)
+    assert (list(spec.points), list(spec.multiplicities)) == _points(clusters)
+    assert all(_diameter(c) <= cluster_tol for c in clusters)
+    if not np.count_nonzero(np.imag(lam)):
+        # on the line the clusters are runs of the sorted eigenvalues
+        xs, start = np.sort(np.real(lam)), 0
+        for point, k in zip(spec.points, spec.multiplicities):
+            run = xs[start:start + k].tolist()
+            start += k
+            assert run[-1] - run[0] <= cluster_tol
+            assert point == sum(complex(x) for x in run) / k
+    linked = _single_linkage_clusters(lam, cluster_tol)
+    if all(_diameter(c) <= cluster_tol for c in linked):
+        # single linkage then finds the same clusters, summed in another order
+        points, mults = _points(linked)
+        assert list(spec.multiplicities) == mults
+        size = max(np.abs(lam))
+        assert all(abs(p - q) <= 4 * np.finfo(float).eps * size
+                   for p, q in zip(spec.points, points))
 
 
 _grid = st.sampled_from([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0])
@@ -222,14 +255,16 @@ def test_sweep_clustering_matches_brute_force_on_ties(re, im, jitter, cluster_to
 
 def test_sweep_clustering_matches_brute_force_random():
     gen = rng_from_seed(29)
-    for trial in range(300):
+    for trial in range(400):
         m = int(gen.integers(1, 41))
         cluster_tol = float(gen.choice([0.0, 1e-3, 0.05, 0.2]))
-        if trial % 3 == 0:  # complex scatter
+        if trial % 4 == 0:  # complex scatter
             lam = gen.uniform(-1, 1, m) + 1j * gen.uniform(-1, 1, m)
-        elif trial % 3 == 1:  # chains: steps just below and above the tolerance
+        elif trial % 4 in (1, 2):  # chains: steps just below and above the tolerance
             steps = gen.uniform(0.5, 1.1, m) * max(cluster_tol, 1e-3)
             lam = np.cumsum(steps) + 1j * gen.uniform(-0.3, 0.3, m) * cluster_tol
+            if trial % 4 == 2:
+                lam = lam.real
         else:  # exact repeats, real and complex
             lam = gen.choice(np.linspace(-1, 1, 5), m) + 1j * gen.choice([0.0, 0.5], m)
         _assert_same_clustering(lam, cluster_tol)

@@ -201,9 +201,9 @@ def test_elemental_chain_stays_inside_c_star_at_n_64():
     and is built in well under a second."""
     for seed, spectrum in enumerate((_line(64), _disk(64), _line(32, 2))):
         _, lam, u, a = _conjugate(seed, spectrum)
-        start = time.perf_counter()
+        start = time.process_time()  # CPU time: other load does not count
         B = elemental_subalgebra(a, unital=True)
-        assert time.perf_counter() - start < 1.0
+        assert time.process_time() - start < 1.0
         assert B.dim <= len(np.unique(lam))
         for b in B.basis:
             assert fro_norm(b @ a - a @ b) <= 1e-6 * fro_norm(a)

@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -115,6 +116,37 @@ def test_check_laws_passes_inside_a_cluster_with_spread():
     )
     assert report.all_passed
     assert not any(e.skipped for e in report.entries)
+
+
+def _law(report, name):
+    return next(e for e in report.entries if e.name == name)
+
+
+SQUARE = ScalarFunction(lambda x: x * x, ScalarRing.REAL, "sq")
+
+
+def test_oracle_law_holds_on_a_chained_spectrum():
+    """20 eigenvalues 0.9 cluster_tol apart: the oracle's nodes are means of
+    clusters no wider than cluster_tol, so interpolating f there matches
+    f(a) (single-linkage chaining put all 20 in one node and read 1.7e-7)."""
+    d = 1 + 0.9 * np.arange(20) * 1e-8 * math.sqrt(20)
+    report = check_laws(np.diag(d), builtin_function("exp", ScalarRing.REAL), SQUARE,
+                        ScalarRing.REAL)
+    oracle = _law(report, "oracle")
+    assert not oracle.skipped and oracle.passed
+    assert oracle.residual <= 1e-12
+
+
+@pytest.mark.parametrize("frac", [0.3, 0.6, 0.9, 0.99])
+def test_check_laws_passes_on_chained_near_degenerate_spectra(frac):
+    """n eigenvalues frac cluster_tol apart for 2 <= n < 40: every law runs
+    and passes."""
+    exp = builtin_function("exp", ScalarRing.REAL)
+    for n in range(2, 40):
+        d = 1 + frac * np.arange(n) * 1e-8 * math.sqrt(n)
+        report = check_laws(np.diag(d), exp, SQUARE, ScalarRing.REAL)
+        assert report.all_passed, (n, report.table())
+        assert not _law(report, "oracle").skipped
 
 
 def test_check_laws_all_pass_on_good_input():
