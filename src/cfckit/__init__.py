@@ -13,13 +13,11 @@ from .cfc import (
     cfc,
     cfc_builtin,
     cfc_n,
-    hermitian_eigen,
     neg_part,
-    normal_spectral_decomposition,
     plan,
     pos_part,
 )
-from .eigen import ClusteredSpectrum, SpectralDecomposition, cluster_with_labels
+from .eigen import cluster_with_labels
 from .matrix_core import (
     PredicateReport,
     StarSubalgebra,
@@ -30,13 +28,7 @@ from .matrix_core import (
     is_star_normal,
     operator_norm,
 )
-from .oracle import (
-    LawReport,
-    StarPolynomial,
-    cfc_oracle,
-    check_laws,
-    poly_eval,
-)
+from .oracle import LawReport, StarPolynomial, cfc_oracle, check_laws
 from .scalars import ScalarRing, embed, restrict_scalar, truncated_sub
 from .spectrum import (
     QuasiregularWitness,
@@ -56,13 +48,11 @@ from .unitization import (
 
 __all__ = [
     "CfcOutcome", "ScalarFunction", "SpectralPlan", "builtin_function", "cfc",
-    "cfc_builtin", "cfc_n", "neg_part", "plan", "pos_part", "ClusteredSpectrum",
-    "SpectralDecomposition", "cluster_with_labels", "hermitian_eigen",
-    "normal_spectral_decomposition", "PredicateReport", "StarSubalgebra",
-    "adjoint", "elemental_subalgebra", "is_nonneg", "is_selfadjoint",
-    "is_star_normal", "operator_norm", "LawReport", "StarPolynomial",
-    "cfc_oracle", "check_laws", "poly_eval", "ScalarRing", "embed",
-    "restrict_scalar", "truncated_sub",
+    "cfc_builtin", "cfc_n", "neg_part", "plan", "pos_part", "cluster_with_labels",
+    "PredicateReport", "StarSubalgebra", "adjoint", "elemental_subalgebra",
+    "is_nonneg", "is_selfadjoint", "is_star_normal", "operator_norm",
+    "LawReport", "StarPolynomial", "cfc_oracle", "check_laws", "ScalarRing",
+    "embed", "restrict_scalar", "truncated_sub",
     "QuasiregularWitness", "SpectrumResult", "is_quasiregular",
     "quasispectrum_intrinsic", "quasispectrum_via_unitization", "spectrum",
     "UnitizationElement", "uni_mul", "uni_norm", "uni_represent", "uni_star",

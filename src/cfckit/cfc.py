@@ -18,22 +18,17 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .eigen import (
-    DEFAULT_CLUSTER_REL,
-    NoConvergence,
-    SpectralDecomposition,
-    _decompose,
-    _scaled_back,
-    cluster_with_labels,
-)
+from .eigen import DEFAULT_CLUSTER_REL, NoConvergence, _decompose, cluster_with_labels
 from .matrix_core import (
     EPS_FLOOR,
     NotInSubalgebra,
     PredicateFailure,
+    PredicateReport,
     StarSubalgebra,
     _rescaled,
     adjoint,
     as_matrix,
+    fro_norm,
     is_nonneg,
     predicate_for_ring,
     zeros,
@@ -43,7 +38,7 @@ from .scalars import DEFAULT_TOL, ScalarRing, restrict_scalar
 
 # Over C, an imaginary part at most this times ||a||_F is rounding of an
 # exactly real eigenvalue: the largest measured (Haar-unitary conjugates,
-# default cluster_tol, a neighbour's real part just beyond it) was 7.1 eps
+# a neighbour's real part just beyond the cluster scale) was 7.1 eps
 # ||a||_F at n = 2, falling with n to 0.03 eps ||a||_F at n = 512.
 REAL_SNAP_REL = 64 * sys.float_info.epsilon
 
@@ -95,19 +90,39 @@ def _eval_at(f: ScalarFunction, x, tol: float):
 @dataclass(slots=True)
 class SpectralPlan:
     """a with its ring predicate checked and decomposed once, for any number
-    of functions.  If the predicate or the eigensolver failed, `error` holds
-    the failure and every apply is junk."""
+    of functions: a = u diag(lam) u*, u unitary (real orthogonal when a is
+    real symmetric), with the predicate report checked on the way.
+    ||a||_F is kept as scale * c, with a = c b and scale = ||b||_F
+    (matrix_core._rescaled), so that the cluster scale stays finite where
+    ||a||_F overflows.  If the predicate or the eigensolver failed, `error`
+    holds the failure, u, lam and report are None and every apply is junk."""
 
     a: np.ndarray
     ring: ScalarRing
     tol: float
-    cluster_tol: float
     scale: float
-    dec: Optional[SpectralDecomposition] = None
-    # the eigenvalues restricted to the ring, in the order of dec.u's columns
+    c: float
+    u: Optional[np.ndarray] = None
+    lam: Optional[np.ndarray] = None
+    report: Optional[PredicateReport] = None
+    # the eigenvalues restricted to the ring, in the order of u's columns
     values: tuple = ()
     error: Optional[Exception] = None
     _clusters: Optional[tuple] = field(default=None, init=False, repr=False)
+
+    @property
+    def cluster_tol(self) -> float:
+        """The cluster scale, DEFAULT_CLUSTER_REL * ||a||_F: points() has
+        clusters of diameter at most this, and a point is 0 when its modulus
+        is at most this."""
+        return DEFAULT_CLUSTER_REL * self.scale * self.c
+
+    def residual(self) -> float:
+        """||a - u diag(lam) u*||_F / ||a||_F; raises the stored error."""
+        if self.error is not None:
+            raise self.error
+        a = self.a
+        return fro_norm(a - (self.u * self.lam) @ adjoint(self.u)) / max(fro_norm(a), EPS_FLOOR)
 
     @property
     def reason(self) -> Optional[str]:
@@ -118,12 +133,6 @@ class SpectralPlan:
             return "decomposition_failed"
         return "predicate_failed"
 
-    @property
-    def zero_cut(self) -> float:
-        """A point is 0 when its modulus is at most this: cluster_tol, which
-        scales with ||a||, floored so that an exact 0 always is."""
-        return max(self.cluster_tol, EPS_FLOOR)
-
     def points(self) -> tuple:
         """The means of eigenvalue clusters of diameter <= cluster_tol,
         restricted to the ring and sorted by (re, im), clustered on first use
@@ -131,10 +140,10 @@ class SpectralPlan:
         if self.error is not None:
             raise self.error
         if self._clusters is None:
-            spec = cluster_with_labels(self.dec.lam, self.cluster_tol)
-            rtol = self.tol * max(1.0, self.scale)
-            points = tuple(map(restrict_scalar, spec.points, repeat(self.ring), repeat(rtol)))
-            self._clusters = (points, spec.multiplicities)
+            points, multiplicities = cluster_with_labels(self.lam, self.cluster_tol)
+            rtol = self.tol * max(1.0, self.scale * self.c)
+            points = tuple(map(restrict_scalar, points, repeat(self.ring), repeat(rtol)))
+            self._clusters = (points, multiplicities)
         return self._clusters[0]
 
     @property
@@ -149,13 +158,13 @@ class SpectralPlan:
         n = self.a.shape[0]
         if self.error is not None:
             return _junk(n, self.reason)
-        cut = self.zero_cut if zero_to_zero else -1.0  # moduli are never negative
+        cut = self.cluster_tol if zero_to_zero else -1.0  # moduli are never negative
         try:
             fvals = [0.0 if abs(x) <= cut else _eval_at(f, x, self.tol) for x in self.values]
         except _EvalFailed:
             return _junk(n, "eval_failed")
         fvals = np.array(fvals, dtype=np.complex128)
-        u = self.dec.u
+        u = self.u
         if u.dtype == np.float64 and not np.count_nonzero(fvals.imag):
             value = ((u * fvals.real) @ u.T).astype(np.complex128)
         else:
@@ -163,59 +172,38 @@ class SpectralPlan:
         return CfcOutcome(value=value, junk=False)
 
 
-def plan(
-    a, ring: ScalarRing = ScalarRing.COMPLEX, tol: float = DEFAULT_TOL,
-    cluster_tol: float | None = None,
-) -> SpectralPlan:
+def plan(a, ring: ScalarRing = ScalarRing.COMPLEX, tol: float = DEFAULT_TOL) -> SpectralPlan:
     """Check the ring predicate and decompose a once, keeping its eigenvalues
     as ring scalars: clamped to >= 0 over R>=0, and over C with an imaginary
     part within REAL_SNAP_REL * ||a||_F of 0 set to +0.0, so that sqrt and
     log take the principal branch (Complex.arg in (-pi, pi]) whatever the
     sign of the rounding.  The clustered points are built only when asked
-    for.  The default cluster_tol is DEFAULT_CLUSTER_REL * ||a||_F.  a = c b
-    is decomposed as b = _rescaled(a), and the eigenvalues, cluster_tol and
-    the snap cut are multiplied back by c, finite where ||a||_F is not."""
+    for, at the cluster scale DEFAULT_CLUSTER_REL * ||a||_F.  a = c b is
+    decomposed as b = _rescaled(a), and the eigenvalues and the snap cut are
+    multiplied back by c, finite where ||a||_F is not; an eigenvalue whose
+    modulus lies beyond the float range makes the plan NoConvergence."""
     a = as_matrix(a)
     b, scale, c = _rescaled(a)
-    if cluster_tol is None:
-        cluster_tol = DEFAULT_CLUSTER_REL * scale * c
     try:
-        dec = _decompose(b, ring, tol, cluster_tol / c, scale)
+        u, lam, report = _decompose(b, ring, tol, scale)
         if c != 1.0:
-            dec = _scaled_back(dec, c, a)
+            with np.errstate(over="ignore"):
+                lam = lam * c
+                if np.count_nonzero(np.isinf(np.abs(lam))):
+                    raise NoConvergence("an eigenvalue lies beyond the float range")
     except (PredicateFailure, NoConvergence) as exc:
-        return SpectralPlan(a, ring, tol, cluster_tol, scale * c, error=exc)
-    values = dec.lam.tolist()
+        return SpectralPlan(a, ring, tol, scale, c, error=exc)
+    values = lam.tolist()
     if ring is ScalarRing.NNREAL:
         values = [max(x, 0.0) for x in values]
     elif ring is ScalarRing.COMPLEX:  # +0.0: a negative real eigenvalue has arg pi
         cut = REAL_SNAP_REL * scale * c
         values = [complex(z.real) if abs(z.imag) <= cut else z for z in values]
-    return SpectralPlan(a, ring, tol, cluster_tol, scale * c, dec, tuple(values))
-
-
-def hermitian_eigen(h, tol: float = DEFAULT_TOL) -> SpectralDecomposition:
-    """Eigendecomposition of a selfadjoint h: lam ascending, u real if h is."""
-    p = plan(h, ScalarRing.REAL, tol)
-    if p.error is not None:
-        raise p.error
-    return p.dec
-
-
-def normal_spectral_decomposition(
-    a, tol: float = DEFAULT_TOL, cluster_tol: float | None = None
-) -> SpectralDecomposition:
-    """Unitary diagonalization of a normal matrix, eigenvalues sorted by
-    (re, im); cluster_tol defaults to DEFAULT_CLUSTER_REL * ||a||_F."""
-    p = plan(a, ScalarRing.COMPLEX, tol, cluster_tol)
-    if p.error is not None:
-        raise p.error
-    return p.dec
+    return SpectralPlan(a, ring, tol, scale, c, u, lam, report, tuple(values))
 
 
 def cfc(
-    f: ScalarFunction, a, ring: ScalarRing = ScalarRing.COMPLEX,
-    tol: float = DEFAULT_TOL, cluster_tol: float | None = None,
+    f: ScalarFunction, a, ring: ScalarRing = ScalarRing.COMPLEX, tol: float = DEFAULT_TOL,
 ) -> CfcOutcome:
     """Apply f to a through the spectral decomposition: u diag(f(lam)) u*.
 
@@ -223,13 +211,12 @@ def cfc(
     evaluate at some spectral point, the outcome is the zero matrix flagged
     as junk.
     """
-    return plan(a, ring, tol, cluster_tol).apply(f)
+    return plan(a, ring, tol).apply(f)
 
 
 def cfc_n(
     f: ScalarFunction, a, B: StarSubalgebra | None = None,
     ring: ScalarRing = ScalarRing.COMPLEX, tol: float = DEFAULT_TOL,
-    cluster_tol: float | None = None,
 ) -> CfcOutcome:
     """Non-unital calculus: additionally requires f(0) = 0 (within tol),
     since 0 always belongs to the quasispectrum.  A failed ring predicate
@@ -251,7 +238,7 @@ def cfc_n(
         if not predicate_for_ring(a, ring, tol).holds:  # coerces a, or raises
             reason = "predicate_failed"
         return _junk(np.shape(a)[0], reason)
-    out = plan(a, ring, tol, cluster_tol).apply(f, zero_to_zero=True)
+    out = plan(a, ring, tol).apply(f, zero_to_zero=True)
     if B is not None and not out.junk:
         inside, residual = B.contains(out.value, max(tol, 1e-8))
         if not inside:

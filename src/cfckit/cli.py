@@ -43,8 +43,6 @@ def _add_common(p, matrix_required=True):
     p.add_argument("--ring", default="complex", help="scalar ring: complex | real | nnreal")
     p.add_argument("--tol", type=float, default=None,
                    help="tolerance (default 1e-9, or CFCKIT_TOL)")
-    p.add_argument("--cluster-tol", type=float, default=None,
-                   help="eigenvalue clustering tolerance (default 1e-8 * ||a||)")
     p.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
 
@@ -116,9 +114,9 @@ def _run_apply(args, non_unital: bool) -> int:
     f = function_from_spec(args.fn, ring)
     if non_unital:
         basis = load_basis(args.basis, args.tol) if args.basis else None
-        outcome = cfc_n(f, a, basis, ring, args.tol, args.cluster_tol)
+        outcome = cfc_n(f, a, basis, ring, args.tol)
     else:
-        outcome = cfc(f, a, ring, args.tol, args.cluster_tol)
+        outcome = cfc(f, a, ring, args.tol)
     _emit({
         "junk": outcome.junk,
         "reason": outcome.reason,
@@ -128,7 +126,7 @@ def _run_apply(args, non_unital: bool) -> int:
 
 
 def _run_spectrum(args) -> int:
-    result = spectrum(load_matrix(args.matrix), _ring(args), args.tol, args.cluster_tol)
+    result = spectrum(load_matrix(args.matrix), _ring(args), args.tol)
     _emit(_spectrum_json(result), args)
     return 0
 
@@ -137,9 +135,9 @@ def _run_quasispectrum(args) -> int:
     a = load_matrix(args.matrix)
     if args.basis:
         basis = load_basis(args.basis, args.tol)
-        result = quasispectrum_intrinsic(basis, a, _ring(args), args.tol, args.cluster_tol)
+        result = quasispectrum_intrinsic(basis, a, _ring(args), args.tol)
     else:
-        result = quasispectrum_via_unitization(a, _ring(args), args.tol, args.cluster_tol)
+        result = quasispectrum_via_unitization(a, _ring(args), args.tol)
     _emit(_spectrum_json(result), args)
     return 0
 
@@ -157,7 +155,7 @@ def _run_check_laws(args) -> int:
             rng, int(rng.integers(1, 7)), ring)
         f = random_poly_function(rng, ring)
         g = random_poly_function(rng, ring)
-        report = check_laws(a, f, g, ring, tol, args.cluster_tol)
+        report = check_laws(a, f, g, ring, tol)
         if not report.all_passed:
             failures += 1
         trials.append({"trial": i, **report.to_dict()})
@@ -171,7 +169,7 @@ def _run_unitize_info(args) -> int:
     a = load_matrix(args.matrix)
     n = a.shape[0]
     x = UnitizationElement(0.0, a)
-    result = spectrum(uni_represent(x), _ring(args), args.tol, args.cluster_tol)
+    result = spectrum(uni_represent(x), _ring(args), args.tol)
     _emit({
         "n": n,
         "represented_dim": 2 * n,
@@ -195,8 +193,6 @@ def main(argv=None) -> int:
     try:
         args.tol = (_tolerance("CFCKIT_TOL", default_tol()) if args.tol is None
                     else _tolerance("--tol", args.tol))
-        if args.cluster_tol is not None:
-            _tolerance("--cluster-tol", args.cluster_tol)
         return handlers[args.verb]()
     except (OSError, ValueError, NoConvergence) as exc:
         print(f"error: {exc}", file=sys.stderr)

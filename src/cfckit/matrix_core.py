@@ -85,11 +85,12 @@ def fro_norm(a) -> float:
     nrm = math.sqrt(np.vdot(a, a).real)
     if 1e-150 <= nrm < math.inf or not np.count_nonzero(a):
         return nrm
-    peak = float(np.max(np.abs(a)))
+    mag = np.abs(a)
+    peak = float(np.max(mag))
     if not math.isfinite(peak):
         return nrm
-    b = a / peak
-    return peak * math.sqrt(np.vdot(b, b).real)
+    b = mag / peak  # real: a complex division by a subnormal peak overflows
+    return peak * math.sqrt(np.vdot(b, b))
 
 
 def operator_norm(a) -> float:

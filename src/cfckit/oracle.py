@@ -1,7 +1,7 @@
-"""Independent ground truth for the calculus: polynomials in z and conj(z)
-evaluated by direct matrix arithmetic (no eigendecomposition), interpolation
-on the finite spectrum in Newton form at Leja-ordered nodes, and the
-law-check harness.
+"""Independent ground truth for the calculus: interpolation on the finite
+spectrum in Newton form at Leja-ordered nodes, evaluated on a by direct
+matrix arithmetic (no eigendecomposition), the law-check harness, and the
+polynomials in z and conj(z) that function specs name.
 
 On a finite spectrum the interpolant in z alone already agrees with f at every
 spectral point, so exact interpolation stands in for a density argument; this
@@ -17,18 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .cfc import ScalarFunction, cfc, identity_function, plan
-from .matrix_core import (
-    NotNormal,
-    adjoint,
-    as_matrix,
-    elemental_subalgebra,
-    fro_norm,
-    identity,
-    is_star_normal,
-    operator_norm,
-    zeros,
-)
+from .cfc import ScalarFunction, cfc, constant_function, identity_function, plan
+from .matrix_core import adjoint, elemental_subalgebra, fro_norm, identity, operator_norm
 from .scalars import DEFAULT_TOL, ScalarRing, restrict_scalar
 
 # Interpolation is skipped when two nodes are closer than this, relative to
@@ -60,37 +50,14 @@ class StarPolynomial:
         return ScalarFunction(evaluate, ring, "poly")
 
 
-def poly_eval(p: StarPolynomial, a, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Evaluate p on a normal matrix by direct products, a* substituted for conj(z)."""
-    a = as_matrix(a)
-    report = is_star_normal(a, tol)
-    if not report.holds:
-        raise NotNormal(report)
-    n = a.shape[0]
-    max_k = max((k for k, _, _ in p.terms), default=0)
-    max_m = max((m for _, m, _ in p.terms), default=0)
-    pow_a = [identity(n)]
-    for _ in range(max_k):
-        pow_a.append(pow_a[-1] @ a)
-    ah = adjoint(a)
-    pow_ah = [identity(n)]
-    for _ in range(max_m):
-        pow_ah.append(pow_ah[-1] @ ah)
-    out = zeros(n)
-    for k, m, c in p.terms:
-        out += complex(c) * (pow_a[k] @ pow_ah[m])
-    return out
-
-
 def cfc_oracle(
-    f: ScalarFunction, a, ring: ScalarRing = ScalarRing.COMPLEX,
-    tol: float = DEFAULT_TOL, cluster_tol: float | None = None,
+    f: ScalarFunction, a, ring: ScalarRing = ScalarRing.COMPLEX, tol: float = DEFAULT_TOL,
 ) -> np.ndarray:
     """Uniqueness oracle: interpolate f on the clustered spectrum of a, then
     evaluate the interpolant on a by plain matrix arithmetic.  Only the
     interpolation nodes come from an eigensolve; raises OracleSkipped when
     they are too close together, before f is evaluated."""
-    p = plan(a, ring, tol, cluster_tol)
+    p = plan(a, ring, tol)
     points = p.points()
     values = (complex(restrict_scalar(f.eval(x), f.ring, tol)) for x in points)
     return _interpolate(p.a, points, values)
@@ -229,7 +196,7 @@ def _hausdorff(xs, ys) -> float:
 
 def check_laws(
     a, f: ScalarFunction, g: ScalarFunction, ring: ScalarRing = ScalarRing.COMPLEX,
-    tol: float = DEFAULT_TOL, cluster_tol: float | None = None,
+    tol: float = DEFAULT_TOL,
 ) -> LawReport:
     """Evaluate the derived-law suite for one matrix and one function pair.
 
@@ -240,7 +207,7 @@ def check_laws(
     g are evaluated once per distinct argument for the whole trial.
     """
     f, g = _memoised(f), _memoised(g)
-    pa = plan(a, ring, tol, cluster_tol)
+    pa = plan(a, ring, tol)
     a = pa.a
     n = a.shape[0]
     entries = []
@@ -260,7 +227,7 @@ def check_laws(
         entries.extend(LawEntry(nm, 0.0, 0.0, True, skipped=True) for nm in skipped)
         return LawReport(tuple(entries))
 
-    scale_a = pa.scale
+    scale_a = pa.scale * pa.c
     scale_f = fro_norm(out_f.value)
     scale_g = fro_norm(out_g.value)
     tol_h = tol * max(1.0, scale_a, scale_f, scale_g, scale_f * scale_g)
@@ -282,7 +249,7 @@ def check_laws(
     entries.append(LawEntry("id", r, tol * max(1.0, scale_a), r <= tol * max(1.0, scale_a)))
 
     c = 2.0 if ring is not ScalarRing.COMPLEX else 2.0 + 0.5j
-    out_c = pa.apply(ScalarFunction(lambda x: c, ring, "const"))
+    out_c = pa.apply(constant_function(c, ring))
     r = _rel(out_c.value - c * identity(n))
     entries.append(LawEntry("const", r, tol, r <= tol))
 
@@ -305,7 +272,7 @@ def check_laws(
     points = pa.points()
     fpoints = [complex(restrict_scalar(f.eval(x), f.ring, tol)) for x in points]
     mapped = sorted(fpoints, key=lambda z: (z.real, z.imag))
-    pf = plan(out_f.value, ring, max(tol, 1e-7), cluster_tol)
+    pf = plan(out_f.value, ring, max(tol, 1e-7))
     diam = max(
         (abs(complex(p) - complex(q)) for p in mapped for q in mapped), default=0.0
     )
@@ -330,7 +297,7 @@ def check_laws(
                                 note="not applicable over nnreal"))
     else:
         out_neg = cfc(ScalarFunction(lambda x: f.eval(-x), f.ring, "f(-x)"),
-                      -a, ring, tol, cluster_tol)
+                      -a, ring, tol)
         r = _rel(out_neg.value - out_f.value, scale_f)
         entries.append(LawEntry("negation", r, tol_h, r <= tol_h))
 

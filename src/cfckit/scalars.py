@@ -14,11 +14,15 @@ DEFAULT_TOL = 1e-9
 
 
 def default_tol() -> float:
-    """Library default tolerance; overridable via the CFCKIT_TOL env var."""
+    """Library default tolerance; overridable via the CFCKIT_TOL env var
+    (ValueError naming it when it is not a number)."""
     raw = os.environ.get("CFCKIT_TOL")
     if raw is None:
         return DEFAULT_TOL
-    return float(raw)
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"CFCKIT_TOL must be finite and >= 0, got {raw!r}") from None
 
 
 class ScalarRing(enum.Enum):

@@ -36,18 +36,15 @@ class QuasiregularWitness:
     residual: float
 
 
-def spectrum(
-    a, ring: ScalarRing = ScalarRing.COMPLEX, tol: float = DEFAULT_TOL,
-    cluster_tol: float | None = None,
-) -> SpectrumResult:
-    """The eigenvalues of a in clusters of diameter <= cluster_tol, each
-    represented by its mean and restricted to the scalar ring.
+def spectrum(a, ring: ScalarRing = ScalarRing.COMPLEX, tol: float = DEFAULT_TOL) -> SpectrumResult:
+    """The eigenvalues of a in clusters of diameter <= DEFAULT_CLUSTER_REL *
+    ||a||_F, each represented by its mean and restricted to the scalar ring.
 
     The ring predicate is checked during the decomposition (PredicateFailure
     when it fails); a restriction failure afterwards signals an inconsistent
     predicate/tolerance interplay and is an error.
     """
-    p = plan(a, ring, tol, cluster_tol)
+    p = plan(a, ring, tol)
     return SpectrumResult(ring, p.points(), p.multiplicities, "eigen")
 
 
@@ -81,8 +78,7 @@ def is_quasiregular(B: StarSubalgebra, x, tol: float = DEFAULT_TOL):
 
 
 def quasispectrum_intrinsic(
-    B: StarSubalgebra, a, ring: ScalarRing = ScalarRing.COMPLEX,
-    tol: float = DEFAULT_TOL, cluster_tol: float | None = None,
+    B: StarSubalgebra, a, ring: ScalarRing = ScalarRing.COMPLEX, tol: float = DEFAULT_TOL,
 ) -> SpectrumResult:
     """Quasispectrum inside B: 0, plus every nonzero ambient eigenvalue r of a
     for which -(1/r) a fails quasiregularity in B.
@@ -90,17 +86,17 @@ def quasispectrum_intrinsic(
     Spectral permanence makes the ambient eigenvalues an exhaustive candidate
     set for matrix subalgebras, so no search over the plane is needed.  The
     points and multiplicities are the plan's; 0 takes the multiplicities of
-    the points within its zero cut (1 if there are none).
+    the points within the cluster scale of it (1 if there are none).
     """
     a = as_matrix(a)
     inside, residual = B.contains(a, max(tol, 1e-8))
     if not inside:
         raise NotInSubalgebra(f"element not in subalgebra (residual {residual:.3e})")
-    p = plan(a, ring, tol, cluster_tol)
+    p = plan(a, ring, tol)
     zero_mult = 0
     found = []
     for r, m in zip(p.points(), p.multiplicities):
-        if abs(r) <= p.zero_cut:
+        if abs(r) <= p.cluster_tol:
             zero_mult += m
         elif not is_quasiregular(B, -(1.0 / r) * a, tol)[0]:
             found.append((r, m))
@@ -111,10 +107,9 @@ def quasispectrum_intrinsic(
 
 def quasispectrum_via_unitization(
     a, ring: ScalarRing = ScalarRing.COMPLEX, tol: float = DEFAULT_TOL,
-    cluster_tol: float | None = None,
 ) -> SpectrumResult:
     """Quasispectrum as the spectrum of (0, a) in the 2n block representation
     of the minimal unitization; equals sigma(a) union {0} in M_n.  The block
     representation diag(0, a) meets the ring predicate exactly when a does."""
-    p = plan(uni_represent(UnitizationElement(0.0, a)), ring, tol, cluster_tol)
+    p = plan(uni_represent(UnitizationElement(0.0, a)), ring, tol)
     return SpectrumResult(ring, p.points(), p.multiplicities, "unitization_quasi")

@@ -647,6 +647,19 @@ def test_an_eigenvalue_beyond_the_float_range_is_junk(a):
             assert out.junk and out.reason == "decomposition_failed"
 
 
+def test_the_cluster_scale_stays_finite_where_the_norm_overflows():
+    """||a||_F = 2e308 is no float, but its cluster scale 2e300 is: four
+    distinct eigenvalues stay four points, and cfc_n of the identity
+    evaluates each of them."""
+    lam = [1e308, -1e308, 1e308j, -1e308j]
+    a = np.diag(lam)
+    p = plan(a)
+    assert p.cluster_tol == pytest.approx(2e300)
+    assert spectrum(a).multiplicities == (1, 1, 1, 1)
+    out = cfc_n(identity_function(), a)
+    assert not out.junk and np.max(np.abs(out.value - a)) <= 1e-14 * 1e308
+
+
 def test_builtins_are_built_once_per_name_and_ring():
     """cfc_builtin reuses one ScalarFunction per builtin, ring and
     parameters, from a cache bounded by the names times the rings."""

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfckit.cfc import builtin_function, cfc, hermitian_eigen, normal_spectral_decomposition
+from cfckit.cfc import builtin_function, cfc, plan
 from cfckit.eigen import DEFAULT_CLUSTER_REL, NotSelfadjoint, cluster_with_labels
 from cfckit.matrix_core import NotNormal, adjoint, fro_norm, is_selfadjoint, is_star_normal
 from cfckit.oracle import cfc_oracle
@@ -18,37 +18,45 @@ from cfckit.sampling import (
 from cfckit.scalars import ScalarRing
 
 
+def _reconstruct(p):
+    return (p.u * p.lam) @ adjoint(p.u)
+
+
 def test_hermitian_diagonal():
-    dec = hermitian_eigen(np.diag([5.0, 2.0]))
-    assert np.allclose(dec.lam, [2.0, 5.0])
-    assert np.allclose(np.abs(dec.u), np.array([[0, 1], [1, 0]]))
+    p = plan(np.diag([5.0, 2.0]), ScalarRing.REAL)
+    assert np.allclose(p.lam, [2.0, 5.0])
+    assert np.allclose(np.abs(p.u), np.array([[0, 1], [1, 0]]))
 
 
 def test_hermitian_hand_examples():
     # char. poly (2 - x)^2 - 1 => {1, 3}
-    dec = hermitian_eigen(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert np.allclose(dec.lam, [1.0, 3.0])
+    p = plan(np.array([[2.0, 1.0], [1.0, 2.0]]), ScalarRing.REAL)
+    assert np.allclose(p.lam, [1.0, 3.0])
     # char. poly x^2 - 1 => {-1, 1}
-    dec = hermitian_eigen(np.array([[0, -1j], [1j, 0]]))
-    assert np.allclose(dec.lam, [-1.0, 1.0])
+    p = plan(np.array([[0, -1j], [1j, 0]]), ScalarRing.REAL)
+    assert np.allclose(p.lam, [-1.0, 1.0])
 
 
 def test_hermitian_rejects_non_selfadjoint():
+    p = plan(np.array([[0, 1], [0, 0]], dtype=complex), ScalarRing.REAL)
+    assert isinstance(p.error, NotSelfadjoint)
     with pytest.raises(NotSelfadjoint):
-        hermitian_eigen(np.array([[0, 1], [0, 0]], dtype=complex))
+        p.residual()
 
 
 def test_normal_diagonal_and_rotation():
-    dec = normal_spectral_decomposition(np.diag([1 + 1j, 2 + 0j]))
-    assert sorted(dec.lam, key=lambda z: z.real) == pytest.approx([1 + 1j, 2 + 0j])
+    p = plan(np.diag([1 + 1j, 2 + 0j]))
+    assert sorted(p.lam, key=lambda z: z.real) == pytest.approx([1 + 1j, 2 + 0j])
     # rotation matrix, char. poly x^2 + 1 => {i, -i}
-    dec = normal_spectral_decomposition(np.array([[0.0, -1.0], [1.0, 0.0]]))
-    assert np.allclose(sorted(dec.lam, key=lambda z: z.imag), [-1j, 1j])
+    p = plan(np.array([[0.0, -1.0], [1.0, 0.0]]))
+    assert np.allclose(sorted(p.lam, key=lambda z: z.imag), [-1j, 1j])
 
 
 def test_normal_rejects_non_normal():
+    p = plan(np.array([[0, 1], [0, 0]], dtype=complex))
+    assert isinstance(p.error, NotNormal)
     with pytest.raises(NotNormal):
-        normal_spectral_decomposition(np.array([[0, 1], [0, 0]], dtype=complex))
+        p.points()
 
 
 def test_normal_round_trip_random(rng):
@@ -57,16 +65,16 @@ def test_normal_round_trip_random(rng):
         lam = gen.uniform(-1, 1, n) + 1j * gen.uniform(-1, 1, n)
         u = random_unitary(gen, n)
         a = (u * lam) @ adjoint(u)
-        dec = normal_spectral_decomposition(a)
+        p = plan(a)
         # eigenvalue multiset recovered
         assert np.allclose(
-            sorted(dec.lam, key=lambda z: (z.real, z.imag)),
+            sorted(p.lam, key=lambda z: (z.real, z.imag)),
             sorted(lam, key=lambda z: (z.real, z.imag)),
             atol=1e-10,
         )
         # reconstruction and unitarity invariants
-        assert fro_norm(a - dec.reconstruct()) <= 1e-10 * max(fro_norm(a), 1.0)
-        assert fro_norm(adjoint(dec.u) @ dec.u - np.eye(n)) <= 1e-12 * n
+        assert fro_norm(a - _reconstruct(p)) <= 1e-10 * max(fro_norm(a), 1.0)
+        assert fro_norm(adjoint(p.u) @ p.u - np.eye(n)) <= 1e-12 * n
 
 
 def test_normal_handles_repeated_real_parts():
@@ -75,8 +83,7 @@ def test_normal_handles_repeated_real_parts():
     gen = rng_from_seed(5)
     u = random_unitary(gen, 3)
     a = (u * lam) @ adjoint(u)
-    dec = normal_spectral_decomposition(a)
-    assert fro_norm(a - dec.reconstruct()) <= 1e-10 * fro_norm(a)
+    assert plan(a).residual() <= 1e-10
 
 
 @pytest.mark.parametrize("n", [6, 16, 64])
@@ -87,10 +94,10 @@ def test_normal_exact_multiplicities_agree_with_the_oracle(n):
     lam[-2:] = 1.5 + 0.2j
     lam[-1] += 1e-13j * np.linalg.norm(lam)
     a = random_with_spectrum(rng_from_seed(40 + n), lam)
-    dec = normal_spectral_decomposition(a)
-    assert dec.residual <= 1e-10
-    assert fro_norm(adjoint(dec.u) @ dec.u - np.eye(n)) <= 1e-12 * n
-    assert np.allclose(dec.lam, np.sort_complex(lam), atol=1e-10)
+    p = plan(a)
+    assert p.residual() <= 1e-10
+    assert fro_norm(adjoint(p.u) @ p.u - np.eye(n)) <= 1e-12 * n
+    assert np.allclose(p.lam, np.sort_complex(lam), atol=1e-10)
     exp = builtin_function("exp")
     ref = cfc_oracle(exp, a)
     assert fro_norm(cfc(exp, a).value - ref) <= 1e-8 * fro_norm(ref)
@@ -100,51 +107,51 @@ def test_selfadjoint_spectrum_is_real(rng):
     gen = rng_from_seed(9)
     for _ in range(10):
         a = random_normal_matrix(gen, 6, ScalarRing.REAL)
-        dec = normal_spectral_decomposition(a)
-        assert np.max(np.abs(dec.lam.imag)) <= 1e-12 * max(fro_norm(a), 1.0)
+        p = plan(a)
+        assert np.max(np.abs(p.lam.imag)) <= 1e-12 * max(fro_norm(a), 1.0)
 
 
 def test_eigenvalues_invariant_under_unitary_conjugation():
     gen = rng_from_seed(13)
     a = random_normal_matrix(gen, 6, ScalarRing.COMPLEX)
     v = random_unitary(gen, 6)
-    lam1 = np.sort_complex(normal_spectral_decomposition(a).lam)
-    lam2 = np.sort_complex(normal_spectral_decomposition(v @ a @ adjoint(v)).lam)
+    lam1 = np.sort_complex(plan(a).lam)
+    lam2 = np.sort_complex(plan(v @ a @ adjoint(v)).lam)
     assert np.allclose(lam1, lam2, atol=1e-10)
 
 
 def test_one_by_one_short_circuit():
-    dec = normal_spectral_decomposition(np.array([[3 - 2j]]))
-    assert dec.lam[0] == 3 - 2j
-    assert dec.residual == 0.0
+    p = plan(np.array([[3 - 2j]]))
+    assert p.lam[0] == 3 - 2j
+    assert p.residual() == 0.0
 
 
 def test_cluster_examples():
-    spec = cluster_with_labels([1.0, 1.0 + 1e-14, 2.0], 1e-9)
-    assert spec.points == pytest.approx((1.0, 2.0))
-    assert spec.multiplicities == (2, 1)
+    points, mults = cluster_with_labels([1.0, 1.0 + 1e-14, 2.0], 1e-9)
+    assert tuple(points) == pytest.approx((1.0, 2.0))
+    assert mults == (2, 1)
 
-    spec = cluster_with_labels([3.0], 1.0)
-    assert spec.points == ((3 + 0j),)
-    assert spec.multiplicities == (1,)
+    points, mults = cluster_with_labels([3.0], 1.0)
+    assert points.tolist() == [3 + 0j]
+    assert mults == (1,)
 
-    spec = cluster_with_labels([0.0, 1.0, 2.0], 1e-9)
-    assert spec.size == 3
+    points, mults = cluster_with_labels([0.0, 1.0, 2.0], 1e-9)
+    assert points.size == len(mults) == 3
 
 
 def test_a_cluster_straddling_another_point_in_real_part_stays_whole():
     """The computed real part of i may fall between those of the two 0s of
     {0, 0, i}; the 0s still form one cluster."""
-    spec = cluster_with_labels([-1e-17, 1j, 1e-17], 1e-8)
-    assert spec.points == (0j, 1j) and spec.multiplicities == (2, 1)
+    points, mults = cluster_with_labels([-1e-17, 1j, 1e-17], 1e-8)
+    assert points.tolist() == [0j, 1j] and mults == (2, 1)
     gen = rng_from_seed(33)
     straddled = 0
     for _ in range(200):
-        dec = normal_spectral_decomposition(random_with_spectrum(gen, np.array([0, 0, 1j])))
-        zeros = sorted(z.real for z in dec.lam if abs(z) < 0.5)
-        straddled += zeros[0] < dec.lam[np.abs(dec.lam) > 0.5][0].real < zeros[1]
-        spec = cluster_with_labels(dec.lam, DEFAULT_CLUSTER_REL * np.sqrt(2.0))
-        by_size = dict(zip(spec.multiplicities, spec.points))
+        lam = plan(random_with_spectrum(gen, np.array([0, 0, 1j]))).lam
+        zeros = sorted(z.real for z in lam if abs(z) < 0.5)
+        straddled += zeros[0] < lam[np.abs(lam) > 0.5][0].real < zeros[1]
+        points, mults = cluster_with_labels(lam, DEFAULT_CLUSTER_REL * np.sqrt(2.0))
+        by_size = dict(zip(mults, points))
         assert sorted(by_size) == [1, 2]
         assert abs(by_size[2]) <= 1e-15 and abs(by_size[1] - 1j) <= 1e-14
     assert straddled > 0
@@ -154,27 +161,25 @@ def test_cluster_is_nonempty_for_any_matrix():
     gen = rng_from_seed(17)
     for n in range(1, 9):
         a = random_normal_matrix(gen, n, ScalarRing.COMPLEX)
-        dec = normal_spectral_decomposition(a)
-        spec = cluster_with_labels(dec.lam, 1e-8)
-        assert spec.size >= 1
-        assert sum(spec.multiplicities) == n
+        points, mults = cluster_with_labels(plan(a).lam, 1e-8)
+        assert points.size >= 1
+        assert sum(mults) == n
 
 
 def test_hermitian_keeps_real_eigenvectors_real():
     a = random_normal_matrix(rng_from_seed(3), 6, ScalarRing.REAL).real
-    dec = hermitian_eigen(a)
-    assert np.isrealobj(dec.u) and np.isrealobj(dec.lam)
-    assert dec.residual <= 1e-12
-    assert not np.isrealobj(hermitian_eigen(np.array([[0, -1j], [1j, 0]])).u)
+    p = plan(a, ScalarRing.REAL)
+    assert np.isrealobj(p.u) and np.isrealobj(p.lam)
+    assert p.residual() <= 1e-12
+    assert not np.isrealobj(plan(np.array([[0, -1j], [1j, 0]]), ScalarRing.REAL).u)
 
 
 def test_decompositions_report_their_residual():
     a = random_normal_matrix(rng_from_seed(4), 6, ScalarRing.COMPLEX)
-    dec = normal_spectral_decomposition(a)
-    assert dec.report.predicate == "normal" and dec.report.holds
-    assert dec.residual == pytest.approx(
-        fro_norm(a - dec.reconstruct()) / fro_norm(a), abs=0.0)
-    assert dec.residual <= 1e-12
+    p = plan(a)
+    assert p.report.predicate == "normal" and p.report.holds
+    assert p.residual() == pytest.approx(fro_norm(a - _reconstruct(p)) / fro_norm(a), abs=0.0)
+    assert p.residual() <= 1e-12
 
 
 def _greedy_clusters(lam, cluster_tol):
@@ -216,14 +221,14 @@ def _diameter(c):
 
 
 def _assert_same_clustering(lam, cluster_tol):
-    spec = cluster_with_labels(lam, cluster_tol)
+    points, mults = cluster_with_labels(lam, cluster_tol)
     clusters = _greedy_clusters(lam, cluster_tol)
-    assert (list(spec.points), list(spec.multiplicities)) == _points(clusters)
+    assert (points.tolist(), list(mults)) == _points(clusters)
     assert all(_diameter(c) <= cluster_tol for c in clusters)
     if not np.count_nonzero(np.imag(lam)):
         # on the line the clusters are runs of the sorted eigenvalues
         xs, start = np.sort(np.real(lam)), 0
-        for point, k in zip(spec.points, spec.multiplicities):
+        for point, k in zip(points, mults):
             run = xs[start:start + k].tolist()
             start += k
             assert run[-1] - run[0] <= cluster_tol
@@ -231,11 +236,11 @@ def _assert_same_clustering(lam, cluster_tol):
     linked = _single_linkage_clusters(lam, cluster_tol)
     if all(_diameter(c) <= cluster_tol for c in linked):
         # single linkage then finds the same clusters, summed in another order
-        points, mults = _points(linked)
-        assert list(spec.multiplicities) == mults
+        linked_points, linked_mults = _points(linked)
+        assert list(mults) == linked_mults
         size = max(np.abs(lam))
         assert all(abs(p - q) <= 4 * np.finfo(float).eps * size
-                   for p, q in zip(spec.points, points))
+                   for p, q in zip(points, linked_points))
 
 
 _grid = st.sampled_from([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0])
@@ -273,8 +278,6 @@ def test_sweep_clustering_matches_brute_force_random():
 @pytest.mark.parametrize("fn, params", [
     (is_star_normal, ["a", "tol"]),
     (is_selfadjoint, ["a", "tol"]),
-    (hermitian_eigen, ["h", "tol"]),
-    (normal_spectral_decomposition, ["a", "tol", "cluster_tol"]),
 ])
 def test_public_predicates_and_decompositions_check_their_own_input(fn, params):
     """They take only their public parameters, coerce and check the input,
@@ -284,16 +287,27 @@ def test_public_predicates_and_decompositions_check_their_own_input(fn, params):
     for bad in ([[1.0, np.nan], [0.0, 1.0]], np.ones((2, 3)), [[np.inf]]):
         with pytest.raises(ValueError, match="square|finite"):
             fn(bad)
-    report = lambda out: getattr(out, "report", out)  # a decomposition carries its report
     herm = [[2.0, 1j], [-1j, 3.0]]
-    assert report(fn(herm)) == report(fn(np.array(herm, dtype=complex)))
+    assert fn(herm) == fn(np.array(herm, dtype=complex))
     for scale in (1e-150, 1.0, 1e8, 1e150):
-        nilpotent = scale * np.array([[0, 1], [0, 0]], dtype=complex)
-        if fn in (is_star_normal, is_selfadjoint):
-            assert not fn(nilpotent).holds
-        else:
-            with pytest.raises((NotNormal, NotSelfadjoint)):
-                fn(nilpotent)
+        assert not fn(scale * np.array([[0, 1], [0, 0]], dtype=complex)).holds
+
+
+def test_plan_checks_its_own_input():
+    """plan takes only a, the ring and tol, coerces and checks a, and decides
+    the ring predicate from a alone, at any scale; a failed predicate is the
+    plan's error."""
+    assert list(inspect.signature(plan).parameters) == ["a", "ring", "tol"]
+    for bad in ([[1.0, np.nan], [0.0, 1.0]], np.ones((2, 3)), [[np.inf]]):
+        with pytest.raises(ValueError, match="square|finite"):
+            plan(bad)
+    herm = [[2.0, 1j], [-1j, 3.0]]
+    for ring in ScalarRing:
+        assert plan(herm, ring).report == plan(np.array(herm, dtype=complex), ring).report
+        failure = NotNormal if ring is ScalarRing.COMPLEX else NotSelfadjoint
+        for scale in (1e-150, 1.0, 1e8, 1e150):
+            nilpotent = scale * np.array([[0, 1], [0, 0]], dtype=complex)
+            assert isinstance(plan(nilpotent, ring).error, failure)
 
 
 def _lexicographic(lam):
@@ -301,8 +315,7 @@ def _lexicographic(lam):
     return keys == sorted(keys)
 
 
-@pytest.mark.parametrize("cluster_tol", [0.0, None])
-def test_eigenvalues_come_back_sorted_by_real_then_imaginary_part(monkeypatch, cluster_tol):
+def test_eigenvalues_come_back_sorted_by_real_then_imaginary_part(monkeypatch):
     """The decomposition sorts lam by (re, im), as computed, only when its raw
     order is not already that; on repeated runs of h's eigenvalues and on
     real parts one ulp apart both branches are taken, and the result is
@@ -327,13 +340,11 @@ def test_eigenvalues_come_back_sorted_by_real_then_imaginary_part(monkeypatch, c
     for lam in spectra:
         for _ in range(40):
             a = random_with_spectrum(gen, np.array(lam, dtype=complex))
-            dec = normal_spectral_decomposition(a, cluster_tol=cluster_tol)
+            p = plan(a)
             calls += 1
-            assert _lexicographic(dec.lam)
-            # cluster_tol = 0 splits h's runs at rounding, which only the
-            # order, not the values, must survive
-            assert cluster_tol == 0.0 or dec.residual <= 1e-12
-        diag = normal_spectral_decomposition(np.diag(lam), cluster_tol=cluster_tol)
-        assert _lexicographic(diag.lam)
-        assert np.array_equal(diag.lam, np.sort_complex(np.array(lam, dtype=complex)))
+            assert _lexicographic(p.lam)
+            assert p.residual() <= 1e-12
+        diag = plan(np.diag(lam)).lam
+        assert _lexicographic(diag)
+        assert np.array_equal(diag, np.sort_complex(np.array(lam, dtype=complex)))
     assert 0 < sorts[0] < calls  # the sort was both skipped and taken

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -200,3 +202,34 @@ def test_spectra_cluster_once_and_plans_keep_their_clusters(clusterings):
     assert clusterings[0] == before
     assert p.points() == p.points() and p.multiplicities == (1, 2, 1)
     assert clusterings[0] == before + 1
+
+
+@pytest.mark.parametrize("ring, lam", [
+    (ScalarRing.COMPLEX, [0, 0, 1 + 1j, 1 + 1j, 1 + 1j, -2, 0.5 - 0.5j]),
+    (ScalarRing.REAL, [0, 0, -1.5, -1.5, -1.5, 2]),
+    (ScalarRing.NNREAL, [0, 0, 1.5, 1.5, 1.5, 2]),
+])
+def test_spectra_are_scale_homogeneous(ring, lam):
+    """The spectrum and both quasispectra of s a are s times those of a, with
+    the same multiplicities, from s = 1e-300 to 1e300: the cluster scale is a
+    fraction of ||a||_F, not an absolute cut.  C*(s a) = C*(a): built at
+    any s it has the same dimension, and one B serves every s."""
+    a = random_with_spectrum(rng_from_seed(53), np.array(lam, dtype=complex))
+    if ring is not ScalarRing.COMPLEX:
+        a = (a + a.conj().T) / 2
+    B = elemental_subalgebra(a, unital=False)
+    spectra = (
+        lambda x: spectrum(x, ring),
+        lambda x: quasispectrum_via_unitization(x, ring),
+        lambda x: quasispectrum_intrinsic(B, x, ring),
+    )
+    assert sorted(spectrum(a, ring).multiplicities) == sorted(Counter(lam).values())
+    for s in (1e-300, 1e300):
+        assert elemental_subalgebra(s * a, unital=False).dim == B.dim
+    for spectral in spectra:
+        ref = spectral(a)
+        for s in (1e-300, 1e-150, 1.0, 1e150, 1e300):
+            out = spectral(s * a)
+            assert out.multiplicities == ref.multiplicities
+            err = max(abs(p - s * q) for p, q in zip(out.points, ref.points))
+            assert err <= 8 * np.finfo(float).eps * s * fro_norm(a)
