@@ -1,4 +1,5 @@
 import inspect
+from functools import partial
 
 import numpy as np
 import pytest
@@ -275,39 +276,38 @@ def test_sweep_clustering_matches_brute_force_random():
         _assert_same_clustering(lam, cluster_tol)
 
 
+# plan(a, REAL) and plan(a) are the decompositions over R and C; their cases
+# keep the ids of hermitian_eigen and normal_spectral_decomposition, the
+# guards over plan() that they replace.
 @pytest.mark.parametrize("fn, params", [
     (is_star_normal, ["a", "tol"]),
     (is_selfadjoint, ["a", "tol"]),
+    pytest.param(partial(plan, ring=ScalarRing.REAL), ["a", "ring", "tol"],
+                 id="hermitian_eigen-params2"),
+    pytest.param(partial(plan, ring=ScalarRing.COMPLEX), ["a", "ring", "tol"],
+                 id="normal_spectral_decomposition-params3"),
+    pytest.param(partial(plan, ring=ScalarRing.NNREAL), ["a", "ring", "tol"],
+                 id="plan-nnreal"),
 ])
 def test_public_predicates_and_decompositions_check_their_own_input(fn, params):
     """They take only their public parameters, coerce and check the input,
-    and decide the predicate from the input alone, at any scale."""
+    and decide the predicate from the input alone, at any scale; a failed
+    predicate is the plan's error."""
     public = [p for p in inspect.signature(fn).parameters if not p.startswith("_")]
     assert public == params
     for bad in ([[1.0, np.nan], [0.0, 1.0]], np.ones((2, 3)), [[np.inf]]):
         with pytest.raises(ValueError, match="square|finite"):
             fn(bad)
+    report = lambda out: getattr(out, "report", out)  # a plan carries its report
     herm = [[2.0, 1j], [-1j, 3.0]]
-    assert fn(herm) == fn(np.array(herm, dtype=complex))
+    assert report(fn(herm)) == report(fn(np.array(herm, dtype=complex)))
     for scale in (1e-150, 1.0, 1e8, 1e150):
-        assert not fn(scale * np.array([[0, 1], [0, 0]], dtype=complex)).holds
-
-
-def test_plan_checks_its_own_input():
-    """plan takes only a, the ring and tol, coerces and checks a, and decides
-    the ring predicate from a alone, at any scale; a failed predicate is the
-    plan's error."""
-    assert list(inspect.signature(plan).parameters) == ["a", "ring", "tol"]
-    for bad in ([[1.0, np.nan], [0.0, 1.0]], np.ones((2, 3)), [[np.inf]]):
-        with pytest.raises(ValueError, match="square|finite"):
-            plan(bad)
-    herm = [[2.0, 1j], [-1j, 3.0]]
-    for ring in ScalarRing:
-        assert plan(herm, ring).report == plan(np.array(herm, dtype=complex), ring).report
-        failure = NotNormal if ring is ScalarRing.COMPLEX else NotSelfadjoint
-        for scale in (1e-150, 1.0, 1e8, 1e150):
-            nilpotent = scale * np.array([[0, 1], [0, 0]], dtype=complex)
-            assert isinstance(plan(nilpotent, ring).error, failure)
+        nilpotent = scale * np.array([[0, 1], [0, 0]], dtype=complex)
+        if fn in (is_star_normal, is_selfadjoint):
+            assert not fn(nilpotent).holds
+        else:
+            failure = NotNormal if fn.keywords["ring"] is ScalarRing.COMPLEX else NotSelfadjoint
+            assert isinstance(fn(nilpotent).error, failure)
 
 
 def _lexicographic(lam):
