@@ -77,11 +77,20 @@ def _junk(n: int, reason: str) -> CfcOutcome:
 
 def _eval_at(f: ScalarFunction, x, tol: float):
     """f(x) restricted to f's ring within tol; any failure (an exception from
-    f, a non-finite value, a value off the ring) raises _EvalFailed."""
+    f, a non-finite value, a value off the ring) raises _EvalFailed.  A
+    finite Python float already in f's real ring is returned as it is, and
+    over C the value is complex(f(x)), which restriction to C leaves alone;
+    everything else takes restrict_scalar."""
     try:
-        out = complex(f.eval(x))
+        out = f.eval(x)
+        if (type(out) is float and f.ring is not ScalarRing.COMPLEX and math.isfinite(out)
+                and (out >= 0.0 or f.ring is ScalarRing.REAL)):
+            return out
+        out = complex(out)
         if not (math.isfinite(out.real) and math.isfinite(out.imag)):
             raise ValueError(f"non-finite value at {x!r}")
+        if f.ring is ScalarRing.COMPLEX:
+            return out
         return restrict_scalar(out, f.ring, tol)
     except Exception as exc:  # domain errors are data, not bugs
         raise _EvalFailed(str(exc)) from exc
@@ -154,7 +163,10 @@ class SpectralPlan:
 
     def apply(self, f: ScalarFunction, zero_to_zero: bool = False) -> CfcOutcome:
         """u diag(f(lam)) u*, f evaluated at each eigenvalue, or junk with its
-        reason; with zero_to_zero, eigenvalues at 0 map to 0 unevaluated."""
+        reason; with zero_to_zero, eigenvalues at 0 map to 0 unevaluated.
+        With a real u the values stay float64 when every one is a float, and
+        the value is one real product u diag(f(lam)) u^T; the outcome's
+        value is complex128 either way."""
         n = self.a.shape[0]
         if self.error is not None:
             return _junk(n, self.reason)
@@ -163,9 +175,10 @@ class SpectralPlan:
             fvals = [0.0 if abs(x) <= cut else _eval_at(f, x, self.tol) for x in self.values]
         except _EvalFailed:
             return _junk(n, "eval_failed")
-        fvals = np.array(fvals, dtype=np.complex128)
         u = self.u
-        if u.dtype == np.float64 and not np.count_nonzero(fvals.imag):
+        real = u.dtype.kind == "f"
+        fvals = np.array(fvals, dtype=None if real else np.complex128)
+        if real and (fvals.dtype == np.float64 or not np.count_nonzero(fvals.imag)):
             value = ((u * fvals.real) @ u.T).astype(np.complex128)
         else:
             value = (u * fvals) @ adjoint(u)

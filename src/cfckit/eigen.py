@@ -38,10 +38,11 @@ class NoConvergence(RuntimeError):
 
 
 def _eigh(h):
-    """np.linalg.eigh, in real arithmetic when h has no imaginary part."""
+    """np.linalg.eigh, in real arithmetic when h is real: a float64 h goes
+    to it as it is, a complex h with no imaginary part as its real part."""
     try:
-        if not np.count_nonzero(h.imag):
-            return np.linalg.eigh(h.real)
+        if h.dtype.kind == "c" and not np.count_nonzero(h.imag):
+            h = h.real
         return np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
@@ -65,7 +66,9 @@ def _decompose(a, ring, tol, scale):
     """(u, lam, report) with a = u diag(lam) u*, u unitary (real orthogonal
     when a is real symmetric), for the calculus over `ring`, its predicate
     checked once on the way (PredicateFailure, NoConvergence); a is coerced
-    and rescaled by _rescaled, scale = ||a||_F.  a - a* decides
+    and rescaled by _rescaled, scale = ||a||_F.  A float64 a stays real up
+    to the eigensolve (a.conj() is a itself), so a*, s and h are float64
+    and u and lam too over R and R>=0.  a - a* decides
     selfadjointness (R, R>=0), s (a - a*) with s = a + a* normality (C), and
     s / 2 = h gets the one Hermitian eigensolve, whose least eigenvalue
     decides R>=0.  Over C, each cluster of h's eigenvalues (gaps <=
@@ -78,6 +81,8 @@ def _decompose(a, ring, tol, scale):
     del ah  # the peak holds a, h and the eigensolve's output, no more
     if not report.holds:
         raise (NotNormal if ring is ScalarRing.COMPLEX else NotSelfadjoint)(report)
+    if s.dtype.kind == "f":
+        s += 0.0  # -0.0 to +0.0, as s /= 2 does to a complex s: h must not depend on the dtype
     s /= 2
     wh, u = _eigh(s)
     del s
@@ -130,7 +135,18 @@ def cluster_with_labels(lam, diameter: float):
                 break
         else:
             clusters.append([z])
-    means = sorted(((sum(c) / len(c), len(c)) for c in clusters),
+    means = sorted(((_mean(c), len(c)) for c in clusters),
                    key=lambda p: (p[0].real, p[0].imag))
     return (np.array([z for z, _ in means], dtype=np.complex128),
             tuple(k for _, k in means))
+
+
+def _mean(c):
+    """The mean of a cluster as its first member plus the mean offset of the
+    others, which stays finite where sum(c) overflows: the members lie within
+    the cluster diameter of each other.  A singleton z, the common case, is
+    z + 0.0, as sum(c) / 1 was (a -0.0 part becomes +0.0)."""
+    z0 = c[0]
+    if len(c) == 1:
+        return z0 + 0.0
+    return z0 + sum([z - z0 for z in c[1:]]) / len(c)

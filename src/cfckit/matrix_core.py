@@ -54,8 +54,11 @@ class NotInSubalgebra(ValueError):
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce to a square complex128 array, rejecting non-finite entries."""
-    m = np.asarray(a, dtype=np.complex128)
+    """Coerce to a square array, rejecting non-finite entries: float64 for
+    bool, integer and real floating input, so that real matrices stay in
+    real arithmetic, and complex128 for anything else."""
+    m = np.asarray(a)
+    m = m.astype(np.float64 if m.dtype.kind in "biuf" else np.complex128, copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] < 1:

@@ -1,4 +1,5 @@
 import inspect
+import math
 from functools import partial
 
 import numpy as np
@@ -210,9 +211,15 @@ def _single_linkage_clusters(lam, cluster_tol):
     return [[z for z, c in zip(lam, comp) if c == root] for root in dict.fromkeys(comp)]
 
 
+def _mean(c):
+    """The first member plus the mean offset of the others (a singleton as
+    it is), which cannot overflow where sum(c) does."""
+    return c[0] if len(c) == 1 else c[0] + sum(z - c[0] for z in c[1:]) / len(c)
+
+
 def _points(clusters):
     """Cluster means and sizes, sorted by (re, im) of the mean."""
-    means = sorted(((sum(c) / len(c), len(c)) for c in clusters),
+    means = sorted(((_mean(c), len(c)) for c in clusters),
                    key=lambda p: (p[0].real, p[0].imag))
     return [z for z, _ in means], [k for _, k in means]
 
@@ -233,7 +240,7 @@ def _assert_same_clustering(lam, cluster_tol):
             run = xs[start:start + k].tolist()
             start += k
             assert run[-1] - run[0] <= cluster_tol
-            assert point == sum(complex(x) for x in run) / k
+            assert point == _mean([complex(x) for x in run])
     linked = _single_linkage_clusters(lam, cluster_tol)
     if all(_diameter(c) <= cluster_tol for c in linked):
         # single linkage then finds the same clusters, summed in another order
@@ -242,6 +249,18 @@ def _assert_same_clustering(lam, cluster_tol):
         size = max(np.abs(lam))
         assert all(abs(p - q) <= 4 * np.finfo(float).eps * size
                    for p, q in zip(points, linked_points))
+
+
+def test_singleton_means_are_the_member_plus_zero():
+    """A singleton's point is z + 0.0, bit for bit the sum(c) / len(c) it
+    was: every part kept, a -0.0 part as +0.0."""
+    lam = [complex(-0.0, -0.0), complex(-0.0, 0.75), complex(1 / 3, -0.0), complex(5.0, -1e-300)]
+    points, mults = cluster_with_labels(lam, 0.1)
+    assert mults == (1, 1, 1, 1)
+    for p, z in zip(points.tolist(), lam):
+        assert (p.real, p.imag) == (z.real, z.imag)
+        assert math.copysign(1.0, p.real) == math.copysign(1.0, z.real + 0.0)
+        assert math.copysign(1.0, p.imag) == math.copysign(1.0, z.imag + 0.0)
 
 
 _grid = st.sampled_from([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0])

@@ -120,6 +120,23 @@ def test_predicate_report_fields():
     assert rep.holds == (rep.residual <= rep.tol_used)
 
 
+@pytest.mark.parametrize("a, dtype", [
+    ([[True, False], [False, True]], np.float64),
+    (np.eye(2, dtype=np.int8), np.float64),
+    (np.eye(2, dtype=np.uint64), np.float64),
+    ([[1, 2], [2, 1]], np.float64),
+    (np.eye(2, dtype=np.float32), np.float64),
+    (np.eye(2), np.float64),
+    ([[1, 2j], [-2j, 1]], np.complex128),
+    (np.eye(2, dtype=np.complex64), np.complex128),
+    (np.array([[1, 2], [3, 4]], dtype=object), np.complex128),
+])
+def test_as_matrix_keeps_real_input_real(a, dtype):
+    m = as_matrix(a)
+    assert m.dtype == dtype
+    assert np.array_equal(m, np.asarray(a, dtype=np.complex128))
+
+
 def test_as_matrix_rejects_bad_input():
     with pytest.raises(ValueError):
         as_matrix(np.zeros((2, 3)))

@@ -296,3 +296,16 @@ def test_cfc_oracle_coerces_once_and_checks_the_predicate_once(work_counts, ring
     a = random_with_spectrum(rng_from_seed(34), np.arange(5) * 0.25 + 0j)
     cfc_oracle(builtin_function("exp", ring), a, ring)
     assert work_counts["predicate"] == 1 and work_counts["as_matrix"] == 1
+
+
+@pytest.mark.xfail(strict=True, reason="a residual of 1.4e-10 passes the normality "
+                   "predicate while the decomposition is off by 1e-5 (CHANGES.md, FOUND)")
+def test_barely_normal_input_is_junk_or_lawful():
+    """a = [[1, 1e-5 i], [1e-5 i, 1 + 1e-5]] passes the predicate over C
+    (residual 1.4e-10 <= 1e-9), but its plan's residual is 1e-5 and z^2 of it
+    lies 2.8e-5 from a @ a: the calculus must either call the input junk or
+    satisfy its laws."""
+    a = np.array([[1, 1e-5j], [1e-5j, 1 + 1e-5]])
+    f = ScalarFunction(lambda z: z * z)
+    out = cfc(f, a)
+    assert out.junk or check_laws(a, f, f).all_passed

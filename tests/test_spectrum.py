@@ -233,3 +233,20 @@ def test_spectra_are_scale_homogeneous(ring, lam):
             assert out.multiplicities == ref.multiplicities
             err = max(abs(p - s * q) for p, q in zip(out.points, ref.points))
             assert err <= 8 * np.finfo(float).eps * s * fro_norm(a)
+
+
+@pytest.mark.parametrize("a, ring", [
+    (np.diag([1e308, 1e308, 1.0]), ScalarRing.REAL),
+    (np.diag([1e308, -1e308, 1e308, 1e308j]), ScalarRing.COMPLEX),
+])
+def test_cluster_means_near_the_float_limit_stay_finite(a, ring):
+    """A double eigenvalue at 1e308 is the point 1e308 of multiplicity 2: the
+    cluster mean adds the members' mean offset to the first member instead of
+    dividing their sum, which overflows."""
+    out = spectrum(a, ring)
+    assert all(np.isfinite(complex(p)) for p in out.points)
+    near = 4 * np.finfo(float).eps * 1e308
+    (k,) = [i for i, p in enumerate(out.points) if abs(p - 1e308) <= near]
+    assert out.multiplicities[k] == 2
+    assert sum(out.multiplicities) == len(a)
+
