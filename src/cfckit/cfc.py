@@ -193,13 +193,17 @@ def plan(a, ring: ScalarRing = ScalarRing.COMPLEX, tol: float = DEFAULT_TOL) -> 
     sign of the rounding.  The clustered points are built only when asked
     for, at the cluster scale DEFAULT_CLUSTER_REL * ||a||_F.  a = c b is
     decomposed as b = _rescaled(a), and the eigenvalues and the snap cut are
-    multiplied back by c, finite where ||a||_F is not; an eigenvalue whose
-    modulus lies beyond the float range makes the plan NoConvergence."""
+    multiplied back by c, finite where ||a||_F is not.  Since |lam_b| <=
+    ||b||_F, the product lam_b c is finite whenever 2 ||b||_F c is, and then
+    needs no check; past that (entries near the float max) an eigenvalue
+    whose modulus lies beyond the float range makes the plan NoConvergence."""
     a = as_matrix(a)
     b, scale, c = _rescaled(a)
     try:
         u, lam, report = _decompose(b, ring, tol, scale)
-        if c != 1.0:
+        if c != 1.0 and 2.0 * scale * c < math.inf:
+            lam = lam * c
+        elif c != 1.0:
             with np.errstate(over="ignore"):
                 lam = lam * c
                 if np.count_nonzero(np.isinf(np.abs(lam))):

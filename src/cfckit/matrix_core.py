@@ -110,11 +110,18 @@ def _rescaled(a):
     """(b, ||b||_F, c) with a = c b, for a coerced a: the one scale rule of the
     package (safe scaling, Anderson, ACM TOMS 44, 2017).  b = a unless ||a||_F
     lies outside [1e-100, 1e100], where products of a leave the float range;
-    then c = ||a||_F, or max(|re a_ij|, |im a_ij|) if ||a||_F overflows."""
-    scale = fro_norm(a)
-    if scale == 0.0 or 1e-100 <= scale <= 1e100:
+    then c = 2^(e-1) for max(|re a_ij|, |im a_ij|) = m 2^e, 1/2 <= m < 1, so
+    that the entries of b are exact (bar subnormal ones) with their largest
+    part in [1, 2).  |a_ij| itself is not used: it overflows for entries such
+    as 1.5e308 + 1.5e308j."""
+    scale = math.sqrt(np.vdot(a, a).real)
+    if 1e-100 <= scale <= 1e100:
         return a, scale, 1.0
-    c = scale if scale < math.inf else float(max(np.abs(a.real).max(), np.abs(a.imag).max()))
+    # ravel() makes the float64 view valid for any strides, a.T included
+    peak = float(np.abs(a.ravel().view(np.float64)).max())
+    if peak == 0.0:
+        return a, 0.0, 1.0
+    c = math.ldexp(1.0, math.frexp(peak)[1] - 1)
     b = a / c
     return b, fro_norm(b), c
 

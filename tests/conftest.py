@@ -64,8 +64,10 @@ MODULES = ("cfckit.matrix_core", "cfckit.eigen", "cfckit.cfc", "cfckit.spectrum"
 @pytest.fixture
 def work_counts(monkeypatch):
     """Counts outermost predicate evaluations and every as_matrix coercion
-    (each as bound in every module), and numpy eigensolver calls."""
-    counts = {"predicate": 0, "as_matrix": 0, "eigh": 0, "eigvalsh": 0}
+    (each as bound in every module), numpy eigensolver calls, and the
+    per-run compressions u_R* a u_R of the decomposition over C (the calls
+    of eigen.adjoint, which makes one per compression and nothing else)."""
+    counts = {"predicate": 0, "as_matrix": 0, "eigh": 0, "eigvalsh": 0, "compressions": 0}
     depth = [0]
 
     def predicate(fn):
@@ -91,6 +93,8 @@ def work_counts(monkeypatch):
                 monkeypatch.setattr(mod, name, predicate(getattr(mod, name)))
         if hasattr(mod, "as_matrix"):
             monkeypatch.setattr(mod, "as_matrix", counted("as_matrix", mod.as_matrix))
+    eigen = importlib.import_module("cfckit.eigen")
+    monkeypatch.setattr(eigen, "adjoint", counted("compressions", eigen.adjoint))
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     return counts

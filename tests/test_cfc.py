@@ -32,6 +32,7 @@ from cfckit.matrix_core import (
     elemental_subalgebra,
     fro_norm,
     is_nonneg,
+    is_star_normal,
     operator_norm,
     predicate_for_ring,
 )
@@ -367,26 +368,32 @@ def test_junk_totality_fuzz():
     (ScalarRing.COMPLEX, [0.5 + 1j] * 2 + [1 + 1j, 1 - 1j, 2.0, 3.0, 4.0, 5.0], 2),
 ])
 def test_cfc_checks_the_predicate_once_and_solves_once(work_counts, ring, lam, eighs):
+    """One eigensolve, plus one compression and one eigensolve per cluster
+    of h that a splits: a cluster that one eigenspace of a fills is cleared
+    by the run residual and pays no compression."""
     a = random_with_spectrum(rng_from_seed(8), np.asarray(lam, dtype=complex))
     if ring is not ScalarRing.COMPLEX:
         a = (a + adjoint(a)) / 2
     out = cfc_builtin("exp", a, ring)
     assert not out.junk
-    assert work_counts == {"predicate": 1, "as_matrix": 1, "eigh": eighs, "eigvalsh": 0}
+    assert work_counts == {"predicate": 1, "as_matrix": 1, "eigh": eighs, "eigvalsh": 0,
+                           "compressions": eighs - 1}
 
 
 @pytest.mark.parametrize("ring", list(ScalarRing))
 def test_cfc_junk_input_pays_its_predicate_and_no_eigensolve(work_counts, ring):
     out = cfc_builtin("exp", NILPOTENT, ring)
     assert out.junk and out.reason == "predicate_failed"
-    assert work_counts == {"predicate": 1, "as_matrix": 1, "eigh": 0, "eigvalsh": 0}
+    assert work_counts == {"predicate": 1, "as_matrix": 1, "eigh": 0, "eigvalsh": 0,
+                           "compressions": 0}
 
 
 def test_spectrum_checks_the_predicate_once_and_solves_once(work_counts):
     a = random_with_spectrum(rng_from_seed(9), np.arange(8) * 0.5 + 0j)
     for ring in ScalarRing:
         spectrum(a, ring)
-    assert work_counts == {"predicate": 3, "as_matrix": 3, "eigh": 3, "eigvalsh": 0}
+    assert work_counts == {"predicate": 3, "as_matrix": 3, "eigh": 3, "eigvalsh": 0,
+                           "compressions": 0}
 
 
 def test_cfc_n_junk_inputs_pay_no_eigensolve(work_counts):
@@ -715,6 +722,90 @@ def test_abs_where_the_frobenius_norm_overflows():
     assert not out.junk
     assert np.allclose(np.diag(out.value), 1e308, rtol=1e-15, atol=0)
     assert fro_norm(out.value - np.diag(np.diag(out.value))) <= 1e-15 * 1e308
+
+
+def _layouts(m):
+    """m as a transposed view, in Fortran order and as a view with negative
+    strides: three arrays equal to m, none of them C-contiguous."""
+    return (np.ascontiguousarray(m.T).T, np.asfortranarray(m),
+            np.ascontiguousarray(m[::-1, ::-1])[::-1, ::-1])
+
+
+def _outcomes(a, ring):
+    """Every public result on a, in bytes and values that compare bitwise."""
+    p = plan(a, ring)
+    out = [operator_norm(a), is_star_normal(a), predicate_for_ring(a, ring), p.reason]
+    for name in ("abs", "id"):
+        o = cfc_builtin(name, a, ring)
+        out += [o.value.tobytes(), o.junk, o.reason]
+    if p.error is None:
+        s = spectrum(a, ring)
+        out += [p.lam.tobytes(), p.u.tobytes(), p.values, s.points, s.multiplicities]
+    return out
+
+
+@pytest.mark.parametrize("s", [1e-160, 1e155, 1e300])
+@pytest.mark.parametrize("ring", [ScalarRing.COMPLEX, ScalarRing.REAL])
+def test_strided_inputs_match_their_contiguous_copy(ring, s):
+    """An out-of-range input gives the same outcomes, bit for bit, in any
+    memory layout, and no exception escapes: the scale rule reads the
+    largest entry part of any strided array."""
+    gen = rng_from_seed(63)
+    lam = gen.uniform(-1, 1, 5) + 1j * gen.uniform(-1, 1, 5)
+    a = random_with_spectrum(gen, lam if ring is ScalarRing.COMPLEX else lam.real)
+    if ring is ScalarRing.REAL:
+        a = ((a + adjoint(a)) / 2).real
+    for m in (s * a, np.diag([1.5e308 + 1.5e308j, 1.0, 2.0])):
+        ref = _outcomes(m, ring)
+        for x in _layouts(m):
+            assert not x.flags.c_contiguous
+            assert _outcomes(x, ring) == ref
+
+
+def _equal_outside_subnormals(small, big, k):
+    """small * 2^k == big on every part of small outside the subnormal
+    range, where scaling loses bits."""
+    small, big = np.asarray(small, np.complex128), np.asarray(big, np.complex128)
+    for s, b in ((small.real, big.real), (small.imag, big.imag)):
+        kept = np.abs(s) >= sys.float_info.min
+        if not np.array_equal(np.ldexp(s[kept], k), b[kept]):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_out_of_range_powers_of_two_commute_exactly(seed):
+    """For out-of-range scales 2^j < 2^k, cfc(f, 2^k a) = 2^(k-j) cfc(f, 2^j a)
+    bit for bit for f = abs and id, and so do the spectrum's points and the
+    operator norm: the scale rule divides by a power of two, which is
+    exact, so both scales decompose the same b."""
+    gen = rng_from_seed(900 + seed)
+    a = random_with_spectrum(gen, gen.uniform(-1, 1, 4) + 1j * gen.uniform(-1, 1, 4))
+    j, k = sorted(gen.choice([-1000, -700, -400, 400, 700, 1000], size=2, replace=False).tolist())
+    small, big = math.ldexp(1.0, j) * a, math.ldexp(1.0, k) * a
+    for name in ("abs", "id"):
+        lo, hi = cfc_builtin(name, small), cfc_builtin(name, big)
+        assert not lo.junk and not hi.junk
+        assert _equal_outside_subnormals(lo.value, hi.value, k - j)
+    assert _equal_outside_subnormals(spectrum(small).points, spectrum(big).points, k - j)
+    assert math.ldexp(operator_norm(small), k - j) == operator_norm(big)
+
+
+def test_eigenvalues_near_the_float_max_scale_back_exactly():
+    """2 ||b||_F c overflows for diag(1.2e308, -1.2e308), but every eigenvalue
+    fits: the guarded scale-back keeps them, exactly, and warns of nothing."""
+    a = np.diag([1.2e308, -1.2e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for ring in (ScalarRing.COMPLEX, ScalarRing.REAL):
+            p = plan(a, ring)
+            assert p.error is None
+            assert np.array_equal(p.lam, [-1.2e308, 1.2e308])
+            out = cfc_builtin("id", a, ring)
+            assert not out.junk and np.array_equal(out.value, a)
+            out = cfc_builtin("abs", a, ring)
+            assert not out.junk and np.array_equal(out.value, np.abs(a))
+            assert spectrum(a, ring).points == (-1.2e308, 1.2e308)
 
 
 def _homogeneous_input(ring, seed):

@@ -18,6 +18,7 @@ from cfckit.sampling import (
     rng_from_seed,
 )
 from cfckit.scalars import ScalarRing
+from cfckit.unitization import UnitizationElement, uni_represent
 
 
 def _reconstruct(p):
@@ -79,13 +80,45 @@ def test_normal_round_trip_random(rng):
         assert fro_norm(adjoint(p.u) @ p.u - np.eye(n)) <= 1e-12 * n
 
 
-def test_normal_handles_repeated_real_parts():
-    # distinct eigenvalues sharing a real part force the two-stage split
+def test_normal_handles_repeated_real_parts(work_counts):
+    # distinct eigenvalues sharing a real part force the two-stage split: the
+    # run residual cannot clear their run, so it is compressed and rotated
     lam = np.array([1 + 1j, 1 - 1j, 2.0 + 0j])
     gen = rng_from_seed(5)
     u = random_unitary(gen, 3)
     a = (u * lam) @ adjoint(u)
-    assert plan(a).residual() <= 1e-10
+    p = plan(a)
+    assert work_counts["compressions"] == 1 and work_counts["eigh"] == 2
+    assert p.residual() <= 1e-10
+
+
+def test_exact_multiplicities_keep_the_hermitian_eigenvectors(work_counts):
+    """Each repeated cluster of h is one eigenspace of a: the run residual
+    clears it without a compression, and u is h's eigenvector matrix, bit
+    for bit, with its columns sorted by (re, im) of the eigenvalues."""
+    lam = np.array([0.5 + 1j] * 3 + [1 - 1j] * 2 + [-0.25 + 0.5j, 2.0])
+    a = random_with_spectrum(rng_from_seed(61), lam)
+    p = plan(a)
+    assert work_counts["compressions"] == 0 and work_counts["eigh"] == 1
+    _, v = np.linalg.eigh((a + adjoint(a)) / 2)
+    n = len(lam)
+    perm = [[i for i in range(n) if np.array_equal(p.u[:, j], v[:, i])] for j in range(n)]
+    assert sorted(sum(perm, [])) == list(range(n))
+    assert np.allclose(p.lam, np.sort_complex(lam), atol=1e-12)
+
+
+def test_the_zero_run_of_the_unitization_takes_no_compression(work_counts):
+    """diag(0, a) with a's eigenvalues distinct: the run of n zeros of h is
+    cleared by its own columns' residual, which the distinct half of the
+    spectrum does not enter."""
+    n = 32
+    gen = rng_from_seed(62)
+    lam = 0.5 + 0.25 * np.arange(n) + 1j * gen.uniform(-1, 1, n)
+    b = uni_represent(UnitizationElement(0.0, random_with_spectrum(gen, lam)))
+    p = plan(b)
+    assert work_counts["compressions"] == 0 and work_counts["eigh"] == 1
+    assert p.multiplicities[0] == n and p.points()[0] == 0
+    assert p.residual() <= 1e-12
 
 
 @pytest.mark.parametrize("n", [6, 16, 64])
