@@ -252,9 +252,13 @@ def cfc_n(
     except _EvalFailed:
         reason = "eval_failed"
     if reason is not None:
-        if not predicate_for_ring(a, ring, tol).holds:  # coerces a, or raises
-            reason = "predicate_failed"
-        return _junk(np.shape(a)[0], reason)
+        # the plan's ring check: over R and R>=0 it is predicate_for_ring's
+        # (with no eigensolve over R), over C it needs the decomposition
+        if ring is ScalarRing.COMPLEX:
+            failed = plan(a, ring, tol).reason == "predicate_failed"
+        else:
+            failed = not predicate_for_ring(a, ring, tol).holds  # coerces a, or raises
+        return _junk(np.shape(a)[0], "predicate_failed" if failed else reason)
     out = plan(a, ring, tol).apply(f, zero_to_zero=True)
     if B is not None and not out.junk:
         inside, residual = B.contains(out.value, max(tol, 1e-8))

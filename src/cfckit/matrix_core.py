@@ -82,18 +82,22 @@ def adjoint(a) -> np.ndarray:
 
 
 def fro_norm(a) -> float:
-    """Frobenius norm, recomputed on a / max|a_ij| when the plain sum of
-    squares overflows or underflows."""
+    """Frobenius norm, recomputed on the entries' real and imaginary parts
+    divided by a power of two c, as _rescaled takes it, when the plain sum
+    of squares overflows or underflows: |a_ij| itself overflows for entries
+    such as 1.5e308 + 1.5e308j, and a complex division by a subnormal c
+    overflows, so the parts are divided as reals."""
     a = np.asarray(a)
     nrm = math.sqrt(np.vdot(a, a).real)
     if 1e-150 <= nrm < math.inf or not np.count_nonzero(a):
         return nrm
-    mag = np.abs(a)
-    peak = float(np.max(mag))
+    parts = np.abs(np.stack((a.real, a.imag)))
+    peak = float(np.max(parts))
     if not math.isfinite(peak):
         return nrm
-    b = mag / peak  # real: a complex division by a subnormal peak overflows
-    return peak * math.sqrt(np.vdot(b, b))
+    c = math.ldexp(1.0, math.frexp(peak)[1] - 1)
+    b = (parts / c).ravel()
+    return c * math.sqrt(np.dot(b, b))
 
 
 def operator_norm(a) -> float:
@@ -171,7 +175,9 @@ def predicate_for_ring(a, ring: ScalarRing, tol: float = DEFAULT_TOL) -> Predica
 
 
 def is_star_normal(a, tol: float = DEFAULT_TOL) -> PredicateReport:
-    """Does a commute with its adjoint?  Residual ||a*a - aa*||_F / ||a||_F^2."""
+    """Does a commute with its adjoint?  Residual ||a*a - aa*||_F / ||a||_F^2.
+    A plan over C asks more: its backward error must be within tol too
+    (eigen._decompose)."""
     return predicate_for_ring(a, ScalarRing.COMPLEX, tol)
 
 

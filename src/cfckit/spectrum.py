@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cfc import plan
+from .eigen import tie_sorted
 from .matrix_core import (
     NotInSubalgebra,
     PredicateFailure,  # re-exported: the spectra raise it
@@ -101,7 +102,7 @@ def quasispectrum_intrinsic(
         elif not is_quasiregular(B, -(1.0 / r) * a, tol)[0]:
             found.append((r, m))
     found.append((embed(0.0, ring), zero_mult or 1))
-    points, mults = zip(*sorted(found, key=lambda rm: (rm[0].real, rm[0].imag)))
+    points, mults = zip(*tie_sorted(found, p.cluster_tol))
     return SpectrumResult(ring, points, mults, "intrinsic_quasi")
 
 

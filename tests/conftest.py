@@ -63,10 +63,13 @@ MODULES = ("cfckit.matrix_core", "cfckit.eigen", "cfckit.cfc", "cfckit.spectrum"
 
 @pytest.fixture
 def work_counts(monkeypatch):
-    """Counts outermost predicate evaluations and every as_matrix coercion
+    """Counts outermost predicate evaluations (the selfadjoint residual, or
+    over C the commutator product; a plan over C calls _predicate_report only
+    when its backward error does not decide) and every as_matrix coercion
     (each as bound in every module), numpy eigensolver calls, and the
-    per-run compressions u_R* a u_R of the decomposition over C (the calls
-    of eigen.adjoint, which makes one per compression and nothing else)."""
+    compressions u_F* a u_F of the decomposition over C, of a run or of the
+    refined columns (the calls of eigen.adjoint, which makes one per
+    compression and nothing else)."""
     counts = {"predicate": 0, "as_matrix": 0, "eigh": 0, "eigvalsh": 0, "compressions": 0}
     depth = [0]
 

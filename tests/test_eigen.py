@@ -250,11 +250,17 @@ def _mean(c):
     return c[0] if len(c) == 1 else c[0] + sum(z - c[0] for z in c[1:]) / len(c)
 
 
-def _points(clusters):
-    """Cluster means and sizes, sorted by (re, im) of the mean."""
-    means = sorted(((_mean(c), len(c)) for c in clusters),
-                   key=lambda p: (p[0].real, p[0].imag))
-    return [z for z, _ in means], [k for _, k in means]
+def _points(clusters, cluster_tol):
+    """Cluster means and sizes in real-part order, where the means whose
+    real parts lie within cluster_tol of the least one left tie and go by
+    (im, re)."""
+    left = sorted(((_mean(c), len(c)) for c in clusters), key=lambda p: p[0].real)
+    out = []
+    while left:
+        tied = [p for p in left if p[0].real - left[0][0].real <= cluster_tol]
+        out += sorted(tied, key=lambda p: (p[0].imag, p[0].real))
+        left = left[len(tied):]
+    return [z for z, _ in out], [k for _, k in out]
 
 
 def _diameter(c):
@@ -264,7 +270,7 @@ def _diameter(c):
 def _assert_same_clustering(lam, cluster_tol):
     points, mults = cluster_with_labels(lam, cluster_tol)
     clusters = _greedy_clusters(lam, cluster_tol)
-    assert (points.tolist(), list(mults)) == _points(clusters)
+    assert (points.tolist(), list(mults)) == _points(clusters, cluster_tol)
     assert all(_diameter(c) <= cluster_tol for c in clusters)
     if not np.count_nonzero(np.imag(lam)):
         # on the line the clusters are runs of the sorted eigenvalues
@@ -277,7 +283,7 @@ def _assert_same_clustering(lam, cluster_tol):
     linked = _single_linkage_clusters(lam, cluster_tol)
     if all(_diameter(c) <= cluster_tol for c in linked):
         # single linkage then finds the same clusters, summed in another order
-        linked_points, linked_mults = _points(linked)
+        linked_points, linked_mults = _points(linked, cluster_tol)
         assert list(mults) == linked_mults
         size = max(np.abs(lam))
         assert all(abs(p - q) <= 4 * np.finfo(float).eps * size

@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,22 @@ def test_normal_predicate_where_the_frobenius_norm_overflows():
     rep = is_star_normal(np.triu(np.full((3, 3), 1e308)))
     assert not rep.holds and rep.residual == pytest.approx(0.5773502691896257, rel=1e-12)
     assert is_star_normal(np.diag([1e308, -1e308, 1e308j, 1e308])).holds
+
+
+@pytest.mark.parametrize("layout", [
+    lambda m: m, lambda m: m.T, lambda m: np.ascontiguousarray(m[::-1, ::-1])[::-1, ::-1],
+], ids=["contiguous", "transposed", "negative-stride"])
+def test_fro_norm_past_the_float_max_is_inf_without_warnings(layout):
+    """|1.5e308 + 1.5e308j| overflows, so the fallback scales by the largest
+    entry part, as _rescaled does: the norm lies above the float max and is
+    inf, in any memory layout and with no overflow warning on the way."""
+    m = layout(np.diag([1.5e308 + 1.5e308j, 1.0, 2.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fro_norm(m) == math.inf
+        assert fro_norm(m / 4) == pytest.approx(math.sqrt(2) * (1.5e308 / 4), rel=1e-15)
+        assert fro_norm(np.diag([5e-324, 5e-324j, 0.0])) == pytest.approx(
+            math.sqrt(2) * 5e-324, rel=0.5)
 
 
 def test_selfadjoint_predicate():

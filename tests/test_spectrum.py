@@ -235,6 +235,22 @@ def test_spectra_are_scale_homogeneous(ring, lam):
             assert err <= 8 * np.finfo(float).eps * s * fro_norm(a)
 
 
+@pytest.mark.parametrize("s", [1e-300, 1e-150, 1.0, 1e120, 1e150, 1e200, 1e300])
+def test_points_with_tied_real_parts_are_ordered_by_imaginary_part(s):
+    """0 (twice) and 0.5i share a real part, which rounding makes 3e-17 or
+    7e-17 depending on the scale: points whose real parts lie within the
+    cluster scale are ordered by their imaginary parts, so every scale reads
+    -2, 0, 0.5i, 1 + i (0 with the 7 zeros of diag(0, a) in the
+    unitization)."""
+    lam = [0, 0, 1 + 1j, 1 + 1j, 1 + 1j, -2, 0.5j]
+    a = s * random_with_spectrum(rng_from_seed(53), np.array(lam, dtype=complex))
+    B = elemental_subalgebra(a, unital=False)
+    for out, zeros in ((spectrum(a), 2), (quasispectrum_via_unitization(a), 9),
+                       (quasispectrum_intrinsic(B, a), 2)):
+        assert out.multiplicities == (1, zeros, 1, 3)
+        assert np.allclose(np.array(out.points) / s, [-2, 0, 0.5j, 1 + 1j], rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("a, ring", [
     (np.diag([1e308, 1e308, 1.0]), ScalarRing.REAL),
     (np.diag([1e308, -1e308, 1e308, 1e308j]), ScalarRing.COMPLEX),
