@@ -175,14 +175,37 @@ class SpectralPlan:
             fvals = [0.0 if abs(x) <= cut else _eval_at(f, x, self.tol) for x in self.values]
         except _EvalFailed:
             return _junk(n, "eval_failed")
-        u = self.u
-        real = u.dtype.kind == "f"
-        fvals = np.array(fvals, dtype=None if real else np.complex128)
-        if real and (fvals.dtype == np.float64 or not np.count_nonzero(fvals.imag)):
-            value = ((u * fvals.real) @ u.T).astype(np.complex128)
+        fvals = np.array(fvals, dtype=None if self.u.dtype.kind == "f" else np.complex128)
+        return CfcOutcome(value=_reconstruct(self.u, fvals), junk=False)
+
+    def apply_all(self, fs) -> list:
+        """[apply(f) for f in fs], bit for bit: a failing f is its own eval_failed
+        junk, and the value rows are stacked for one reconstruction (rebuilt one
+        by one, as apply does, where u is real and some row is not)."""
+        n = self.a.shape[0]
+        if self.error is not None:
+            return [_junk(n, self.reason) for _ in fs]
+        rows = []
+        for f in fs:
+            try:
+                rows.append([_eval_at(f, x, self.tol) for x in self.values])
+            except _EvalFailed:
+                rows.append(None)
+        real = self.u.dtype.kind == "f"
+        fvals = np.array([r for r in rows if r is not None], dtype=None if real else np.complex128)
+        if real and fvals.dtype != np.float64 and np.count_nonzero(fvals.imag):
+            values = iter([_reconstruct(self.u, row) for row in fvals])
         else:
-            value = (u * fvals) @ adjoint(u)
-        return CfcOutcome(value=value, junk=False)
+            values = iter(_reconstruct(self.u, fvals) if len(fvals) else ())
+        return [_junk(n, "eval_failed") if r is None else CfcOutcome(next(values), False)
+                for r in rows]
+
+
+def _reconstruct(u, fvals):
+    """u diag(F) u* for each row F of fvals, (n,) or (k, n), in one product."""
+    if u.dtype.kind == "f" and (fvals.dtype == np.float64 or not np.count_nonzero(fvals.imag)):
+        return ((u * fvals.real[..., None, :]) @ u.T).astype(np.complex128)
+    return (u * fvals[..., None, :]) @ adjoint(u)
 
 
 def plan(a, ring: ScalarRing = ScalarRing.COMPLEX, tol: float = DEFAULT_TOL) -> SpectralPlan:

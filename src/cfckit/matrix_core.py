@@ -258,6 +258,11 @@ def elemental_subalgebra(a, unital: bool = True, tol: float = DEFAULT_TOL) -> St
     report = is_star_normal(a, tol)
     if not report.holds:
         raise NotNormal(report)
+    return _elemental_chain(a, unital)
+
+
+def _elemental_chain(a, unital: bool) -> StarSubalgebra:
+    """elemental_subalgebra's chain, for a coerced a whose normality its caller has decided."""
     scale = fro_norm(a)
     n = a.shape[0]
     q = np.empty((min(n, 4), n * n), dtype=np.complex128)

@@ -47,6 +47,13 @@ def decompositions(monkeypatch):
 
 
 @pytest.fixture
+def reconstructions(monkeypatch):
+    """Counts the calls of cfc._reconstruct, the one product u diag(F) u*
+    of apply and apply_all."""
+    return _count_calls(monkeypatch, "_reconstruct")
+
+
+@pytest.fixture
 def clusterings(monkeypatch):
     """Counts the calls of cluster_with_labels, which a plan makes only for
     its points and multiplicities."""

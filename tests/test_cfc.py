@@ -42,6 +42,7 @@ from cfckit.sampling import (
     random_unitary,
     random_with_spectrum,
     rng_from_seed,
+    spaced_eigenvalues,
 )
 from cfckit.scalars import DEFAULT_TOL, ScalarRing, restrict_scalar
 from cfckit.spectrum import quasispectrum_intrinsic, spectrum
@@ -708,6 +709,51 @@ def test_one_plan_applies_like_separate_cfc_calls(seed, n, kind, ring, broken_ei
         # each eigenvalue keeps its own value, even inside a cluster
         out = p.apply(identity_function(ring))
         assert fro_norm(out.value - p.a) <= 1e-12 * fro_norm(p.a)
+
+
+def _apply_all_input(kind, ring, gen, n):
+    """A real orthogonal conjugate (a real u over R and R>=0), a Hermitian
+    or normal unitary conjugate (a complex u), or a junk plan."""
+    if kind == "real_u":
+        lam = spaced_eigenvalues(gen, n, ScalarRing.NNREAL if ring is ScalarRing.NNREAL
+                                 else ScalarRing.REAL).real
+        q = np.linalg.qr(gen.standard_normal((n, n)))[0]
+        return (q * lam) @ q.T
+    if kind == "complex_u":
+        return random_normal_matrix(gen, n, ring)
+    return np.diag(gen.standard_normal(n)) + np.eye(n, k=1)  # non-normal for n > 1
+
+
+_APPLY_ALL_FUNCTIONS = (
+    ScalarFunction(lambda x: cmath.exp(x).real, ScalarRing.REAL, "re exp"),
+    ScalarFunction(lambda x: x + 1j, ScalarRing.COMPLEX, "x+i"),  # complex rows on a real u
+    ScalarFunction(lambda x: complex(x), ScalarRing.COMPLEX, "complex id"),  # imaginary part 0
+    ScalarFunction(lambda x: 1.0 / (x.real - 0.5) if x.real < 0.4 else math.log(-1.0),
+                   ScalarRing.REAL, "fails above 0.4"),
+    ScalarFunction(lambda x: -x, ScalarRing.NNREAL, "-x"),  # fails off the ring
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64), ring=st.sampled_from(list(ScalarRing)),
+       kind=st.sampled_from(("real_u", "complex_u", "junk")),
+       picks=st.lists(st.integers(0, len(_APPLY_ALL_FUNCTIONS) + 2), max_size=9))
+@example(seed=1, n=5, ring=ScalarRing.REAL, kind="real_u", picks=[1, 0, 2, 3, 5, 6])
+def test_apply_all_matches_apply_bit_for_bit(seed, n, ring, kind, picks):
+    """apply_all(fs) is [apply(f) for f in fs] in value bytes, dtype, junk
+    and reason, for real and complex u, failing functions, junk plans and
+    an empty fs."""
+    gen = rng_from_seed(seed)
+    p = plan(_apply_all_input(kind, ring, gen, n), ring)
+    pool = _APPLY_ALL_FUNCTIONS + (builtin_function("log", ring), random_poly_function(gen, ring),
+                                   builtin_function("inv", ring))
+    fs = [pool[i] for i in picks]
+    got, want = p.apply_all(fs), [p.apply(f) for f in fs]
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert (x.junk, x.reason, x.value.dtype, x.value.tobytes()) == \
+            (y.junk, y.reason, y.value.dtype, y.value.tobytes())
+    assert (p.error is None) == (kind != "junk") or n == 1
 
 
 def test_near_degenerate_chain_at_n_64_reconstructs_a():

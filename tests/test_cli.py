@@ -205,6 +205,18 @@ def test_check_laws_failure_exits_two(tmp_path):
     assert proc.returncode == 2
 
 
+def test_check_laws_accepts_what_its_plan_accepts(tmp_path):
+    """a = h + k, k = -k^T of 4.5e-10: the selfadjoint residual 9.0e-10
+    passes at tol 1e-9 and the commutator residual 1.27e-9 does not, so a
+    range law that asked for normality again made the verb exit 1."""
+    m = tmp_path / "barely.json"
+    m.write_text(json.dumps(
+        {"n": 2, "entries": [[1.0, 0.0], [4.5e-10, 0.0], [-4.5e-10, 0.0], [-1.0, 0.0]]}))
+    proc = run_cli("check-laws", "--matrix", str(m), "--ring", "real", "--trials", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["failures"] == 0
+
+
 def test_malformed_matrix_exits_one(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n": 2, "entries": [[1.0, 0.0]]}))

@@ -1,10 +1,11 @@
+import collections
 import math
 import time
 
 import numpy as np
 import pytest
 
-from cfckit.cfc import ScalarFunction, builtin_function, cfc, identity_function
+from cfckit.cfc import ScalarFunction, builtin_function, cfc, identity_function, plan
 from cfckit.matrix_core import (
     NotNormal,
     adjoint,
@@ -151,6 +152,49 @@ def _law(report, name):
 SQUARE = ScalarFunction(lambda x: x * x, ScalarRing.REAL, "sq")
 
 
+# a = h + k with k = -k^T of 4.5e-10: the selfadjoint residual 2 * 4.5e-10
+# = 9.0e-10 passes at tol 1e-9, the commutator residual 2 sqrt(2) * 4.5e-10
+# = 1.27e-9 does not
+BARELY_SYMMETRIC = np.array([[1.0, 4.5e-10], [-4.5e-10, -1.0]])
+# over R>=0 the commutator residual is at most (1 + |least eigenvalue of h|
+# / ||a||_F) times the selfadjoint one, so the window is narrow: h = diag(-9e-10,
+# 1) passes the nonneg rule, the selfadjoint residual is 1e-9 (1 - 4e-10) and
+# the commutator residual 1e-9 (1 + 5e-10); a shift of h into [0, inf) would
+# shrink both below tol
+BARELY_NONNEG = np.array([[-9e-10, 3.5355339045e-10], [-3.5355339045e-10, 1.0]])
+
+
+@pytest.mark.parametrize("ring, a", [(ScalarRing.REAL, BARELY_SYMMETRIC),
+                                     (ScalarRing.NNREAL, BARELY_NONNEG)])
+def test_check_laws_runs_every_law_on_an_input_its_plan_accepts(ring, a):
+    """The plan over R and R>=0 asks a to be selfadjoint, not normal to
+    within tol: the range law must not check normality again and raise.
+    (Over R>=0 the id law reads 1.03e-9 against 1e-9 here, since the plan
+    also clamps h's eigenvalue -9e-10 to 0.)"""
+    assert plan(a, ring).error is None and not is_star_normal(a).holds
+    sq = ScalarFunction(lambda x: x * x, ring, "sq")
+    report = check_laws(a, builtin_function("exp", ring), sq, ring)
+    assert report.all_passed or ring is ScalarRing.NNREAL, report.table()
+    assert _law(report, "range").passed and not _law(report, "range").skipped
+
+
+def test_check_laws_calls_a_failing_f_once_per_argument():
+    """A trial evaluates f once per distinct argument, also where f raises:
+    every function built on f meets the failure it already met."""
+    calls = collections.Counter()
+
+    def f(x):
+        calls[x] += 1
+        if x > 1.5:
+            raise ValueError("outside the domain of f")
+        return x * x
+
+    report = check_laws(np.diag([1.0, 2.0, 3.0]), ScalarFunction(f, ScalarRing.REAL), SQUARE,
+                        ScalarRing.REAL)
+    assert [e.name for e in report.entries if not e.skipped] == ["junk_totality"]
+    assert calls and max(calls.values()) == 1
+
+
 def test_oracle_law_holds_on_a_chained_spectrum():
     """20 eigenvalues 0.9 cluster_tol apart: the oracle's nodes are means of
     clusters no wider than cluster_tol, so interpolating f there matches
@@ -218,9 +262,13 @@ def test_check_laws_report_shapes():
 @pytest.mark.parametrize("ring, most", [
     (ScalarRing.COMPLEX, 3), (ScalarRing.REAL, 3), (ScalarRing.NNREAL, 2),
 ])
-def test_check_laws_trial_decomposes_at_most_three_times(decompositions, ring, most):
+def test_check_laws_trial_decomposes_at_most_three_times(decompositions, reconstructions,
+                                                         work_counts, ring, most):
     """One plan of a, one of f(a), and the negation law's cfc on -a (no
-    negation law over R>=0)."""
+    negation law over R>=0), each rebuilt once: the nine functions the laws
+    apply to the plan of a share one stacked reconstruction.  Over R and
+    R>=0 each plan checks the predicate once; over C the plans' backward
+    errors decide, and the range law trusts the plan of a."""
     gen = rng_from_seed(33)
     a = random_with_spectrum(gen, np.arange(6) * 0.25 + (0.5j if ring is ScalarRing.COMPLEX else 0))
     if ring is not ScalarRing.COMPLEX:
@@ -229,6 +277,8 @@ def test_check_laws_trial_decomposes_at_most_three_times(decompositions, ring, m
     assert report.all_passed
     assert not any(e.skipped for e in report.entries if e.name != "negation")
     assert decompositions[0] <= most
+    assert reconstructions[0] == most
+    assert work_counts["predicate"] == (0 if ring is ScalarRing.COMPLEX else most)
 
 
 def _family(name, n, gen):
@@ -252,9 +302,9 @@ def test_oracle_law_holds_on_large_spectra(family, n):
     if ring is ScalarRing.REAL:
         a = (a + adjoint(a)) / 2
     for f in (builtin_function("exp", ring), random_poly_function(gen, ring)):
-        start = time.perf_counter()
+        start = time.process_time()  # CPU time: other load does not count
         report = check_laws(a, f, random_poly_function(gen, ring), ring)
-        elapsed = time.perf_counter() - start
+        elapsed = time.process_time() - start
         by_name = {e.name: e for e in report.entries}
         assert report.all_passed, report.table()
         assert not by_name["oracle"].skipped
