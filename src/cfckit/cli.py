@@ -9,6 +9,7 @@ and eigensolver failures exit 1; failed law checks exit 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -81,6 +82,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("unitize-info", help="norms and spectrum of (0, a) in A+1")
     _add_common(p)
     return ap
+
+
+# main() parses with one parser per process: parse_args leaves the parser as
+# it was and reads no default from the environment (CFCKIT_TOL is read after
+# parsing), so in-process callers pay for building it once.
+_parser = functools.cache(build_parser)
 
 
 def _ring(args) -> ScalarRing:
@@ -181,7 +188,7 @@ def _run_unitize_info(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {
         "apply": lambda: _run_apply(args, non_unital=False),
         "apply-n": lambda: _run_apply(args, non_unital=True),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -26,10 +27,9 @@ class FormatError(ValueError):
 
 def matrix_to_json(a) -> dict:
     a = as_matrix(a)
-    n = a.shape[0]
     return {
-        "n": n,
-        "entries": [[float(z.real), float(z.imag)] for z in a.ravel()],
+        "n": a.shape[0],
+        "entries": a.astype(np.complex128).ravel().view(np.float64).reshape(-1, 2).tolist(),
     }
 
 
@@ -41,12 +41,14 @@ def matrix_from_json(obj) -> np.ndarray:
     if "entries" not in obj:
         raise FormatError("matrix object missing field 'entries'")
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # bool is not a JSON integer
         raise FormatError("field 'n' must be a positive integer")
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != n * n:
         raise FormatError(f"field 'entries' must hold exactly n^2 = {n * n} pairs")
-    flat = np.array(_complex_pairs(entries, "entries"), dtype=np.complex128)
+    flat = _finite_pairs_array(entries)
+    if flat is None:
+        flat = np.array(_complex_pairs(entries, "entries"), dtype=np.complex128)
     try:
         return as_matrix(flat.reshape(n, n))
     except ValueError as exc:
@@ -56,6 +58,29 @@ def matrix_from_json(obj) -> np.ndarray:
 # json loads a number as an int or a float; true/false load as bool, a
 # subclass of int that the exact type test leaves out.
 _NUMBER_TYPES = frozenset((int, float))
+
+
+def _number_pairs(pairs: list) -> bool:
+    """Whether every item of pairs is a list of two JSON numbers; three
+    passes in C, where the loop of _complex_pairs takes one in Python."""
+    return (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
+            and set(map(type, chain.from_iterable(pairs))) <= _NUMBER_TYPES)
+
+
+def _finite_pairs_array(pairs: list):
+    """[re, im] pairs as a complex128 array in one numpy pass, or None when
+    some pair is not two JSON numbers finite as floats; _complex_pairs then
+    decides, and names the first bad field (an int beyond the float range
+    raises OverflowError here and there)."""
+    if not _number_pairs(pairs):
+        return None
+    try:
+        flat = np.fromiter(chain.from_iterable(pairs), np.float64, 2 * len(pairs))
+    except OverflowError:
+        return None
+    if not np.isfinite(flat).all():
+        return None
+    return flat.view(np.complex128)
 
 
 def _complex_pairs(pairs, field: str) -> list:
@@ -104,7 +129,9 @@ def load_basis(path: str, tol: float) -> StarSubalgebra:
     obj = _read_json(path)
     unital = False
     if isinstance(obj, dict):
-        unital = bool(obj.get("unital", False))
+        unital = obj.get("unital", False)
+        if type(unital) is not bool:
+            raise FormatError(f"{path}: field 'unital' must be true or false")
         mats = obj.get("matrices")
         if mats is None:
             raise FormatError(f"{path}: basis object missing field 'matrices'")
@@ -178,8 +205,65 @@ def function_from_spec(spec: str, ring: ScalarRing) -> ScalarFunction:
     raise FormatError("function spec needs one of the fields 'builtin', 'poly', 'poly2'")
 
 
+# Lists of [re, im] pairs stand in the document as this string and a
+# number while the rest of it is laid out; a document that holds the
+# string itself is laid out whole.
+_PAIRS_MARK = "@cfckit-pairs-"
+_QUOTED_MARK = json.dumps(_PAIRS_MARK)[:-1]
+
+
+def _mark_pairs(obj, found: list, depth: int = 0):
+    """obj with each nonempty list of [re, im] number pairs inside its dicts
+    and lists replaced by a marker string, the lists appended to found in
+    the order json.dumps meets them; the walk stops at a fixed depth and
+    leaves what lies below it (a circular document included) to json."""
+    if depth > 8:
+        return obj
+    if type(obj) is dict:
+        return {k: _mark_pairs(v, found, depth + 1) for k, v in obj.items()}
+    if type(obj) is list:
+        if obj and _number_pairs(obj):
+            found.append(obj)
+            return f"{_PAIRS_MARK}{len(found) - 1}"
+        return [_mark_pairs(v, found, depth + 1) for v in obj]
+    return obj
+
+
+def _pairs_text(pairs: list, indent: str) -> str:
+    """json.dumps(pairs, indent=2) for a nonempty list of number pairs whose
+    opening bracket stands on a line indented by indent: the C encoder
+    writes "[[a, b], [c, d]]" and its two separators are laid out here
+    (no number token holds a bracket, comma or space)."""
+    outer, inner = indent + "  ", indent + "    "
+    body = json.dumps(pairs)[2:-2]
+    body = body.replace("], [", f"\n{outer}],\n{outer}[\n{inner}").replace(", ", f",\n{inner}")
+    return f"[\n{outer}[\n{inner}{body}\n{outer}]\n{indent}]"
+
+
+def _indent2(obj) -> str:
+    """json.dumps(obj, indent=2), byte for byte.  CPython's C encoder serves
+    only indent=None, so the lists of number pairs (a matrix's entries, a
+    spectrum's points) go through it, and the rest of the document through
+    the Python encoder."""
+    found = []
+    text = json.dumps(_mark_pairs(obj, found), indent=2)
+    if text.count(_QUOTED_MARK) != len(found):
+        return json.dumps(obj, indent=2)
+    pieces, start = [], 0
+    for k, pairs in enumerate(found):
+        mark = f'{_QUOTED_MARK}{k}"'
+        at = text.index(mark, start)
+        line = text[text.rfind("\n", 0, at) + 1:at]
+        pieces += [text[start:at], _pairs_text(pairs, line[:len(line) - len(line.lstrip(" "))])]
+        start = at + len(mark)
+    pieces.append(text[start:])
+    return "".join(pieces)
+
+
 def dump_json(obj, out_path=None) -> str:
-    text = json.dumps(obj, indent=2)
+    """obj as indent-2 JSON, identical to json.dumps(obj, indent=2), and
+    written with a final newline to out_path when one is given."""
+    text = _indent2(obj)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")

@@ -1,12 +1,18 @@
 import json
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import cfckit.cli
+import cfckit.io
 from cfckit.io import (
     FormatError,
+    dump_json,
     function_from_spec,
     load_basis,
     matrix_from_json,
@@ -363,3 +369,202 @@ def test_zero_tolerances_are_accepted(tmp_path, capsys):
     assert cfckit.cli.main(["spectrum", "--matrix", str(path),
                             "--tol", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["multiplicities"] == [1, 1]
+
+
+def test_a_boolean_n_is_a_format_error(tmp_path, capsys):
+    """bool is a subclass of int: n = true once passed the field check and
+    escaped as a TypeError traceback from the reshape."""
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps({"n": True, "entries": [[1.0, 0.0]]}))
+    assert cfckit.cli.main(["spectrum", "--matrix", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "field 'n'" in err
+
+
+@pytest.mark.parametrize("unital", ["false", "true", 0, 1, None, [True]])
+def test_basis_unital_must_be_a_json_boolean(tmp_path, unital):
+    """"unital": "false" once read as bool("false"), a unital basis."""
+    e11 = matrix_to_json(np.diag([1.0, 0.0]))
+    with pytest.raises(FormatError, match="field 'unital'"):
+        load_basis(_basis_file(tmp_path, {"unital": unital, "matrices": [e11]}), 1e-9)
+    assert load_basis(_basis_file(tmp_path, {"unital": False, "matrices": [e11]}),
+                      1e-9).unital is False
+    assert load_basis(_basis_file(tmp_path, {"matrices": [e11]}), 1e-9).unital is False
+
+
+def _written_documents(tmp_path, monkeypatch):
+    """(document, text returned, file written) for every verb of main()."""
+    written = []
+
+    def recording(obj, out_path=None):
+        text = dump_json(obj, out_path)
+        with open(out_path) as fh:
+            written.append((obj, text, fh.read()))
+        return text
+
+    monkeypatch.setattr(cfckit.cli, "dump_json", recording)
+    rng = np.random.default_rng(3)
+    u = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))[0]
+    normal = tmp_path / "normal.json"
+    normal.write_text(json.dumps(matrix_to_json(
+        (u * (rng.standard_normal(5) + 1j * rng.standard_normal(5))) @ u.conj().T)))
+    nonnormal = tmp_path / "nn.json"
+    nonnormal.write_text(json.dumps(NONNORMAL))
+    e11 = {"n": 2, "entries": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
+    e11_file = tmp_path / "e11.json"
+    e11_file.write_text(json.dumps(e11))
+    basis = _basis_file(tmp_path, [e11])
+    out = str(tmp_path / "out.json")
+    runs = [
+        ["apply", "--matrix", str(normal), "--fn", '{"builtin":"exp"}'],
+        ["apply-n", "--matrix", str(nonnormal), "--fn", '{"poly":[[0,0],[1,0]]}'],
+        ["apply-n", "--matrix", str(e11_file), "--fn", '{"poly":[[0,0],[2,0]]}',
+         "--basis", basis],
+        ["spectrum", "--matrix", str(normal)],
+        ["spectrum", "--matrix", str(e11_file), "--ring", "nnreal"],
+        ["quasispectrum", "--matrix", str(normal)],
+        ["quasispectrum", "--matrix", str(e11_file), "--basis", basis],
+        ["check-laws", "--matrix", str(e11_file), "--trials", "2"],
+        ["check-laws", "--ring", "real", "--trials", "2", "--seed", "3"],
+        ["unitize-info", "--matrix", str(normal)],
+    ]
+    for argv in runs:
+        assert cfckit.cli.main([*argv, "--out", out]) == 0
+    monkeypatch.setattr(cfckit.cli, "MAP_BUDGET_BYTES", 0)
+    assert cfckit.cli.main(["unitize-info", "--matrix", str(normal), "--out", out]) == 0
+    return written
+
+
+EXTREME_DOCUMENTS = [
+    matrix_to_json(np.array([[-0.0, 5e-324], [1e300, -1e-300]])
+                   + 1j * np.array([[5e-324, -0.0], [-1e300, 0.1]])),
+    {"n": 1, "entries": [[2, -1]]},
+    {"junk": True, "reason": None, "matrix": {"n": 1, "entries": [[0.0, 0.0]]}},
+    [[1.0, 2.0], [2**64 + 1, -3]],
+    {"x": [[float("nan"), float("inf")], [-float("inf"), 1e16]], "y": [[[1, 2]], []]},
+    {"deep": [{"a": [{"b": {"c": {"d": {"e": {"f": {"g": [[1.5, 2.5]]}}}}}}]}]},
+    {"tuple": [(1.0, 2.0)], "bool": [[True, 1.0]], "uneven": [[1.0], [2.0, 3.0]]},
+    {"s": "@cfckit-pairs-0", "m": [[1.0, 2.0]]},
+    {"@cfckit-pairs-0": [[1.0, 2.0]], "t": "a\"@cfckit-pairs-1\""},
+    {1: [[1.0, 2.0]], "e": [], "o": {}},
+]
+
+
+def test_dump_json_is_json_dumps_indent_2(tmp_path, monkeypatch):
+    """dump_json lays out what the C encoder writes of the number-pair
+    lists; the result must be json.dumps(obj, indent=2) byte for byte."""
+    written = _written_documents(tmp_path, monkeypatch)
+    assert {type(obj.get("norm_via_map", 0)) for obj, _, _ in written} == {int, float, type(None)}
+    assert any(obj.get("junk") for obj, _, _ in written)
+    for obj, text, file_text in written:
+        assert text == json.dumps(obj, indent=2)
+        assert file_text == text + "\n"
+    for obj in EXTREME_DOCUMENTS:
+        assert dump_json(obj) == json.dumps(obj, indent=2)
+    circular = {"m": [[1.0, 2.0]]}
+    circular["self"] = circular
+    with pytest.raises(ValueError, match="Circular"):
+        dump_json(circular)
+
+
+def _outcome(obj):
+    """matrix_from_json(obj) as (dtype, shape, bytes), or its FormatError."""
+    try:
+        a = matrix_from_json(obj)
+    except FormatError as exc:
+        return str(exc)
+    return a.dtype, a.shape, a.tobytes()
+
+
+def _loop_outcome(obj):
+    """_outcome with every pair read by the loop of _complex_pairs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cfckit.io, "_finite_pairs_array", lambda pairs: None)
+        return _outcome(obj)
+
+
+_NUMBERS = st.one_of(
+    st.floats(), st.integers(-2**70, 2**70),
+    st.sampled_from([2**64 + 1, -(2**64 + 1), 2**1023, 10**400, -10**400, True, False]))
+_PAIRS = st.one_of(
+    st.lists(_NUMBERS, min_size=2, max_size=2),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2),
+    st.lists(st.one_of(_NUMBERS, st.none(), st.text(max_size=2),
+                       st.lists(st.floats(), max_size=2)), max_size=3),
+    st.tuples(st.floats(), st.floats()))
+_MATRICES = st.integers(1, 3).flatmap(lambda n: st.fixed_dictionaries(
+    {"n": st.just(n), "entries": st.lists(_PAIRS, min_size=n * n, max_size=n * n)}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_MATRICES)
+@example({"n": 2, "entries": [[1.0], [2.0, 3.0, 4.0], [1.0, 0.0], [0.0, 1.0]]})
+@example({"n": 1, "entries": [(1.0, 2.0)]})
+@example({"n": 2, "entries": [[1.0, 0.0], [2**64 + 1, 0.5], [0.0, -0.0], [5e-324, 1]]})
+@example({"n": 2, "entries": [[1.0, 0.0], [0.0, 0.0], [10**400, 0.0], [0.0, 1.0]]})
+@example({"n": 1, "entries": [[True, 1.0]]})
+@example({"n": 1, "entries": [[1.0, float("nan")]]})
+def test_fast_parser_accepts_what_the_loop_accepts(obj):
+    """The numpy pass of matrix_from_json gives the loop's array bit for bit,
+    and leaves every input the loop rejects to it, message and all; the
+    shortcuts a count of numbers alone would take are among the examples."""
+    assert _outcome(obj) == _loop_outcome(obj)
+
+
+@pytest.mark.parametrize("entries, accepted", [
+    ([[1.0], [2.0, 3.0, 4.0], [1.0, 0.0], [0.0, 1.0]], "entries[0]"),
+    ([(1.0, 2.0), [0.0, 0.0], [0.0, 0.0], [0.0, 1.0]], "entries[0]"),
+    ([[1.0, 0.0], [2**64 + 1, 0.5], [0.0, -0.0], [5e-324, 1]], True),
+    ([[1.0, 0.0], [0.0, 0.0], [10**400, 0.0], [0.0, 1.0]], "entries[2]"),
+    ([[1.0, 0.0], [True, 1.0], [0.0, 0.0], [0.0, 1.0]], "entries[1]"),
+])
+def test_fast_parser_named_cases(entries, accepted):
+    obj = {"n": 2, "entries": entries}
+    fast = cfckit.io._finite_pairs_array(entries)
+    if accepted is True:
+        assert fast is not None
+        a = matrix_from_json(obj)
+        assert a[0, 1] == complex(2**64 + 1, 0.5) and np.signbit(a[1, 0].imag)
+    else:
+        assert fast is None
+        with pytest.raises(FormatError, match=re.escape(f"'{accepted}'")):
+            matrix_from_json(obj)
+    assert _outcome(obj) == _loop_outcome(obj)
+
+
+def test_one_parser_serves_many_main_calls(tmp_path, monkeypatch, capsys):
+    """main() parses with one parser per process: each call of a sequence
+    writes what it writes after a fresh parser, with no option or
+    environment value left over from the call before."""
+    a = tmp_path / "a.json"
+    a.write_text(json.dumps(matrix_to_json(np.diag([1.0, 2.0]))))
+    skew = tmp_path / "skew.json"   # symmetric to within 6e-9 relative
+    skew.write_text(json.dumps(matrix_to_json(np.array([[1.0, 1e-8], [0.0, 2.0]]))))
+    off = _basis_file(tmp_path, [matrix_to_json(np.diag([1.0, 0.0]))])  # a is not in it
+    fn = ["--fn", '{"poly":[[0,0],[1,0]]}']
+    runs = [
+        (["apply-n", "--matrix", str(a), *fn, "--basis", off], None),
+        (["apply-n", "--matrix", str(a), *fn], None),
+        (["spectrum", "--matrix", str(skew), "--ring", "real", "--tol", "1e-6"], None),
+        (["spectrum", "--matrix", str(skew), "--ring", "real"], None),
+        (["spectrum", "--matrix", str(skew), "--ring", "real"], "1e-6"),
+        (["spectrum", "--matrix", str(skew), "--ring", "real"], None),
+    ]
+
+    def call(argv, env):
+        if env is None:
+            monkeypatch.delenv("CFCKIT_TOL", raising=False)
+        else:
+            monkeypatch.setenv("CFCKIT_TOL", env)
+        rc = cfckit.cli.main(argv)
+        return (rc, *capsys.readouterr())
+
+    cfckit.cli._parser.cache_clear()
+    warm = [call(*run) for run in runs]
+    assert cfckit.cli._parser.cache_info()[:2] == (len(runs) - 1, 1)  # hits, misses
+    fresh = []
+    for run in runs:
+        cfckit.cli._parser.cache_clear()
+        fresh.append(call(*run))
+    assert warm == fresh
+    assert [rc for rc, _, _ in warm] == [1, 0, 0, 1, 0, 1]

@@ -178,6 +178,17 @@ def test_check_laws_runs_every_law_on_an_input_its_plan_accepts(ring, a):
     assert _law(report, "range").passed and not _law(report, "range").skipped
 
 
+@pytest.mark.xfail(strict=True, reason="the id law over R>=0 reads 1.03e-9 against its "
+                   "tolerance 1e-9 on an input the plan accepts: the plan clamps h's "
+                   "eigenvalue -9e-10 to 0 and drops the skew part, each within tol")
+def test_check_laws_over_nnreal_passes_every_law_on_an_input_its_plan_accepts():
+    ring = ScalarRing.NNREAL
+    assert plan(BARELY_NONNEG, ring).error is None
+    sq = ScalarFunction(lambda x: x * x, ring, "sq")
+    report = check_laws(BARELY_NONNEG, builtin_function("exp", ring), sq, ring)
+    assert report.all_passed, report.table()
+
+
 def test_check_laws_calls_a_failing_f_once_per_argument():
     """A trial evaluates f once per distinct argument, also where f raises:
     every function built on f meets the failure it already met."""
