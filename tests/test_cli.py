@@ -498,16 +498,10 @@ _MATRICES = st.integers(1, 3).flatmap(lambda n: st.fixed_dictionaries(
 
 @settings(max_examples=300, deadline=None)
 @given(_MATRICES)
-@example({"n": 2, "entries": [[1.0], [2.0, 3.0, 4.0], [1.0, 0.0], [0.0, 1.0]]})
-@example({"n": 1, "entries": [(1.0, 2.0)]})
-@example({"n": 2, "entries": [[1.0, 0.0], [2**64 + 1, 0.5], [0.0, -0.0], [5e-324, 1]]})
-@example({"n": 2, "entries": [[1.0, 0.0], [0.0, 0.0], [10**400, 0.0], [0.0, 1.0]]})
-@example({"n": 1, "entries": [[True, 1.0]]})
 @example({"n": 1, "entries": [[1.0, float("nan")]]})
 def test_fast_parser_accepts_what_the_loop_accepts(obj):
     """The numpy pass of matrix_from_json gives the loop's array bit for bit,
-    and leaves every input the loop rejects to it, message and all; the
-    shortcuts a count of numbers alone would take are among the examples."""
+    and leaves every input the loop rejects to it, message and all."""
     assert _outcome(obj) == _loop_outcome(obj)
 
 
@@ -519,6 +513,8 @@ def test_fast_parser_accepts_what_the_loop_accepts(obj):
     ([[1.0, 0.0], [True, 1.0], [0.0, 0.0], [0.0, 1.0]], "entries[1]"),
 ])
 def test_fast_parser_named_cases(entries, accepted):
+    """Inputs a count of numbers alone would take: the numpy pass must
+    accept the valid one and leave the others to the loop."""
     obj = {"n": 2, "entries": entries}
     fast = cfckit.io._finite_pairs_array(entries)
     if accepted is True:
