@@ -13,7 +13,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -21,7 +20,6 @@ import numpy as np
 from .eigen import DEFAULT_CLUSTER_REL, NoConvergence, _decompose, cluster_with_labels
 from .matrix_core import (
     EPS_FLOOR,
-    NotInSubalgebra,
     PredicateFailure,
     PredicateReport,
     StarSubalgebra,
@@ -30,10 +28,9 @@ from .matrix_core import (
     as_matrix,
     fro_norm,
     is_nonneg,
-    predicate_for_ring,
     zeros,
 )
-from .scalars import DEFAULT_TOL, ScalarRing, restrict_scalar
+from .scalars import DEFAULT_TOL, ScalarRing, embed, restrict_scalar
 
 
 # Over C, an imaginary part at most this times ||a||_F is rounding of an
@@ -143,16 +140,16 @@ class SpectralPlan:
         return "predicate_failed"
 
     def points(self) -> tuple:
-        """The means of eigenvalue clusters of diameter <= cluster_tol,
-        restricted to the ring and sorted by (re, im), clustered on first use
-        and kept; raises the stored PredicateFailure or NoConvergence."""
+        """The means of clusters of diameter <= cluster_tol of the plan's
+        values, which are ring scalars already, sorted by (re, im),
+        clustered on first use and kept; raises the stored PredicateFailure
+        or NoConvergence."""
         if self.error is not None:
             raise self.error
         if self._clusters is None:
-            points, multiplicities = cluster_with_labels(self.lam, self.cluster_tol)
-            rtol = self.tol * max(1.0, self.scale * self.c)
-            points = tuple(map(restrict_scalar, points, repeat(self.ring), repeat(rtol)))
-            self._clusters = (points, multiplicities)
+            points, multiplicities = cluster_with_labels(self.values, self.cluster_tol)
+            points = points.tolist() if self.ring is ScalarRing.COMPLEX else points.real.tolist()
+            self._clusters = (tuple(points), multiplicities)
         return self._clusters[0]
 
     @property
@@ -259,36 +256,25 @@ def cfc_n(
     ring: ScalarRing = ScalarRing.COMPLEX, tol: float = DEFAULT_TOL,
 ) -> CfcOutcome:
     """Non-unital calculus: additionally requires f(0) = 0 (within tol),
-    since 0 always belongs to the quasispectrum.  A failed ring predicate
-    takes precedence over a failed f(0) condition.
+    since 0 always belongs to the quasispectrum.  The plan's ring check
+    comes first: a failed predicate takes precedence over a failed f(0)
+    condition, which takes precedence over a failed decomposition.
 
     When a subalgebra B is supplied, membership of a is a precondition and
     membership of the result is asserted (range containment).
     """
     if B is not None:
-        inside, residual = B.contains(a, max(tol, 1e-8))
-        if not inside:
-            raise NotInSubalgebra(f"element not in subalgebra (residual {residual:.3e})")
-    try:
-        f0 = _eval_at(f, 0.0 if ring is not ScalarRing.COMPLEX else 0.0 + 0.0j, tol)
-        reason = "zero_condition_failed" if abs(f0) > tol else None
-    except _EvalFailed:
-        reason = "eval_failed"
-    if reason is not None:
-        # the plan's ring check: over R and R>=0 it is predicate_for_ring's
-        # (with no eigensolve over R), over C it needs the decomposition
-        if ring is ScalarRing.COMPLEX:
-            failed = plan(a, ring, tol).reason == "predicate_failed"
-        else:
-            failed = not predicate_for_ring(a, ring, tol).holds  # coerces a, or raises
-        return _junk(np.shape(a)[0], "predicate_failed" if failed else reason)
-    out = plan(a, ring, tol).apply(f, zero_to_zero=True)
+        B.require(a, tol)
+    p = plan(a, ring, tol)
+    if p.reason != "predicate_failed":
+        try:
+            if abs(_eval_at(f, embed(0.0, ring), tol)) > tol:
+                return _junk(p.a.shape[0], "zero_condition_failed")
+        except _EvalFailed:
+            return _junk(p.a.shape[0], "eval_failed")
+    out = p.apply(f, zero_to_zero=True)
     if B is not None and not out.junk:
-        inside, residual = B.contains(out.value, max(tol, 1e-8))
-        if not inside:
-            raise NotInSubalgebra(
-                f"calculus value escaped the subalgebra (residual {residual:.3e})"
-            )
+        B.require(out.value, tol, "calculus value escaped the subalgebra")
     return out
 
 

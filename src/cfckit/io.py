@@ -10,6 +10,7 @@ import numpy as np
 
 from .cfc import ScalarFunction, builtin_function
 from .matrix_core import (
+    MEMBERSHIP_FLOOR,
     StarSubalgebra,
     adjoint,
     as_matrix,
@@ -125,7 +126,7 @@ def load_basis(path: str, tol: float) -> StarSubalgebra:
     """Subalgebra basis file: {"unital": bool, "matrices": [matrix, ...]}
     or a bare JSON array of matrix objects (non-unital).  The span must be
     closed under the adjoint and products, and contain I when marked unital,
-    within max(tol, 1e-8); else FormatError."""
+    within max(tol, MEMBERSHIP_FLOOR); else FormatError."""
     obj = _read_json(path)
     unital = False
     if isinstance(obj, dict):
@@ -148,7 +149,7 @@ def load_basis(path: str, tol: float) -> StarSubalgebra:
     B = subalgebra_from_matrices(matrices, unital=unital, tol=tol)
     # the basis is orthonormal, so each residual is relative to ||x|| ||y||
     # (a product such as P Q = 0 may come out as rounding noise)
-    n, bound = B.ambient_dim, max(tol, 1e-8)
+    n, bound = B.ambient_dim, max(tol, MEMBERSHIP_FLOOR)
     checks = [("does not contain I", [identity(n) / np.sqrt(n)] if unital else []),
               ("is not closed under the adjoint", (adjoint(b) for b in B.basis)),
               ("is not closed under products", (x @ y for x in B.basis for y in B.basis))]

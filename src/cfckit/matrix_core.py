@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +23,11 @@ EPS_FLOOR = 1e-300
 # stops short, inside C*(a).
 CHAIN_RESIDUAL_REL = 1e-12
 CHAIN_COMMUTATOR_REL = 1e-6
+
+# Subalgebra membership is decided within max(tol, MEMBERSHIP_FLOOR): an
+# element built by the calculus or a basis built by a chain carries rounding
+# relative to its norm, and a caller's tol may be 0.
+MEMBERSHIP_FLOOR = 1e-8
 
 
 class DimensionMismatch(ValueError):
@@ -82,22 +86,15 @@ def adjoint(a) -> np.ndarray:
 
 
 def fro_norm(a) -> float:
-    """Frobenius norm, recomputed on the entries' real and imaginary parts
-    divided by a power of two c, as _rescaled takes it, when the plain sum
-    of squares overflows or underflows: |a_ij| itself overflows for entries
-    such as 1.5e308 + 1.5e308j, and a complex division by a subnormal c
-    overflows, so the parts are divided as reals."""
+    """Frobenius norm; where the plain sum of squares overflows or underflows,
+    c ||b||_F for a = c b, as _rescaled takes it of a cast to float64 or
+    complex128."""
     a = np.asarray(a)
     nrm = math.sqrt(np.vdot(a, a).real)
     if 1e-150 <= nrm < math.inf or not np.count_nonzero(a):
         return nrm
-    parts = np.abs(np.stack((a.real, a.imag)))
-    peak = float(np.max(parts))
-    if not math.isfinite(peak):
-        return nrm
-    c = math.ldexp(1.0, math.frexp(peak)[1] - 1)
-    b = (parts / c).ravel()
-    return c * math.sqrt(np.dot(b, b))
+    _, nrm, c = _rescaled(a.astype(np.result_type(a.dtype, np.float64), copy=False))
+    return c * nrm
 
 
 def operator_norm(a) -> float:
@@ -111,22 +108,25 @@ def operator_norm(a) -> float:
 
 
 def _rescaled(a):
-    """(b, ||b||_F, c) with a = c b, for a coerced a: the one scale rule of the
-    package (safe scaling, Anderson, ACM TOMS 44, 2017).  b = a unless ||a||_F
-    lies outside [1e-100, 1e100], where products of a leave the float range;
-    then c = 2^(e-1) for max(|re a_ij|, |im a_ij|) = m 2^e, 1/2 <= m < 1, so
-    that the entries of b are exact (bar subnormal ones) with their largest
-    part in [1, 2).  |a_ij| itself is not used: it overflows for entries such
-    as 1.5e308 + 1.5e308j."""
+    """(b, ||b||_F, c) with a = c b, for a float64 or complex128 a: the one
+    scale rule of the package (safe scaling, Anderson, ACM TOMS 44, 2017).
+    b = a unless ||a||_F lies outside [1e-100, 1e100], where products of a
+    leave the float range; then c = 2^(e-1) for max(|re a_ij|, |im a_ij|) =
+    m 2^e, 1/2 <= m < 1, so that the entries of b are exact (bar those that
+    fall below the normal range of b) with their largest part in [1, 2).  The
+    parts are divided as reals: numpy divides a complex array by a float
+    through its reciprocal, which overflows for a subnormal c, and |a_ij|
+    itself overflows for entries such as 1.5e308 + 1.5e308j."""
     scale = math.sqrt(np.vdot(a, a).real)
     if 1e-100 <= scale <= 1e100:
         return a, scale, 1.0
     # ravel() makes the float64 view valid for any strides, a.T included
-    peak = float(np.abs(a.ravel().view(np.float64)).max())
-    if peak == 0.0:
-        return a, 0.0, 1.0
+    parts = a.ravel().view(np.float64)
+    peak = float(np.abs(parts).max())
+    if not 0.0 < peak < math.inf:
+        return a, scale, 1.0
     c = math.ldexp(1.0, math.frexp(peak)[1] - 1)
-    b = a / c
+    b = (parts / c).view(a.dtype).reshape(a.shape)
     return b, fro_norm(b), c
 
 
@@ -191,43 +191,52 @@ def is_nonneg(a, tol: float = DEFAULT_TOL) -> PredicateReport:
     return predicate_for_ring(a, ScalarRing.NNREAL, tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StarSubalgebra:
     """A star- and multiplication-closed subspace of M_n, carried by an
-    orthonormal (Frobenius) basis.  `unital` records whether I was adjoined.
+    orthonormal (Frobenius) basis, kept as the rows of one (dim, n^2) array.
+    `unital` records whether I was adjoined.
     """
 
     ambient_dim: int
-    basis: tuple
+    rows: np.ndarray
     unital: bool
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
-    @cached_property
-    def _rows(self) -> np.ndarray:
-        """The basis as the rows of one (dim, n^2) array."""
-        return np.array(self.basis, dtype=np.complex128).reshape(self.dim, self.ambient_dim ** 2)
+    @property
+    def basis(self) -> np.ndarray:
+        """The basis elements, a (dim, n, n) view of the rows."""
+        return self.rows.reshape(self.dim, self.ambient_dim, self.ambient_dim)
 
     def coordinates(self, x) -> np.ndarray:
         """trace(b* x) for each basis element b, taken as conj(rows conj(x))."""
-        return np.conj(self._rows @ np.conj(np.ravel(x)))
+        return np.conj(self.rows @ np.conj(np.ravel(x)))
 
     def project(self, x) -> np.ndarray:
         n = self.ambient_dim
-        return (self.coordinates(x) @ self._rows).reshape(n, n)
+        return (self.coordinates(x) @ self.rows).reshape(n, n)
 
     def contains(self, x, tol: float = DEFAULT_TOL):
-        """(membership, relative projection residual)."""
-        x = as_matrix(x)
+        """(membership, relative projection residual), taken of x rescaled
+        by _rescaled: x is in the subalgebra iff x / c is."""
+        x, scale, _ = _rescaled(as_matrix(x))
         if x.shape[0] != self.ambient_dim:
             raise DimensionMismatch(
                 f"element is {x.shape[0]}x{x.shape[0]}, subalgebra ambient "
                 f"dimension is {self.ambient_dim}"
             )
-        residual = fro_norm(x - self.project(x)) / max(fro_norm(x), EPS_FLOOR)
+        residual = fro_norm(x - self.project(x)) / max(scale, EPS_FLOOR)
         return residual <= tol, residual
+
+    def require(self, x, tol: float = DEFAULT_TOL, failure: str = "element not in subalgebra"):
+        """NotInSubalgebra(failure) unless x lies in the subalgebra within
+        max(tol, MEMBERSHIP_FLOOR)."""
+        inside, residual = self.contains(x, max(tol, MEMBERSHIP_FLOOR))
+        if not inside:
+            raise NotInSubalgebra(f"{failure} (residual {residual:.3e})")
 
 
 def _reorthogonalized(cand, q) -> np.ndarray:
@@ -262,7 +271,10 @@ def elemental_subalgebra(a, unital: bool = True, tol: float = DEFAULT_TOL) -> St
 
 
 def _elemental_chain(a, unital: bool) -> StarSubalgebra:
-    """elemental_subalgebra's chain, for a coerced a whose normality its caller has decided."""
+    """elemental_subalgebra's chain, for a coerced a whose normality its
+    caller has decided, run on b = a / c as _rescaled takes it: C*(a) =
+    C*(b), and the powers of b stay in the float range."""
+    a = _rescaled(a)[0]
     scale = fro_norm(a)
     n = a.shape[0]
     q = np.empty((min(n, 4), n * n), dtype=np.complex128)
@@ -283,8 +295,7 @@ def _elemental_chain(a, unital: bool) -> StarSubalgebra:
         if fro_norm(cand - a @ qk) > CHAIN_COMMUTATOR_REL * scale:
             break
         k += 1
-    basis = q[:k].reshape(k, n, n).copy()  # frees the spare rows with q
-    return StarSubalgebra(ambient_dim=n, basis=tuple(basis), unital=unital)
+    return StarSubalgebra(ambient_dim=n, rows=q[:k].copy(), unital=unital)  # frees the spare rows
 
 
 def subalgebra_from_matrices(mats, unital: bool = False, tol: float = DEFAULT_TOL) -> StarSubalgebra:
@@ -305,4 +316,4 @@ def subalgebra_from_matrices(mats, unital: bool = False, tol: float = DEFAULT_TO
         if nrm > rank_tol:
             np.divide(r, nrm, out=q[k])
             k += 1
-    return StarSubalgebra(ambient_dim=n, basis=tuple(q[:k].reshape(k, n, n)), unital=unital)
+    return StarSubalgebra(ambient_dim=n, rows=q[:k], unital=unital)

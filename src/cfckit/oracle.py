@@ -12,13 +12,21 @@ general theory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
 from .cfc import ScalarFunction, cfc, constant_function, identity_function, plan
-from .matrix_core import _elemental_chain, adjoint, fro_norm, identity, operator_norm
+from .matrix_core import (
+    MEMBERSHIP_FLOOR,
+    _elemental_chain,
+    _rescaled,
+    adjoint,
+    fro_norm,
+    identity,
+    operator_norm,
+)
 from .scalars import DEFAULT_TOL, ScalarRing, restrict_scalar
 
 # Interpolation is skipped when two nodes are closer than this, relative to
@@ -65,19 +73,24 @@ def cfc_oracle(
 
 def _interpolate(a: np.ndarray, points, values) -> np.ndarray:
     """p(a) with no eigensolve, p of degree < k through the k pairs
-    (points[i], values[i]) in Newton form at the points x in Leja order:
-    p(a) = d_0 + (a/c - y_0)(d_1 + (a/c - y_1)(...)) in k - 1 products, with
-    y = x / c, c = diameter / 4 (a segment's capacity) and d the divided
-    differences at y.  values, maybe lazy, is read after the gap guard."""
-    x = np.array(points, dtype=np.complex128)
+    (points[i], values[i]) in Newton form at the points x in Leja order.
+    For a = s a' as _rescaled takes it, p(a) is q(a') with q through the
+    nodes x / s, so a and x stand for a' and x / s below: p(a) = d_0 + (a/c
+    - y_0)(d_1 + (a/c - y_1)(...)) in k - 1 products, with y = x / c, c =
+    diameter / 4 (a segment's capacity) and d the divided differences at y.
+    values, maybe lazy, is read after the gap guard."""
+    a, _, s = _rescaled(a)
+    # divided as reals: numpy divides a complex array by a float through its
+    # reciprocal, which overflows for a subnormal s
+    x = (np.array(points, dtype=np.complex128).view(np.float64) / s).view(np.complex128)
     k, n = len(x), a.shape[0]
     dist = np.abs(x[:, None] - x)
     diameter = dist.max()
     np.fill_diagonal(dist, math.inf)
     gap = dist.min()
     if gap < GAP_GUARD_REL * diameter:
-        raise OracleSkipped(f"minimum spectral gap {gap:.3e} below guard "
-                            f"({GAP_GUARD_REL:.0e} of diameter {diameter:.3e})")
+        raise OracleSkipped(f"minimum spectral gap {float(gap) * s:.3e} below guard "
+                            f"({GAP_GUARD_REL:.0e} of diameter {float(diameter) * s:.3e})")
     c = float(diameter) / 4 or 1.0
     # Leja order: the node of largest modulus first, then each time the node
     # with the largest product of distances to those already taken (ties to
@@ -124,20 +137,7 @@ class LawReport:
         return all(e.passed or e.skipped for e in self.entries)
 
     def to_dict(self) -> dict:
-        return {
-            "all_passed": self.all_passed,
-            "laws": [
-                {
-                    "name": e.name,
-                    "residual": e.residual,
-                    "tolerance": e.tolerance,
-                    "passed": e.passed,
-                    "skipped": e.skipped,
-                    "note": e.note,
-                }
-                for e in self.entries
-            ],
-        }
+        return {"all_passed": self.all_passed, "laws": [asdict(e) for e in self.entries]}
 
     def table(self) -> str:
         lines = [f"{'law':<22} {'residual':>12} {'tolerance':>12}  status"]
@@ -309,8 +309,9 @@ def check_laws(
     r = abs(operator_norm(out_f.value) - fmax) / max(1.0, fmax)
     entries.append(LawEntry("isometry", r, tol, r <= tol))
 
-    inside, r = _elemental_chain(a, unital=True).contains(out_f.value, max(tol, 1e-8))
-    entries.append(LawEntry("range", r, max(tol, 1e-8), inside))
+    t = max(tol, MEMBERSHIP_FLOOR)
+    inside, r = _elemental_chain(a, unital=True).contains(out_f.value, t)
+    entries.append(LawEntry("range", r, t, inside))
 
     try:
         ref = _interpolate(a, points, fpoints)

@@ -12,9 +12,9 @@ import numpy as np
 from .cfc import plan
 from .eigen import tie_sorted
 from .matrix_core import (
-    NotInSubalgebra,
     PredicateFailure,  # re-exported: the spectra raise it
     StarSubalgebra,
+    _rescaled,
     as_matrix,
     fro_norm,
     identity,
@@ -38,12 +38,11 @@ class QuasiregularWitness:
 
 
 def spectrum(a, ring: ScalarRing = ScalarRing.COMPLEX, tol: float = DEFAULT_TOL) -> SpectrumResult:
-    """The eigenvalues of a in clusters of diameter <= DEFAULT_CLUSTER_REL *
-    ||a||_F, each represented by its mean and restricted to the scalar ring.
+    """The plan's eigenvalues, ring scalars already, in clusters of diameter
+    <= DEFAULT_CLUSTER_REL * ||a||_F, each represented by its mean.
 
     The ring predicate is checked during the decomposition (PredicateFailure
-    when it fails); a restriction failure afterwards signals an inconsistent
-    predicate/tolerance interplay and is an error.
+    when it fails).
     """
     p = plan(a, ring, tol)
     return SpectrumResult(ring, p.points(), p.multiplicities, "eigen")
@@ -56,9 +55,7 @@ def is_quasiregular(B: StarSubalgebra, x, tol: float = DEFAULT_TOL):
     conditions.  Returns (flag, witness-or-None).
     """
     x = as_matrix(x)
-    inside, residual = B.contains(x, max(tol, 1e-8))
-    if not inside:
-        raise NotInSubalgebra(f"element not in subalgebra (residual {residual:.3e})")
+    B.require(x, tol)
     n = B.ambient_dim
     one_plus = identity(n) + x
     cols = []
@@ -82,24 +79,23 @@ def quasispectrum_intrinsic(
     B: StarSubalgebra, a, ring: ScalarRing = ScalarRing.COMPLEX, tol: float = DEFAULT_TOL,
 ) -> SpectrumResult:
     """Quasispectrum inside B: 0, plus every nonzero ambient eigenvalue r of a
-    for which -(1/r) a fails quasiregularity in B.
+    for which -(1/r) a fails quasiregularity in B, tested as -b / (r/c) for
+    a = c b as _rescaled takes it, which stays in the float range.
 
     Spectral permanence makes the ambient eigenvalues an exhaustive candidate
     set for matrix subalgebras, so no search over the plane is needed.  The
     points and multiplicities are the plan's; 0 takes the multiplicities of
     the points within the cluster scale of it (1 if there are none).
     """
-    a = as_matrix(a)
-    inside, residual = B.contains(a, max(tol, 1e-8))
-    if not inside:
-        raise NotInSubalgebra(f"element not in subalgebra (residual {residual:.3e})")
     p = plan(a, ring, tol)
+    B.require(p.a, tol)
+    b = _rescaled(p.a)[0]
     zero_mult = 0
     found = []
     for r, m in zip(p.points(), p.multiplicities):
         if abs(r) <= p.cluster_tol:
             zero_mult += m
-        elif not is_quasiregular(B, -(1.0 / r) * a, tol)[0]:
+        elif not is_quasiregular(B, -b / (r / p.c), tol)[0]:
             found.append((r, m))
     found.append((embed(0.0, ring), zero_mult or 1))
     points, mults = zip(*tie_sorted(found, p.cluster_tol))

@@ -1,4 +1,6 @@
 import inspect
+import subprocess
+import sys
 
 import cfckit
 
@@ -12,3 +14,14 @@ def test_exports_resolve_once_and_take_no_cluster_tol():
         obj = getattr(cfckit, name)
         if callable(obj):
             assert "cluster_tol" not in inspect.signature(obj).parameters, name
+
+
+def test_library_import_loads_no_wire_or_cli_modules():
+    """Importing cfckit, which a fresh process's setup time measures, loads
+    neither the JSON wire formats, the CLI, the samplers nor their standard
+    modules."""
+    unwanted = ["cfckit.io", "cfckit.cli", "cfckit.sampling", "argparse", "json"]
+    probe = f"import sys, cfckit; print([m for m in {unwanted!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -28,6 +28,7 @@ from cfckit.cfc import (
 from cfckit.eigen import DEFAULT_CLUSTER_REL
 from cfckit.matrix_core import (
     NotInSubalgebra,
+    PredicateFailure,
     adjoint,
     elemental_subalgebra,
     fro_norm,
@@ -409,12 +410,15 @@ def test_spectrum_checks_the_predicate_once_and_solves_once(work_counts):
 
 
 def test_cfc_n_junk_inputs_pay_no_eigensolve(work_counts):
+    """The plan's ring check decides precedence: a sound input pays its one
+    eigensolve before f(0) is read, one whose predicate fails pays none."""
     shifted = ScalarFunction(lambda x: x + 1, ScalarRing.REAL, "x+1")
     out = cfc_n(shifted, np.diag([1.0, 2.0]), None, ScalarRing.REAL)
     assert out.junk and out.reason == "zero_condition_failed"
+    assert work_counts["eigh"] == 1
     out = cfc_n(shifted, np.diag([1j, 2.0]), None, ScalarRing.REAL)
     assert out.junk and out.reason == "predicate_failed"
-    assert work_counts["eigh"] == 0 and work_counts["eigvalsh"] == 0
+    assert work_counts["eigh"] == 1 and work_counts["eigvalsh"] == 0
     assert work_counts["as_matrix"] == 2  # one per call
 
 
@@ -429,6 +433,21 @@ def test_cfc_n_nnreal_indefinite_with_f0_nonzero_is_predicate_failed():
     assert out.junk and out.reason == "predicate_failed"
     out = cfc_n(failing, np.diag([1.0, 2.0]), None, ScalarRing.NNREAL)
     assert out.junk and out.reason == "eval_failed"
+
+
+def test_cfc_n_precedence_follows_the_plan_on_the_nnreal_boundary():
+    """Least eigenvalues within 3e-7 (relative) of -tol ||a||_F: a failed
+    f(0) yields to a failed predicate exactly where the plan's does."""
+    gen = rng_from_seed(62)
+    shifted = ScalarFunction(lambda x: x + 1, ScalarRing.NNREAL, "x+1")
+    for _ in range(200):
+        q = np.linalg.qr(gen.standard_normal((4, 4)))[0]
+        lam_min = -DEFAULT_TOL * math.sqrt(14.0) * (1 + gen.uniform(-3e-7, 3e-7))
+        a = (q * [lam_min, 1.0, 2.0, 3.0]) @ q.T
+        a = (a + a.T) / 2
+        failed = plan(a, ScalarRing.NNREAL).reason == "predicate_failed"
+        out = cfc_n(shifted, a, None, ScalarRing.NNREAL)
+        assert out.reason == ("predicate_failed" if failed else "zero_condition_failed")
 
 
 def test_cfc_real_input_value_is_complex():
@@ -567,6 +586,44 @@ def test_tiny_non_normal_stays_predicate_failed():
         assert out.junk and out.reason == "predicate_failed"
 
 
+def _close(x, y, rtol=1e-12):
+    """|x - y| within rtol of |x| entrywise at its largest, plus a few units
+    of the least subnormal, for the rounding of subnormal entries."""
+    x, y = np.asarray(x), np.asarray(y)
+    return np.abs(x - y).max() <= rtol * np.abs(x).max() + 4 * 2.0 ** -1074
+
+
+def test_float_and_complex_twins_agree_at_every_scale():
+    """2^k a as float64 and as complex128 give the same reasons and values
+    from k = -1040 (subnormal entries, a power-of-two scale whose reciprocal
+    overflows) to k = 1000, with no floating-point warning on the way."""
+    gen = rng_from_seed(61)
+    q = np.linalg.qr(gen.standard_normal((4, 4)))[0]
+    inputs = [(q * lam) @ q.T for lam in ([0.25, 0.5, 1.0, 3.0], [-1.0, 0.5, 1.0, 2.0])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for k in [*range(-1040, -1000), *range(-1000, 1001, 25)]:
+            for a in inputs:
+                a = np.ldexp(a, k)
+                twin = a.astype(np.complex128)
+                for ring in ScalarRing:
+                    x, y = cfc_builtin("abs", a, ring), cfc_builtin("abs", twin, ring)
+                    assert (x.junk, x.reason) == (y.junk, y.reason), (k, ring)
+                    assert _close(x.value, y.value), (k, ring)
+                    try:
+                        sx = spectrum(a, ring)
+                    except PredicateFailure:
+                        with pytest.raises(PredicateFailure):
+                            spectrum(twin, ring)
+                        continue
+                    sy = spectrum(twin, ring)
+                    assert sx.multiplicities == sy.multiplicities
+                    assert _close(sx.points, sy.points), (k, ring)
+                assert _close(operator_norm(a), operator_norm(twin))
+                rx, ry = is_star_normal(a), is_star_normal(twin)
+                assert rx.holds and ry.holds and abs(rx.residual - ry.residual) <= 1e-15
+
+
 def test_eigensolver_failure_is_junk(monkeypatch):
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -578,7 +635,7 @@ def test_eigensolver_failure_is_junk(monkeypatch):
                     cfc_n(identity_function(ring), a, None, ring)):
             assert out.junk and out.reason == "decomposition_failed"
             assert np.all(out.value == 0)
-        # a failed f(0) = 0 condition is found before any eigensolve
+        # a failed f(0) = 0 condition takes precedence over a failed decomposition
         out = cfc_n(ScalarFunction(lambda x: x + 1, ring), a, None, ring)
         assert out.junk and out.reason == "zero_condition_failed"
 

@@ -15,6 +15,7 @@ from cfckit.io import (
     dump_json,
     function_from_spec,
     load_basis,
+    load_matrix,
     matrix_from_json,
     matrix_to_json,
 )
@@ -253,8 +254,14 @@ def test_matrix_json_round_trip_bit_exact(rng):
 
 
 def test_matrix_from_json_field_errors():
+    with pytest.raises(FormatError, match="must be a JSON object"):
+        matrix_from_json([[1.0, 0.0]])
     with pytest.raises(FormatError, match="'n'"):
         matrix_from_json({"entries": []})
+    with pytest.raises(FormatError, match="missing field 'entries'"):
+        matrix_from_json({"n": 1})
+    with pytest.raises(FormatError, match=r"exactly n\^2 = 4 pairs"):
+        matrix_from_json({"n": 2, "entries": [[1.0, 0.0]]})
     with pytest.raises(FormatError, match="entries"):
         matrix_from_json({"n": 1, "entries": [[1.0]]})
     with pytest.raises(FormatError, match=r"'entries\[0\]'"):
@@ -294,10 +301,12 @@ def test_matrix_from_json_field_errors():
     ('{"poly2": [[1, 0, "1.5", 0]]}', r"'poly2\[0\]'"),
     ('{"poly2": [[0, 0, 1, 0], [1, 0, 1, true]]}', r"'poly2\[1\]'"),
     ('{"poly": 3}', "'poly'"),
+    ('{"poly2": 3}', "'poly2'"),
     ('{"builtin": "pow", "k": [2]}', "'k'"),
     ('{"builtin": "pow", "k": 2.5}', "'k'"),
     ('{"builtin": "pow"}', "'builtin'"),
     ('{"builtin": "rpow", "t": "a"}', "'t'"),
+    ('{"builtin": "rpow"}', "'builtin'.*requires real exponent t"),
     ('{"builtin": "nope"}', "'builtin'"),
     ('{"neither": 1}', "'builtin', 'poly', 'poly2'"),
     ('[1]', "JSON object"),
@@ -379,6 +388,21 @@ def test_a_boolean_n_is_a_format_error(tmp_path, capsys):
     assert cfckit.cli.main(["spectrum", "--matrix", str(path)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and "field 'n'" in err
+
+
+def test_matrix_and_basis_files_name_the_bad_field(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"n": 1,')
+    with pytest.raises(FormatError, match="bad.json: invalid JSON"):
+        load_matrix(str(bad))
+    e11 = matrix_to_json(np.diag([1.0, 0.0]))
+    rejected = [({"unital": False}, "missing field 'matrices'"),
+                ({"matrices": []}, "'matrices' must be a nonempty array"),
+                ([], "'matrices' must be a nonempty array"),
+                ({"matrices": [e11, {"n": 2}]}, r"matrices\[1\]: matrix object missing field")]
+    for obj, message in rejected:
+        with pytest.raises(FormatError, match=message):
+            load_basis(_basis_file(tmp_path, obj), 1e-9)
 
 
 @pytest.mark.parametrize("unital", ["false", "true", 0, 1, None, [True]])

@@ -17,6 +17,7 @@ from cfckit.matrix_core import (
     is_selfadjoint,
     is_star_normal,
     operator_norm,
+    subalgebra_from_matrices,
 )
 from cfckit.sampling import random_normal_matrix, random_unitary, rng_from_seed
 from cfckit.scalars import ScalarRing
@@ -159,6 +160,15 @@ def test_as_matrix_rejects_bad_input():
         as_matrix(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         as_matrix(np.array([[np.nan]]))
+    with pytest.raises(ValueError, match="at least 1"):
+        as_matrix(np.zeros((0, 0)))
+
+
+def test_subalgebra_from_matrices_rejects_bad_bases():
+    with pytest.raises(ValueError, match="at least one matrix"):
+        subalgebra_from_matrices([])
+    with pytest.raises(DimensionMismatch, match="mixed dimensions"):
+        subalgebra_from_matrices([np.eye(2), np.eye(3)])
 
 
 def test_elemental_dimension_examples():
@@ -284,6 +294,10 @@ def test_subalgebra_contains_examples():
     Bn = elemental_subalgebra(np.diag([1.0, 2.0, 3.0]), unital=False)
     a3 = np.diag([1.0, 8.0, 27.0])
     assert Bn.contains(a3, 1e-8)[0]
+    # the residual is relative to ||x|| at every scale, subnormal ones included
+    for s in (1e-305, 2.0 ** -1030):
+        assert B.contains(s * E11) == (True, 0.0)
+        assert B.contains(s * (E11 + NILPOTENT)) == (False, pytest.approx(math.sqrt(0.5)))
 
 
 def test_subalgebra_contains_dimension_mismatch():

@@ -10,6 +10,7 @@ from cfckit.matrix_core import (
     NotNormal,
     adjoint,
     as_matrix,
+    elemental_subalgebra,
     fro_norm,
     identity,
     is_star_normal,
@@ -19,11 +20,12 @@ from cfckit.oracle import OracleSkipped, StarPolynomial, _interpolate, cfc_oracl
 from cfckit.sampling import (
     random_normal_matrix,
     random_poly_function,
+    random_unitary,
     random_with_spectrum,
     rng_from_seed,
 )
 from cfckit.scalars import ScalarRing
-from cfckit.spectrum import spectrum
+from cfckit.spectrum import quasispectrum_intrinsic, quasispectrum_via_unitization, spectrum
 
 NILPOTENT = np.array([[0, 1], [0, 0]], dtype=complex)
 
@@ -251,6 +253,22 @@ def test_check_laws_skips_on_junk_path():
     assert by_name["add"].skipped
 
 
+def test_check_laws_skips_the_oracle_and_composition_where_their_hypotheses_fail():
+    # a gap of 1e-7 lies below the guard, 1e-6 of the diameter
+    exp = builtin_function("exp")
+    report = check_laws(np.diag([0.0, 1.0, 1.0 + 1e-7]), exp, exp)
+    assert report.all_passed
+    assert [e.name for e in report.entries if e.skipped] == ["oracle"]
+    assert "below guard" in _law(report, "oracle").note
+    # f(a) = diag(0, 1), on which the staged log is junk
+    shift = ScalarFunction(lambda x: x - 1, ScalarRing.REAL, "x-1")
+    report = check_laws(np.diag([1.0, 2.0]), shift, builtin_function("log", ScalarRing.REAL),
+                        ScalarRing.REAL)
+    assert report.all_passed
+    assert [e.name for e in report.entries if e.skipped] == ["composition"]
+    assert _law(report, "composition").note == "inner value fails the staged hypotheses"
+
+
 def test_check_laws_zero_matrix():
     f = ScalarFunction(lambda x: x * 3.0, ScalarRing.COMPLEX)
     g = ScalarFunction(lambda x: x * x, ScalarRing.COMPLEX)
@@ -370,3 +388,26 @@ def test_barely_normal_input_is_junk_or_lawful():
     f = ScalarFunction(lambda z: z * z)
     out = cfc(f, a)
     assert out.junk or check_laws(a, f, f).all_passed
+
+
+def test_every_layer_reads_the_scale_rule_below_the_normal_range():
+    """At 2^-1025 a normal a with eigenvalues {0, 1, 2, 2, 3.5 + i} has a
+    sound plan; C*(a), both quasispectra, the laws and the oracle agree with
+    it, as at scale 1."""
+    u = random_unitary(rng_from_seed(63), 5)
+    a = (u * [0.0, 1.0, 2.0, 2.0, 3.5 + 1j]) @ adjoint(u) * 2.0 ** -1025
+    assert plan(a).reason is None
+    assert elemental_subalgebra(a, unital=True).dim == 4
+    B = elemental_subalgebra(a, unital=False)
+    assert B.dim == 3
+    intrinsic = quasispectrum_intrinsic(B, a)
+    via = quasispectrum_via_unitization(a)
+    assert intrinsic.multiplicities == (1, 1, 2, 1) and len(via.points) == 4
+    cut = 1e-8 * fro_norm(a)
+    assert all(abs(p - q) <= cut for p, q in zip(intrinsic.points, via.points))
+    f, g = builtin_function("sqrt"), builtin_function("abs")
+    report = check_laws(a, f, g)
+    assert report.all_passed, report.table()
+    assert not any(e.skipped for e in report.entries)
+    direct = cfc(f, a).value
+    assert fro_norm(cfc_oracle(f, a) - direct) <= 1e-12 * fro_norm(direct)
