@@ -56,7 +56,7 @@ class ScalarFunction:
         return self.eval(x)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CfcOutcome:
     value: np.ndarray
     junk: bool
@@ -72,25 +72,47 @@ def _junk(n: int, reason: str) -> CfcOutcome:
     return CfcOutcome(value=zeros(n), junk=True, reason=reason)
 
 
-def _eval_at(f: ScalarFunction, x, tol: float):
-    """f(x) restricted to f's ring within tol; any failure (an exception from
-    f, a non-finite value, a value off the ring) raises _EvalFailed.  A
-    finite Python float already in f's real ring is returned as it is, and
-    over C the value is complex(f(x)), which restriction to C leaves alone;
-    everything else takes restrict_scalar."""
+def _eval_row(f: ScalarFunction, xs, tol: float, cut: Optional[float] = None) -> list:
+    """[f(x) for x in xs], each value restricted to f's ring within tol; any
+    failure (an exception from f, a non-finite value, a value off the ring)
+    raises _EvalFailed, since it makes the whole row junk.  A finite Python
+    float already in f's real ring is kept as it is; any other value is
+    complex(f(x)), which restriction to C leaves alone and which, with a
+    zero imaginary part and already in a real ring, restricts to its real
+    part; everything else takes restrict_scalar.  With a cut, an x of
+    modulus at most cut maps to 0.0 unevaluated."""
+    feval, ring = f.eval, f.ring
+    over_c, over_r = ring is ScalarRing.COMPLEX, ring is ScalarRing.REAL
+    zero_cut = cut is not None
+    isfinite = math.isfinite
+    row = []
+    append = row.append
     try:
-        out = f.eval(x)
-        if (type(out) is float and f.ring is not ScalarRing.COMPLEX and math.isfinite(out)
-                and (out >= 0.0 or f.ring is ScalarRing.REAL)):
-            return out
-        out = complex(out)
-        if not (math.isfinite(out.real) and math.isfinite(out.imag)):
-            raise ValueError(f"non-finite value at {x!r}")
-        if f.ring is ScalarRing.COMPLEX:
-            return out
-        return restrict_scalar(out, f.ring, tol)
+        for x in xs:
+            if zero_cut and abs(x) <= cut:
+                append(0.0)
+                continue
+            out = feval(x)
+            if type(out) is float and not over_c and isfinite(out) and (out >= 0.0 or over_r):
+                append(out)
+                continue
+            out = complex(out)
+            if not (isfinite(out.real) and isfinite(out.imag)):
+                raise ValueError(f"non-finite value at {x!r}")
+            if over_c:
+                append(out)
+            elif out.imag == 0.0 and (over_r or out.real >= 0.0):
+                append(out.real)
+            else:
+                append(restrict_scalar(out, ring, tol))
     except Exception as exc:  # domain errors are data, not bugs
         raise _EvalFailed(str(exc)) from exc
+    return row
+
+
+def _eval_at(f: ScalarFunction, x, tol: float):
+    """f(x) by the rule of _eval_row, for a single point."""
+    return _eval_row(f, (x,), tol)[0]
 
 
 @dataclass(slots=True)
@@ -124,11 +146,16 @@ class SpectralPlan:
         return DEFAULT_CLUSTER_REL * self.scale * self.c
 
     def residual(self) -> float:
-        """||a - u diag(lam) u*||_F / ||a||_F; raises the stored error."""
+        """||a - u diag(lam) u*||_F / ||a||_F, taken as ||b - u diag(lam/c)
+        u*||_F / scale for a = c b, so that it stays relative where ||a||_F
+        leaves the normal range; raises the stored error.  lam is divided as
+        reals, since numpy divides a complex array by a float through 1/c,
+        which overflows for a subnormal c."""
         if self.error is not None:
             raise self.error
-        a = self.a
-        return fro_norm(a - (self.u * self.lam) @ adjoint(self.u)) / max(fro_norm(a), EPS_FLOOR)
+        b = _rescaled(self.a)[0]
+        lam = (self.lam.view(np.float64) / self.c).view(self.lam.dtype)
+        return fro_norm(b - (self.u * lam) @ adjoint(self.u)) / max(self.scale, EPS_FLOOR)
 
     @property
     def reason(self) -> Optional[str]:
@@ -167,9 +194,8 @@ class SpectralPlan:
         n = self.a.shape[0]
         if self.error is not None:
             return _junk(n, self.reason)
-        cut = self.cluster_tol if zero_to_zero else -1.0  # moduli are never negative
         try:
-            fvals = [0.0 if abs(x) <= cut else _eval_at(f, x, self.tol) for x in self.values]
+            fvals = _eval_row(f, self.values, self.tol, self.cluster_tol if zero_to_zero else None)
         except _EvalFailed:
             return _junk(n, "eval_failed")
         fvals = np.array(fvals, dtype=None if self.u.dtype.kind == "f" else np.complex128)
@@ -185,7 +211,7 @@ class SpectralPlan:
         rows = []
         for f in fs:
             try:
-                rows.append([_eval_at(f, x, self.tol) for x in self.values])
+                rows.append(_eval_row(f, self.values, self.tol))
             except _EvalFailed:
                 rows.append(None)
         real = self.u.dtype.kind == "f"

@@ -130,7 +130,7 @@ def _rescaled(a):
     return b, fro_norm(b), c
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PredicateReport:
     predicate: str
     holds: bool
@@ -244,9 +244,10 @@ def _reorthogonalized(cand, q) -> np.ndarray:
     q: Gram-Schmidt run twice, which keeps the result orthogonal to q to
     working precision even when most of cand lies in its span.  The
     coefficients q^* r are taken as conj(q conj(r)), so no row of q is
-    conjugated."""
+    conjugated.  Against no rows the passes are skipped: they would
+    subtract the zero vector, which changes no bit."""
     r = cand.astype(np.complex128).ravel()
-    for _ in range(2):
+    for _ in range(2 if len(q) else 0):
         r -= np.conj(q @ np.conj(r)) @ q
     return r
 
@@ -270,14 +271,17 @@ def elemental_subalgebra(a, unital: bool = True, tol: float = DEFAULT_TOL) -> St
     return _elemental_chain(a, unital)
 
 
-def _elemental_chain(a, unital: bool) -> StarSubalgebra:
+def _elemental_chain(a, unital: bool, rows: int | None = None) -> StarSubalgebra:
     """elemental_subalgebra's chain, for a coerced a whose normality its
     caller has decided, run on b = a / c as _rescaled takes it: C*(a) =
-    C*(b), and the powers of b stay in the float range."""
-    a = _rescaled(a)[0]
-    scale = fro_norm(a)
+    C*(b), and the powers of b stay in the float range.  rows, the dimension
+    the caller expects (the count of a's distinct eigenvalues), sizes the
+    basis once, with one row more for the direction that ends the chain, and
+    a chain that ends at rows keeps that array as its basis; without rows,
+    or past it, the basis grows by doubling."""
+    a, scale, _ = _rescaled(a)
     n = a.shape[0]
-    q = np.empty((min(n, 4), n * n), dtype=np.complex128)
+    q = np.empty((min(n, rows + 1 if rows else 4), n * n), dtype=np.complex128)
     k = 0
     cand = identity(n) if unital else a
     while k < n:
@@ -295,7 +299,9 @@ def _elemental_chain(a, unital: bool) -> StarSubalgebra:
         if fro_norm(cand - a @ qk) > CHAIN_COMMUTATOR_REL * scale:
             break
         k += 1
-    return StarSubalgebra(ambient_dim=n, rows=q[:k].copy(), unital=unital)  # frees the spare rows
+    if k != rows and k < len(q):
+        q = q[:k].copy()  # frees the spare rows
+    return StarSubalgebra(ambient_dim=n, rows=q[:k], unital=unital)
 
 
 def subalgebra_from_matrices(mats, unital: bool = False, tol: float = DEFAULT_TOL) -> StarSubalgebra:

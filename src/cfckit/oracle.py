@@ -12,6 +12,7 @@ general theory.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -86,7 +87,7 @@ def _interpolate(a: np.ndarray, points, values) -> np.ndarray:
     k, n = len(x), a.shape[0]
     dist = np.abs(x[:, None] - x)
     diameter = dist.max()
-    np.fill_diagonal(dist, math.inf)
+    dist.reshape(-1)[:: k + 1] = math.inf
     gap = dist.min()
     if gap < GAP_GUARD_REL * diameter:
         raise OracleSkipped(f"minimum spectral gap {float(gap) * s:.3e} below guard "
@@ -114,11 +115,11 @@ def _interpolate(a: np.ndarray, points, values) -> np.ndarray:
     out = d[-1] * identity(n)
     for dj, yj in zip(reversed(d[:-1]), reversed(y[:-1])):
         out = b @ out - yj * out
-        out.flat[:: n + 1] += dj
+        out.reshape(-1)[:: n + 1] += dj  # out is a fresh product, so this is a view
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LawEntry:
     name: str
     residual: float
@@ -128,7 +129,7 @@ class LawEntry:
     note: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LawReport:
     entries: tuple
 
@@ -153,36 +154,51 @@ def _rel(diff, *scales) -> float:
     return fro_norm(diff) / max((1.0, *scales))
 
 
+_MISSING = object()
+
+
 def _memoised(f: ScalarFunction) -> ScalarFunction:
-    """f keeping its values and the exceptions it raised; the keys tell 2.0
-    from 2+0j and 0.0 from -0.0."""
-    cache, raised = {}, {}
+    """f keeping its values and the exceptions it raised.  A repeat of an
+    argument object is one lookup by its id (the object is kept alive, so its
+    id is not reused); any other argument is looked up by a key that tells
+    2.0 from 2+0j and 0.0 from -0.0."""
+    feval = f.eval
+    by_id, kept, by_key, raised = {}, [], {}, {}
+    copysign = math.copysign
 
     def evaluate(x):
         try:
-            key = (type(x), x, math.copysign(1.0, x.real), math.copysign(1.0, x.imag))
-            return cache[key]
+            return by_id[id(x)]
         except KeyError:
+            pass
+        try:
+            key = (type(x), x, copysign(1.0, x.real), copysign(1.0, x.imag))
+            value = by_key.get(key, _MISSING)
+        except (AttributeError, TypeError):  # not a hashable number
+            return feval(x)
+        if value is _MISSING:
             if key in raised:
                 raise raised[key]
             try:
-                cache[key] = value = f.eval(x)
+                by_key[key] = value = feval(x)
             except Exception as exc:
                 raised[key] = exc
                 raise
-            return value
-        except (AttributeError, TypeError):  # not a hashable number
-            return f.eval(x)
+        by_id[id(x)] = value
+        kept.append(x)
+        return value
 
     return ScalarFunction(evaluate, f.ring, f.name)
 
 
 def _compose(g: ScalarFunction, f: ScalarFunction) -> ScalarFunction:
-    return ScalarFunction(lambda x: g.eval(f.eval(x)), f.ring, "g.f")
+    geval, feval = g.eval, f.eval
+    return ScalarFunction(lambda x: geval(feval(x)), f.ring, "g.f")
 
 
 def _pointwise(op, f: ScalarFunction, g: ScalarFunction, name) -> ScalarFunction:
-    return ScalarFunction(lambda x: op(f.eval(x), g.eval(x)), f.ring, name)
+    feval, geval = f.eval, g.eval
+    return ScalarFunction(lambda x: op(feval(x), geval(x)), f.ring, name)
 
 
 def _conj(f: ScalarFunction) -> ScalarFunction:
@@ -196,8 +212,8 @@ def _hausdorff(xs, ys) -> float:
     ys = [complex(y) for y in ys]
     if not xs or not ys:
         return float("inf")
-    d1 = max(min(abs(x - y) for y in ys) for x in xs)
-    d2 = max(min(abs(x - y) for x in xs) for y in ys)
+    d1 = max([min([abs(x - y) for y in ys]) for x in xs])
+    d2 = max([min([abs(x - y) for x in xs]) for y in ys])
     return max(d1, d2)
 
 
@@ -222,17 +238,19 @@ def check_laws(
 
     # congruence: perturb f by |vanishing polynomial|, which is 0 at every
     # eigenvalue the calculus evaluates f at
+    roots = [complex(p) for p in pa.values]
+
     def vanish(x):
         z = complex(x)
         prod = 1.0 + 0.0j
-        for p in pa.values:
-            prod *= z - complex(p)
+        for p in roots:
+            prod *= z - p
         return abs(prod)
 
     (out_f, out_g, out_sum, out_prod, out_conj, out_id, out_c, out_cong,
      out_comp_direct) = pa.apply_all([
-        f, g, _pointwise(lambda x, y: x + y, f, g, "f+g"),
-        _pointwise(lambda x, y: x * y, f, g, "f*g"), _conj(f), identity_function(ring),
+        f, g, _pointwise(operator.add, f, g, "f+g"),
+        _pointwise(operator.mul, f, g, "f*g"), _conj(f), identity_function(ring),
         constant_function(c, ring),
         ScalarFunction(lambda x: f.eval(x) + vanish(x), f.ring, "f+vanish"), _compose(g, f)])
     junk_ok = all(
@@ -277,9 +295,7 @@ def check_laws(
     fpoints = [complex(restrict_scalar(f.eval(x), f.ring, tol)) for x in points]
     mapped = sorted(fpoints, key=lambda z: (z.real, z.imag))
     pf = plan(out_f.value, ring, max(tol, 1e-7))
-    diam = max(
-        (abs(complex(p) - complex(q)) for p in mapped for q in mapped), default=0.0
-    )
+    diam = max([abs(p - q) for p in mapped for q in mapped], default=0.0)
     hd = _hausdorff(pf.points(), mapped)
     tol_map = max(tol, 1e-8) * max(1.0, diam)
     entries.append(LawEntry("spectral_mapping", hd, tol_map, hd <= tol_map))
@@ -289,9 +305,9 @@ def check_laws(
         entries.append(LawEntry("composition", 0.0, 0.0, True, skipped=True,
                                 note="inner value fails the staged hypotheses"))
     else:
-        r = _rel(out_comp_direct.value - out_comp_staged.value,
-                 fro_norm(out_comp_direct.value))
-        t = tol * max(1.0, fro_norm(out_comp_direct.value))
+        scale_comp = fro_norm(out_comp_direct.value)
+        r = _rel(out_comp_direct.value - out_comp_staged.value, scale_comp)
+        t = tol * max(1.0, scale_comp)
         entries.append(LawEntry("composition", r, t, r <= t))
 
     if ring is ScalarRing.NNREAL:
@@ -310,7 +326,7 @@ def check_laws(
     entries.append(LawEntry("isometry", r, tol, r <= tol))
 
     t = max(tol, MEMBERSHIP_FLOOR)
-    inside, r = _elemental_chain(a, unital=True).contains(out_f.value, t)
+    inside, r = _elemental_chain(a, unital=True, rows=len(points)).contains(out_f.value, t)
     entries.append(LawEntry("range", r, t, inside))
 
     try:

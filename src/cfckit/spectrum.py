@@ -23,7 +23,7 @@ from .scalars import DEFAULT_TOL, ScalarRing, embed
 from .unitization import UnitizationElement, uni_represent
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SpectrumResult:
     ring: ScalarRing
     points: tuple
@@ -31,7 +31,7 @@ class SpectrumResult:
     source: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class QuasiregularWitness:
     y: np.ndarray
     residual: float

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 from cfckit.cfc import (
     ScalarFunction,
     _eval_at,
+    _eval_row,
     _EvalFailed,
+    _reconstruct,
     builtin_function,
     cfc,
     cfc_builtin,
@@ -565,6 +567,90 @@ def test_real_scalar_values_are_taken_as_before(ring, value):
         ref = (u * fvals) @ adjoint(u)
     assert not out.junk and out.value.dtype == np.complex128
     assert out.value.tobytes() == ref.tobytes()
+
+
+def _value_by_the_rule(f, x, tol=DEFAULT_TOL):
+    """One value as the calculus takes it, written out per value: a finite
+    Python float in f's real ring as it is, anything else complex(f(x)),
+    checked finite and restricted to f's ring (ValueError otherwise)."""
+    out = f.eval(x)
+    if (type(out) is float and f.ring is not ScalarRing.COMPLEX and math.isfinite(out)
+            and (out >= 0.0 or f.ring is ScalarRing.REAL)):
+        return out
+    return _restricted_value(ScalarFunction(lambda _: out, f.ring), x, tol)
+
+
+def _raise(x):
+    raise ValueError(f"outside the domain at {x!r}")
+
+
+# f's value at the i-th point 0, 1, 2, ...; the first point is 0, which
+# zero_to_zero maps to 0 unevaluated
+_ROW_TABLES = {
+    "floats": [5.0, 2.5, -0.0, 0.0, 1e300],
+    "int and np.float64": [1.0, 3, np.float64(0.75), np.float64(-1.5), True],
+    "near-real complex": [1.0, 1 + 0.5e-9j, -0.5e-9 + 0j, 2.0 - 0.5e-9j, -7.0 + 0j],
+    "zero imaginary parts": [1.0, complex(-0.0, -0.0), complex(3.0, -0.0), np.complex128(2.5),
+                             complex(-1.5, 0.0)],
+    "complex off every real ring": [1.0, 2.0, 1 + 1j, 3.0, 4.0],
+    "tiny negative": [1.0, -0.5e-9, 2.0, -0.0, 3.0],
+    "non-finite": [1.0, 2.0, math.nan, 3.0, 4.0],
+    "infinite at the zero point": [math.inf, 2.0, 3.0, -0.0, 4.0],
+    "raising": [1.0, 2.0, 3.0, _raise, 4.0],
+    "raising at the zero point": [_raise, 2.0, 3.0, 4.0, 5.0],
+}
+
+
+@pytest.mark.parametrize("ring", list(ScalarRing))
+@pytest.mark.parametrize("zero_to_zero", [False, True])
+@pytest.mark.parametrize("table", list(_ROW_TABLES))
+def test_row_loop_equals_the_per_value_rule(ring, zero_to_zero, table):
+    """A row is evaluated in one loop with one handler: it equals the
+    per-value rule above, type and sign of zero included, or is a failure
+    exactly where some value fails it.  apply and apply_all rebuild that
+    row, and a single point takes the same rule."""
+    outputs = _ROW_TABLES[table]
+
+    def fn(x):
+        out = outputs[round(complex(x).real)]
+        return out(x) if callable(out) else out
+
+    f = ScalarFunction(fn, ring)
+    p = plan(np.diag(np.arange(float(len(outputs)))), ring)
+    cut = p.cluster_tol if zero_to_zero else None
+    try:
+        want = [0.0 if zero_to_zero and abs(x) <= cut else _value_by_the_rule(f, x)
+                for x in p.values]
+    except ValueError:
+        want = None
+    if want is None:
+        with pytest.raises(_EvalFailed):
+            _eval_row(f, p.values, DEFAULT_TOL, cut)
+    else:
+        got = _eval_row(f, p.values, DEFAULT_TOL, cut)
+        assert [type(v) for v in got] == [type(v) for v in want]
+        assert [(complex(v), math.copysign(1.0, complex(v).real), math.copysign(1.0, complex(v).imag))
+                for v in got] == \
+            [(complex(v), math.copysign(1.0, complex(v).real), math.copysign(1.0, complex(v).imag))
+             for v in want]
+    outcomes = [p.apply(f, zero_to_zero=zero_to_zero)]
+    if not zero_to_zero:
+        outcomes += p.apply_all([f])
+    for out in outcomes:
+        if want is None:
+            assert out.junk and out.reason == "eval_failed"
+            continue
+        ref = _reconstruct(p.u, np.array(want, dtype=None if p.u.dtype.kind == "f" else complex))
+        assert not out.junk and out.value.tobytes() == ref.tobytes()
+    for x in p.values:
+        try:
+            single = _value_by_the_rule(f, x)
+        except ValueError:
+            with pytest.raises(_EvalFailed):
+                _eval_at(f, x, DEFAULT_TOL)
+            continue
+        got = _eval_at(f, x, DEFAULT_TOL)
+        assert type(got) is type(single) and got == single
 
 
 @pytest.mark.parametrize("s", [1e-150, 1e150, 1e155])

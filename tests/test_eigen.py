@@ -406,3 +406,23 @@ def test_eigenvalues_come_back_sorted_by_real_then_imaginary_part(monkeypatch):
         assert _lexicographic(diag)
         assert np.array_equal(diag, np.sort_complex(np.array(lam, dtype=complex)))
     assert 0 < sorts[0] < calls  # the sort was both skipped and taken
+
+
+def test_residual_reads_the_scale_rule_below_the_normal_range():
+    """residual() is taken of b = a / c against lam / c, relative to ||b||_F:
+    the normal 5x5 input of the oracle's scale test reads the scale-1 value
+    where a / c and lam / c are exact (2^-990, 2^-1000), about it where a's
+    entries are subnormal (2^-1022, 2^-1025), and never less below that,
+    where the stored eigenvalues themselves are subnormal (2^-1040).  It
+    read 8e-16, 9e-23 and 3e-23 there when it divided by max(||a||_F,
+    1e-300)."""
+    u = random_unitary(rng_from_seed(63), 5)
+    a = (u * [0.0, 1.0, 2.0, 2.0, 3.5 + 1j]) @ adjoint(u)
+    base = plan(a).residual()
+    assert 0.0 < base <= 1e-14
+    for e in (990, 1000):
+        assert plan(a * 2.0 ** -e).residual() == base, e
+    for e in (1022, 1025):
+        r = plan(a * 2.0 ** -e).residual()
+        assert base / 4 <= r <= 4 * base, (e, r)
+    assert plan(a * 2.0 ** -1040).residual() >= base

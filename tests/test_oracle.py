@@ -16,7 +16,14 @@ from cfckit.matrix_core import (
     is_star_normal,
     zeros,
 )
-from cfckit.oracle import OracleSkipped, StarPolynomial, _interpolate, cfc_oracle, check_laws
+from cfckit.oracle import (
+    OracleSkipped,
+    StarPolynomial,
+    _interpolate,
+    _memoised,
+    cfc_oracle,
+    check_laws,
+)
 from cfckit.sampling import (
     random_normal_matrix,
     random_poly_function,
@@ -206,6 +213,45 @@ def test_check_laws_calls_a_failing_f_once_per_argument():
                         ScalarRing.REAL)
     assert [e.name for e in report.entries if not e.skipped] == ["junk_totality"]
     assert calls and max(calls.values()) == 1
+
+
+def test_memo_calls_f_once_per_distinct_argument_and_answers_repeats():
+    """The memo of a trial tells 0.0 from -0.0 and 2.0 from 2+0j: f runs
+    once for each such argument, an equal argument object of its own reads
+    the kept value, a repeated object reads it by identity, and a raising
+    argument raises again without a call.  Arguments are kept alive, so
+    the ids of temporaries are never reused for another value."""
+    calls = collections.Counter()
+
+    def f(x):
+        if isinstance(x, np.ndarray):
+            calls["array"] += 1
+            return float(x)
+        key = (type(x), x, math.copysign(1.0, x.real), math.copysign(1.0, x.imag))
+        calls[key] += 1
+        if x == 5:
+            raise ValueError("outside the domain of f")
+        return key
+
+    m = _memoised(ScalarFunction(f))
+    args = [0.0, -0.0, 2.0, 2 + 0j, complex(2.0, -0.0), 2, complex(-0.0, 0.0)]
+    for _ in range(3):
+        for x in args:
+            assert m.eval(x) == (type(x), x, math.copysign(1.0, x.real),
+                                 math.copysign(1.0, x.imag))
+    assert float("2.5") is not float("2.5")
+    assert m.eval(float("2.5")) == m.eval(float("2.5")) == (float, 2.5, 1.0, 1.0)
+    assert len(calls) == len(args) + 1 and set(calls.values()) == {1}
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            m.eval(5.0)
+    assert calls[(float, 5.0, 1.0, 1.0)] == 1
+    for i in range(200):  # temporaries: a freed one would hand its id on
+        x = i + 0.25
+        assert m.eval(x) == (float, x, 1.0, 1.0)
+    unhashable = np.array(1.5)  # no key: f runs on every call
+    assert m.eval(unhashable) == m.eval(unhashable) == 1.5
+    assert calls["array"] == 2
 
 
 def test_oracle_law_holds_on_a_chained_spectrum():
