@@ -57,7 +57,11 @@ __all__ = [
 
 def __getattr__(name):
     """A lazy public name: its module is loaded and every public name of that
-    module is bound here, so the next lookup is a plain one."""
+    module is bound here, so the next lookup is a plain one.  A lazy module
+    whose name is no public name (oracle, unitization) is loaded as itself,
+    so `cfckit.oracle` works as it did when the package imported it."""
+    if name in _LAZY and name not in _HOME:
+        return importlib.import_module(f".{name}", __name__)
     module = _HOME.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -77,9 +77,8 @@ def _eval_row(f: ScalarFunction, xs, tol: float, cut: Optional[float] = None) ->
     failure (an exception from f, a non-finite value, a value off the ring)
     raises _EvalFailed, since it makes the whole row junk.  A finite Python
     float already in f's real ring is kept as it is; any other value is
-    complex(f(x)), which restriction to C leaves alone and which, with a
-    zero imaginary part and already in a real ring, restricts to its real
-    part; everything else takes restrict_scalar.  With a cut, an x of
+    complex(f(x)), which restriction to C leaves alone and which
+    restrict_scalar takes to a real ring.  With a cut, an x of
     modulus at most cut maps to 0.0 unevaluated."""
     feval, ring = f.eval, f.ring
     over_c, over_r = ring is ScalarRing.COMPLEX, ring is ScalarRing.REAL
@@ -99,12 +98,7 @@ def _eval_row(f: ScalarFunction, xs, tol: float, cut: Optional[float] = None) ->
             out = complex(out)
             if not (isfinite(out.real) and isfinite(out.imag)):
                 raise ValueError(f"non-finite value at {x!r}")
-            if over_c:
-                append(out)
-            elif out.imag == 0.0 and (over_r or out.real >= 0.0):
-                append(out.real)
-            else:
-                append(restrict_scalar(out, ring, tol))
+            append(out if over_c else restrict_scalar(out, ring, tol))
     except Exception as exc:  # domain errors are data, not bugs
         raise _EvalFailed(str(exc)) from exc
     return row

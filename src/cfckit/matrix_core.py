@@ -271,17 +271,13 @@ def elemental_subalgebra(a, unital: bool = True, tol: float = DEFAULT_TOL) -> St
     return _elemental_chain(a, unital)
 
 
-def _elemental_chain(a, unital: bool, rows: int | None = None) -> StarSubalgebra:
+def _elemental_chain(a, unital: bool) -> StarSubalgebra:
     """elemental_subalgebra's chain, for a coerced a whose normality its
     caller has decided, run on b = a / c as _rescaled takes it: C*(a) =
-    C*(b), and the powers of b stay in the float range.  rows, the dimension
-    the caller expects (the count of a's distinct eigenvalues), sizes the
-    basis once, with one row more for the direction that ends the chain, and
-    a chain that ends at rows keeps that array as its basis; without rows,
-    or past it, the basis grows by doubling."""
+    C*(b), and the powers of b stay in the float range."""
     a, scale, _ = _rescaled(a)
     n = a.shape[0]
-    q = np.empty((min(n, rows + 1 if rows else 4), n * n), dtype=np.complex128)
+    q = np.empty((min(n, 4), n * n), dtype=np.complex128)
     k = 0
     cand = identity(n) if unital else a
     while k < n:
@@ -299,9 +295,7 @@ def _elemental_chain(a, unital: bool, rows: int | None = None) -> StarSubalgebra
         if fro_norm(cand - a @ qk) > CHAIN_COMMUTATOR_REL * scale:
             break
         k += 1
-    if k != rows and k < len(q):
-        q = q[:k].copy()  # frees the spare rows
-    return StarSubalgebra(ambient_dim=n, rows=q[:k], unital=unital)
+    return StarSubalgebra(ambient_dim=n, rows=q[:k].copy(), unital=unital)  # frees the spare rows
 
 
 def subalgebra_from_matrices(mats, unital: bool = False, tol: float = DEFAULT_TOL) -> StarSubalgebra:

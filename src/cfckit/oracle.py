@@ -326,7 +326,7 @@ def check_laws(
     entries.append(LawEntry("isometry", r, tol, r <= tol))
 
     t = max(tol, MEMBERSHIP_FLOOR)
-    inside, r = _elemental_chain(a, unital=True, rows=len(points)).contains(out_f.value, t)
+    inside, r = _elemental_chain(a, unital=True).contains(out_f.value, t)
     entries.append(LawEntry("range", r, t, inside))
 
     try:

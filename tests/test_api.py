@@ -69,6 +69,21 @@ print(missing, homes, callable(cfckit.spectrum), cfckit.cfc.__module__)
         cfckit.not_a_name
 
 
+def test_lazy_submodules_resolve_as_attributes_in_a_fresh_interpreter():
+    """After a bare `import cfckit`, cfckit.oracle and cfckit.unitization are
+    the submodules, as when the package imported them eagerly, while
+    cfckit.spectrum stays the function."""
+    probe = """
+import types
+import cfckit
+print(cfckit.oracle.__name__, cfckit.unitization.__name__,
+      isinstance(cfckit.spectrum, types.ModuleType), cfckit.oracle.check_laws is cfckit.check_laws)
+"""
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "cfckit.oracle cfckit.unitization False True"
+
+
 # What LawReport.to_dict() and table() gave for this report before the result
 # records were slotted, byte for byte.
 _REPORT = LawReport((

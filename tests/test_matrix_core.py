@@ -6,11 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from cfckit.cfc import plan
 from cfckit.matrix_core import (
     DimensionMismatch,
     NotNormal,
-    _elemental_chain,
     adjoint,
     as_matrix,
     elemental_subalgebra,
@@ -255,39 +253,6 @@ def test_elemental_chain_stays_inside_c_star_at_n_64():
             assert fro_norm(b @ a - a @ b) <= 1e-6 * fro_norm(a)
         for f in (lam, np.exp(lam)):
             assert B.contains((u * f) @ adjoint(u), 1e-8)[0]
-
-
-@pytest.mark.parametrize("spectrum", [
-    _line(4), _circle(5), _disk(6), _line(16), _circle(16, 2), _disk(16), _line(32), _circle(32),
-    _disk(32), _line(64), _circle(64), _disk(64), _line(32, 2),
-])
-def test_elemental_chain_sized_by_its_count_keeps_the_rows_of_its_growth(spectrum):
-    """Given the count of a's distinct eigenvalues, the chain allocates its
-    basis once and keeps it when it ends at that count; its rows equal those
-    of the doubling growth, which elemental_subalgebra runs, bit for bit,
-    and so do the rows for a count that is too small (the growth takes
-    over) or too large (the spare rows go).  A basis kept at its count holds
-    one row more, the direction that ended the chain."""
-    _, _, _, a = _conjugate(len(spectrum(rng_from_seed(0))), spectrum)
-    a = as_matrix(a)
-    grown = _elemental_chain(a, unital=True)
-    count = len(plan(a).points())
-    for rows in (count, count - 1, count + 1, 1):
-        sized = _elemental_chain(a, unital=True, rows=rows)
-        assert sized.dim == grown.dim
-        assert sized.rows.tobytes() == grown.rows.tobytes()
-        spare = 0 if sized.rows.base is None else len(sized.rows.base) - sized.dim
-        assert spare == (rows == sized.dim < a.shape[0])  # the row that ended the chain
-    n = a.shape[0]
-    if grown.dim == count >= 32:  # doubling would hold 1.5 count rows at once
-        entry = np.dtype(np.complex128).itemsize * n * n
-        tracemalloc.start()
-        try:
-            _elemental_chain(a, unital=True, rows=count)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= (count + 8) * entry
 
 
 def test_elemental_basis_is_sized_by_its_dimension_not_by_n():
