@@ -68,10 +68,15 @@ def restrict_scalar(z, target: ScalarRing, tol: float = DEFAULT_TOL):
     """Project a scalar onto `target`, failing beyond the tolerance band.
 
     Real: succeeds with re(z) iff |im(z)| <= tol.  NNReal: additionally
-    requires re(z) >= -tol and clamps tiny negatives to 0.
+    requires re(z) >= -tol and clamps tiny negatives to 0.  A complex with a
+    zero imaginary part already in `target` returns its real part at once:
+    the calculus restricts every value it evaluates.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
+    if type(z) is complex and z.imag == 0.0 and (
+            target is ScalarRing.REAL or target is ScalarRing.NNREAL and z.real >= 0.0):
+        return z.real
     z = complex(z)
     if target is ScalarRing.COMPLEX:
         return z

@@ -32,6 +32,26 @@ def test_restrict_examples():
         restrict_scalar(-1 + 0j, ScalarRing.NNREAL, 1e-10)
 
 
+@pytest.mark.parametrize("z, target, expected", [
+    (complex(2.5, 0.0), ScalarRing.REAL, 2.5),
+    (complex(-2.5, -0.0), ScalarRing.REAL, -2.5),
+    (complex(-0.0, 0.0), ScalarRing.REAL, -0.0),
+    (complex(-0.0, 0.0), ScalarRing.NNREAL, -0.0),
+    (complex(0.0, -0.0), ScalarRing.NNREAL, 0.0),
+    (complex(-1e-12, 0.0), ScalarRing.NNREAL, 0.0),
+    (complex(math.inf, 0.0), ScalarRing.REAL, math.inf),
+    (complex(math.nan, 0.0), ScalarRing.NNREAL, math.nan),
+    (complex(2.5, 0.0), ScalarRing.COMPLEX, complex(2.5, 0.0)),
+])
+def test_restrict_zero_imaginary_part_keeps_type_and_sign(z, target, expected):
+    """A complex with a zero imaginary part restricts to its real part,
+    a float, with the sign of a zero kept; a negative one over R>=0 is
+    clamped, and C keeps it complex."""
+    got = restrict_scalar(z, target, 1e-10)
+    assert type(got) is type(expected)
+    assert repr(got) == repr(expected)
+
+
 def test_restrict_clamps_tiny_negatives():
     assert restrict_scalar(-1e-12 + 0j, ScalarRing.NNREAL, 1e-10) == 0.0
 
