@@ -52,9 +52,6 @@ class ScalarFunction:
     ring: ScalarRing = ScalarRing.COMPLEX
     name: Optional[str] = None
 
-    def __call__(self, x):
-        return self.eval(x)
-
 
 @dataclass(slots=True)
 class CfcOutcome:
@@ -72,25 +69,20 @@ def _junk(n: int, reason: str) -> CfcOutcome:
     return CfcOutcome(value=zeros(n), junk=True, reason=reason)
 
 
-def _eval_row(f: ScalarFunction, xs, tol: float, cut: Optional[float] = None) -> list:
+def _eval_row(f: ScalarFunction, xs, tol: float) -> list:
     """[f(x) for x in xs], each value restricted to f's ring within tol; any
     failure (an exception from f, a non-finite value, a value off the ring)
     raises _EvalFailed, since it makes the whole row junk.  A finite Python
     float already in f's real ring is kept as it is; any other value is
     complex(f(x)), which restriction to C leaves alone and which
-    restrict_scalar takes to a real ring.  With a cut, an x of
-    modulus at most cut maps to 0.0 unevaluated."""
+    restrict_scalar takes to a real ring."""
     feval, ring = f.eval, f.ring
     over_c, over_r = ring is ScalarRing.COMPLEX, ring is ScalarRing.REAL
-    zero_cut = cut is not None
     isfinite = math.isfinite
     row = []
     append = row.append
     try:
         for x in xs:
-            if zero_cut and abs(x) <= cut:
-                append(0.0)
-                continue
             out = feval(x)
             if type(out) is float and not over_c and isfinite(out) and (out >= 0.0 or over_r):
                 append(out)
@@ -102,11 +94,6 @@ def _eval_row(f: ScalarFunction, xs, tol: float, cut: Optional[float] = None) ->
     except Exception as exc:  # domain errors are data, not bugs
         raise _EvalFailed(str(exc)) from exc
     return row
-
-
-def _eval_at(f: ScalarFunction, x, tol: float):
-    """f(x) by the rule of _eval_row, for a single point."""
-    return _eval_row(f, (x,), tol)[0]
 
 
 @dataclass(slots=True)
@@ -140,15 +127,17 @@ class SpectralPlan:
         return DEFAULT_CLUSTER_REL * self.scale * self.c
 
     def residual(self) -> float:
-        """||a - u diag(lam) u*||_F / ||a||_F, taken as ||b - u diag(lam/c)
+        """||a - u diag(values) u*||_F / ||a||_F, the backward error of the
+        reconstruction every apply uses, taken as ||b - u diag(values/c)
         u*||_F / scale for a = c b, so that it stays relative where ||a||_F
-        leaves the normal range; raises the stored error.  lam is divided as
-        reals, since numpy divides a complex array by a float through 1/c,
-        which overflows for a subnormal c."""
+        leaves the normal range; raises the stored error.  The values are
+        divided as reals, since numpy divides a complex array by a float
+        through 1/c, which overflows for a subnormal c."""
         if self.error is not None:
             raise self.error
         b = _rescaled(self.a)[0]
-        lam = (self.lam.view(np.float64) / self.c).view(self.lam.dtype)
+        lam = np.array(self.values, dtype=self.lam.dtype)
+        lam = (lam.view(np.float64) / self.c).view(lam.dtype)
         return fro_norm(b - (self.u * lam) @ adjoint(self.u)) / max(self.scale, EPS_FLOOR)
 
     @property
@@ -179,17 +168,16 @@ class SpectralPlan:
         self.points()
         return self._clusters[1]
 
-    def apply(self, f: ScalarFunction, zero_to_zero: bool = False) -> CfcOutcome:
+    def apply(self, f: ScalarFunction) -> CfcOutcome:
         """u diag(f(lam)) u*, f evaluated at each eigenvalue, or junk with its
-        reason; with zero_to_zero, eigenvalues at 0 map to 0 unevaluated.
-        With a real u the values stay float64 when every one is a float, and
-        the value is one real product u diag(f(lam)) u^T; the outcome's
-        value is complex128 either way."""
+        reason.  With a real u the values stay float64 when every one is a
+        float, and the value is one real product u diag(f(lam)) u^T; the
+        outcome's value is complex128 either way."""
         n = self.a.shape[0]
         if self.error is not None:
             return _junk(n, self.reason)
         try:
-            fvals = _eval_row(f, self.values, self.tol, self.cluster_tol if zero_to_zero else None)
+            fvals = _eval_row(f, self.values, self.tol)
         except _EvalFailed:
             return _junk(n, "eval_failed")
         fvals = np.array(fvals, dtype=None if self.u.dtype.kind == "f" else np.complex128)
@@ -275,10 +263,12 @@ def cfc_n(
     f: ScalarFunction, a, B: StarSubalgebra | None = None,
     ring: ScalarRing = ScalarRing.COMPLEX, tol: float = DEFAULT_TOL,
 ) -> CfcOutcome:
-    """Non-unital calculus: additionally requires f(0) = 0 (within tol),
-    since 0 always belongs to the quasispectrum.  The plan's ring check
-    comes first: a failed predicate takes precedence over a failed f(0)
-    condition, which takes precedence over a failed decomposition.
+    """Non-unital calculus: the unital one of f cut at zero (eigenvalues of
+    modulus at most the plan's cluster scale map to 0 unevaluated), guarded
+    by f(0) = 0 (within tol), since 0 always belongs to the quasispectrum.
+    The plan's ring check comes first: a failed predicate takes precedence
+    over a failed f(0) condition, which takes precedence over a failed
+    decomposition.
 
     When a subalgebra B is supplied, membership of a is a precondition and
     membership of the result is asserted (range containment).
@@ -288,11 +278,12 @@ def cfc_n(
     p = plan(a, ring, tol)
     if p.reason != "predicate_failed":
         try:
-            if abs(_eval_at(f, embed(0.0, ring), tol)) > tol:
+            if abs(_eval_row(f, (embed(0.0, ring),), tol)[0]) > tol:
                 return _junk(p.a.shape[0], "zero_condition_failed")
         except _EvalFailed:
             return _junk(p.a.shape[0], "eval_failed")
-    out = p.apply(f, zero_to_zero=True)
+    cut, feval = p.cluster_tol, f.eval
+    out = p.apply(ScalarFunction(lambda x: 0.0 if abs(x) <= cut else feval(x), f.ring, f.name))
     if B is not None and not out.junk:
         B.require(out.value, tol, "calculus value escaped the subalgebra")
     return out
@@ -346,18 +337,13 @@ def builtin_function(name: str, ring: ScalarRing = ScalarRing.COMPLEX,
         if t is None:
             raise ValueError("builtin 'rpow' requires real exponent t")
         tt = float(t)
-        if real:
-            def fn(x):
-                if x < 0:
-                    raise ValueError("rpow of a negative real")
-                if x == 0 and tt < 0:
-                    raise ZeroDivisionError("rpow at zero with negative exponent")
-                return x ** tt
-        else:
-            def fn(x):
-                if x == 0 and tt < 0:
-                    raise ZeroDivisionError("rpow at zero with negative exponent")
-                return x ** tt
+
+        def fn(x):
+            if real and x < 0:
+                raise ValueError("rpow of a negative real")
+            if x == 0 and tt < 0:
+                raise ZeroDivisionError("rpow at zero with negative exponent")
+            return x ** tt
     else:
         raise ValueError(f"unknown builtin {name!r} (expected one of {_BUILTIN_NAMES})")
     return ScalarFunction(fn, ring, name)
@@ -373,8 +359,7 @@ def loewner_le(f: ScalarFunction, g: ScalarFunction, a,
                ring: ScalarRing = ScalarRing.REAL, tol: float = DEFAULT_TOL) -> bool:
     """Forward direction of the order law: f <= g pointwise on the spectrum
     implies cfc(g, a) - cfc(f, a) is nonnegative."""
-    p = plan(a, ring, tol)
-    lhs, rhs = p.apply(f), p.apply(g)
+    lhs, rhs = plan(a, ring, tol).apply_all((f, g))
     if lhs.junk or rhs.junk:
         return False
     return is_nonneg(rhs.value - lhs.value, max(tol, 1e-8) * 100).holds

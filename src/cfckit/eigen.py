@@ -87,7 +87,8 @@ def _decompose(a, ring, tol, scale):
     to the eigensolve (a.conj() is a itself), so a*, s and h are float64
     and u and lam too over R and R>=0.  a - a* decides selfadjointness (R,
     R>=0), and h = (a + a*) / 2 gets the one Hermitian eigensolve, whose
-    least eigenvalue decides R>=0.
+    negative eigenvalues, with a's skew part, give the backward error that
+    decides R>=0 (matrix_core.nonneg_report).
 
     Over C, lam = diag(u* a u) and d = a u - u diag(lam) come from the
     one product a u.  Where ||d||_F exceeds half the diagonal cut
@@ -120,7 +121,7 @@ def _decompose(a, ring, tol, scale):
     del s
     if ring is not ScalarRing.COMPLEX:
         if ring is ScalarRing.NNREAL:
-            report = nonneg_report(report, float(wh[0]), scale)
+            report = nonneg_report(report, wh, scale)
             if not report.holds:
                 raise PredicateFailure(report)
         return u, wh, report

@@ -153,10 +153,16 @@ def _predicate_report(a, ah, s, tol: float, scale: float) -> PredicateReport:
     return PredicateReport("normal", residual <= tol, residual, tol)
 
 
-def nonneg_report(sa: PredicateReport, lam_min: float, scale: float) -> PredicateReport:
-    """The nonneg rule, from the selfadjoint report of a, the least
-    eigenvalue of its Hermitian part and ||a||_F."""
-    residual = max(sa.residual, max(-lam_min, 0.0) / max(scale, EPS_FLOOR))
+def nonneg_report(sa: PredicateReport, lam, scale: float) -> PredicateReport:
+    """The nonneg rule, from the selfadjoint report of a, the ascending
+    eigenvalues lam of its Hermitian part h and ||a||_F: the selfadjoint
+    residual and the backward error beta_+ = hypot(||a - a*||_F / 2,
+    ||min(lam, 0)||_2) / ||a||_F of u diag(max(lam, 0)) u*, which drops a's
+    skew part and clamps h's negative eigenvalues, both within tol."""
+    residual = sa.residual
+    if lam[0] < 0:
+        negative = fro_norm(lam[lam < 0]) / max(scale, EPS_FLOOR)
+        residual = max(residual, math.hypot(residual / 2, negative))
     return PredicateReport("nonneg", residual <= sa.tol_used, residual, sa.tol_used)
 
 
@@ -170,8 +176,8 @@ def predicate_for_ring(a, ring: ScalarRing, tol: float = DEFAULT_TOL) -> Predica
     sa = _predicate_report(a, ah, None, tol, scale)
     if ring is ScalarRing.REAL:
         return sa
-    lam_min = np.linalg.eigvalsh((a + ah) / 2)[0] if sa.holds else 0.0
-    return nonneg_report(sa, float(lam_min), scale)
+    lam = np.linalg.eigvalsh((a + ah) / 2) if sa.holds else np.zeros(1)
+    return nonneg_report(sa, lam, scale)
 
 
 def is_star_normal(a, tol: float = DEFAULT_TOL) -> PredicateReport:
@@ -211,13 +217,11 @@ class StarSubalgebra:
         """The basis elements, a (dim, n, n) view of the rows."""
         return self.rows.reshape(self.dim, self.ambient_dim, self.ambient_dim)
 
-    def coordinates(self, x) -> np.ndarray:
-        """trace(b* x) for each basis element b, taken as conj(rows conj(x))."""
-        return np.conj(self.rows @ np.conj(np.ravel(x)))
-
     def project(self, x) -> np.ndarray:
+        """sum of trace(b* x) b over the basis elements b, the coordinates
+        taken as conj(rows conj(x))."""
         n = self.ambient_dim
-        return (self.coordinates(x) @ self.rows).reshape(n, n)
+        return (np.conj(self.rows @ np.conj(np.ravel(x))) @ self.rows).reshape(n, n)
 
     def contains(self, x, tol: float = DEFAULT_TOL):
         """(membership, relative projection residual), taken of x rescaled

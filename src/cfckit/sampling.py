@@ -31,13 +31,13 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def spaced_eigenvalues(rng: np.random.Generator, n: int, ring: ScalarRing,
-                       allow_repeats: bool = True, nonzero: bool = False):
+                       nonzero: bool = False):
     """n eigenvalues on the grid (distinct real parts; repeats are exact).
 
     Complex ring values get a random imaginary part; real/nnreal values stay
     on the grid.  `nonzero` keeps every value away from 0.
     """
-    k = int(rng.integers(1, n + 1)) if allow_repeats else n
+    k = int(rng.integers(1, n + 1))
     grid = _GRID
     if ring is ScalarRing.NNREAL:
         grid = grid[grid >= 0.25] if nonzero else grid[grid >= 0.0]
@@ -69,16 +69,15 @@ def random_normal_matrix(rng: np.random.Generator, n: int,
     return a
 
 
-def random_poly_function(rng: np.random.Generator, ring: ScalarRing,
-                         degree: int = 3) -> ScalarFunction:
-    """Random polynomial respecting the ring discipline (real coefficients on
-    R, nonnegative coefficients on R>=0 so values stay in the semiring)."""
+def random_poly_function(rng: np.random.Generator, ring: ScalarRing) -> ScalarFunction:
+    """Random cubic respecting the ring discipline (real coefficients on R,
+    nonnegative coefficients on R>=0 so values stay in the semiring)."""
     if ring is ScalarRing.COMPLEX:
-        coeffs = rng.uniform(-1, 1, degree + 1) + 1j * rng.uniform(-1, 1, degree + 1)
+        coeffs = rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)
     elif ring is ScalarRing.REAL:
-        coeffs = rng.uniform(-1, 1, degree + 1).astype(np.complex128)
+        coeffs = rng.uniform(-1, 1, 4).astype(np.complex128)
     else:
-        coeffs = rng.uniform(0, 1, degree + 1).astype(np.complex128)
+        coeffs = rng.uniform(0, 1, 4).astype(np.complex128)
     coeffs = tuple(complex(c) for c in coeffs)
 
     def evaluate(x):
@@ -89,4 +88,4 @@ def random_poly_function(rng: np.random.Generator, ring: ScalarRing,
             return acc
         return acc.real
 
-    return ScalarFunction(evaluate, ring, f"poly deg {degree}")
+    return ScalarFunction(evaluate, ring, "poly deg 3")

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from cfckit.cfc import (
     ScalarFunction,
-    _eval_at,
     _eval_row,
     _EvalFailed,
     _reconstruct,
@@ -338,6 +337,16 @@ def test_loewner_forward_direction(decompositions):
     assert decompositions[0] == 1  # one plan serves f and g
 
 
+def test_loewner_le_is_false_where_a_side_is_junk():
+    """A junk side (failed predicate, or f failing at a spectral point)
+    proves no order."""
+    f = ScalarFunction(lambda x: x, ScalarRing.REAL)
+    g = ScalarFunction(lambda x: x + 1.0, ScalarRing.REAL)
+    assert not loewner_le(f, g, np.array([[0.0, -1.0], [1.0, 0.0]]), ScalarRing.REAL)
+    assert not loewner_le(builtin_function("log", ScalarRing.REAL), g, np.diag([0.0, 1.0]),
+                          ScalarRing.REAL)
+
+
 def test_junk_totality_fuzz():
     gen = rng_from_seed(15)
     cases = [
@@ -540,7 +549,7 @@ def _restricted_value(f, x, tol=DEFAULT_TOL):
     math.nan, math.inf, -math.inf, -7.0 + 0j, 1 + 0.5e-9j,
 ])
 def test_real_scalar_values_are_taken_as_before(ring, value):
-    """_eval_at keeps every value that restrict_scalar(complex(f(x))) gave,
+    """_eval_row keeps every value that restrict_scalar(complex(f(x))) gave,
     type and sign of zero included, and every failure, and the outcome is
     the reconstruction from those values: over R>=0 a tiny negative is
     clamped to +0.0, NaN and +-inf are eval_failed."""
@@ -551,9 +560,9 @@ def test_real_scalar_values_are_taken_as_before(ring, value):
     except ValueError:
         assert out.junk and out.reason == "eval_failed"
         with pytest.raises(_EvalFailed):
-            _eval_at(f, 1.0, DEFAULT_TOL)
+            _eval_row(f, (1.0,), DEFAULT_TOL)
         return
-    new = _eval_at(f, 1.0, DEFAULT_TOL)
+    new = _eval_row(f, (1.0,), DEFAULT_TOL)[0]
     assert type(new) is type(old) and new == old
     signs = [math.copysign(1.0, part) for z in (new, old) for part in (z.real, z.imag)]
     assert signs[:2] == signs[2:]
@@ -584,8 +593,8 @@ def _raise(x):
     raise ValueError(f"outside the domain at {x!r}")
 
 
-# f's value at the i-th point 0, 1, 2, ...; the first point is 0, which
-# zero_to_zero maps to 0 unevaluated
+# f's value at the i-th point 0, 1, 2, ...; the first point is 0, which f
+# cut at zero (as cfc_n cuts it) maps to 0.0 unevaluated
 _ROW_TABLES = {
     "floats": [5.0, 2.5, -0.0, 0.0, 1e300],
     "int and np.float64": [1.0, 3, np.float64(0.75), np.float64(-1.5), True],
@@ -608,34 +617,32 @@ def test_row_loop_equals_the_per_value_rule(ring, zero_to_zero, table):
     """A row is evaluated in one loop with one handler: it equals the
     per-value rule above, type and sign of zero included, or is a failure
     exactly where some value fails it.  apply and apply_all rebuild that
-    row, and a single point takes the same rule."""
+    row, and a single point takes the same rule.  With zero_to_zero, f is
+    cut at zero as cfc_n cuts it: its 0.0 at the point 0 is 0j over C."""
     outputs = _ROW_TABLES[table]
 
     def fn(x):
         out = outputs[round(complex(x).real)]
         return out(x) if callable(out) else out
 
-    f = ScalarFunction(fn, ring)
     p = plan(np.diag(np.arange(float(len(outputs)))), ring)
-    cut = p.cluster_tol if zero_to_zero else None
+    cut = p.cluster_tol
+    f = ScalarFunction((lambda x: 0.0 if abs(x) <= cut else fn(x)) if zero_to_zero else fn, ring)
     try:
-        want = [0.0 if zero_to_zero and abs(x) <= cut else _value_by_the_rule(f, x)
-                for x in p.values]
+        want = [_value_by_the_rule(f, x) for x in p.values]
     except ValueError:
         want = None
     if want is None:
         with pytest.raises(_EvalFailed):
-            _eval_row(f, p.values, DEFAULT_TOL, cut)
+            _eval_row(f, p.values, DEFAULT_TOL)
     else:
-        got = _eval_row(f, p.values, DEFAULT_TOL, cut)
+        got = _eval_row(f, p.values, DEFAULT_TOL)
         assert [type(v) for v in got] == [type(v) for v in want]
         assert [(complex(v), math.copysign(1.0, complex(v).real), math.copysign(1.0, complex(v).imag))
                 for v in got] == \
             [(complex(v), math.copysign(1.0, complex(v).real), math.copysign(1.0, complex(v).imag))
              for v in want]
-    outcomes = [p.apply(f, zero_to_zero=zero_to_zero)]
-    if not zero_to_zero:
-        outcomes += p.apply_all([f])
+    outcomes = [p.apply(f)] + p.apply_all([f])
     for out in outcomes:
         if want is None:
             assert out.junk and out.reason == "eval_failed"
@@ -647,9 +654,9 @@ def test_row_loop_equals_the_per_value_rule(ring, zero_to_zero, table):
             single = _value_by_the_rule(f, x)
         except ValueError:
             with pytest.raises(_EvalFailed):
-                _eval_at(f, x, DEFAULT_TOL)
+                _eval_row(f, (x,), DEFAULT_TOL)
             continue
-        got = _eval_at(f, x, DEFAULT_TOL)
+        got = _eval_row(f, (x,), DEFAULT_TOL)[0]
         assert type(got) is type(single) and got == single
 
 
@@ -843,8 +850,10 @@ def test_one_plan_applies_like_separate_cfc_calls(seed, n, kind, ring, broken_ei
         p = plan(a, ring)
         for f in fs:
             assert _same_outcome(p.apply(f), cfc(f, a, ring))
-        for f in fs[-2:]:  # f(0) = 0, so cfc_n goes on to the plan
-            assert _same_outcome(p.apply(f, zero_to_zero=True), cfc_n(f, a, None, ring))
+        for f in fs[-2:]:  # f(0) = 0, so cfc_n goes on to the plan of f cut at zero
+            cut = ScalarFunction(lambda x, f=f: 0.0 if abs(x) <= p.cluster_tol else f.eval(x),
+                                 f.ring, f.name)
+            assert _same_outcome(p.apply(cut), cfc_n(f, a, None, ring))
     junk_plan = broken_eigh or kind == "non_normal" or (
         kind == "indefinite" and ring is ScalarRing.NNREAL)
     assert (p.reason is not None) == junk_plan

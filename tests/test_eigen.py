@@ -174,6 +174,12 @@ def test_cluster_examples():
     assert points.size == len(mults) == 3
 
 
+@pytest.mark.parametrize("diameter", [-1e-300, -1.0, math.nan])
+def test_cluster_rejects_a_diameter_that_is_not_nonnegative(diameter):
+    with pytest.raises(ValueError, match="diameter must be nonnegative"):
+        cluster_with_labels([1.0, 2.0], diameter)
+
+
 def test_a_cluster_straddling_another_point_in_real_part_stays_whole():
     """The computed real part of i may fall between those of the two 0s of
     {0, 0, i}; the 0s still form one cluster."""

@@ -32,6 +32,12 @@ def test_restrict_examples():
         restrict_scalar(-1 + 0j, ScalarRing.NNREAL, 1e-10)
 
 
+@pytest.mark.parametrize("target", list(ScalarRing))
+def test_restrict_rejects_a_negative_tolerance(target):
+    with pytest.raises(ValueError, match="tol must be nonnegative"):
+        restrict_scalar(1.0 + 0j, target, -1e-12)
+
+
 @pytest.mark.parametrize("z, target, expected", [
     (complex(2.5, 0.0), ScalarRing.REAL, 2.5),
     (complex(-2.5, -0.0), ScalarRing.REAL, -2.5),
