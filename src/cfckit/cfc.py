@@ -23,9 +23,10 @@ from .matrix_core import (
     PredicateFailure,
     PredicateReport,
     StarSubalgebra,
+    _as_square,
+    _require_finite,
     _rescaled,
     adjoint,
-    as_matrix,
     fro_norm,
     is_nonneg,
     zeros,
@@ -207,10 +208,15 @@ class SpectralPlan:
 
 
 def _reconstruct(u, fvals):
-    """u diag(F) u* for each row F of fvals, (n,) or (k, n), in one product."""
-    if u.dtype.kind == "f" and (fvals.dtype == np.float64 or not np.count_nonzero(fvals.imag)):
-        return ((u * fvals.real[..., None, :]) @ u.T).astype(np.complex128)
-    return (u * fvals[..., None, :]) @ adjoint(u)
+    """u diag(F) u* for each row F of fvals, (n,) or (k, n), in one product:
+    real where u is real and F is float64 or has no imaginary part."""
+    rows = fvals if fvals.ndim == 1 else fvals[:, None, :]
+    if u.dtype.kind == "f":
+        if rows.dtype != np.float64 and not np.count_nonzero(rows.imag):
+            rows = rows.real
+        if rows.dtype == np.float64:
+            return ((u * rows) @ u.T).astype(np.complex128)
+    return (u * rows) @ u.conj().T
 
 
 def plan(a, ring: ScalarRing = ScalarRing.COMPLEX, tol: float = DEFAULT_TOL) -> SpectralPlan:
@@ -224,9 +230,14 @@ def plan(a, ring: ScalarRing = ScalarRing.COMPLEX, tol: float = DEFAULT_TOL) -> 
     multiplied back by c, finite where ||a||_F is not.  Since |lam_b| <=
     ||b||_F, the product lam_b c is finite whenever 2 ||b||_F c is, and then
     needs no check; past that (entries near the float max) an eigenvalue
-    whose modulus lies beyond the float range makes the plan NoConvergence."""
-    a = as_matrix(a)
+    whose modulus lies beyond the float range makes the plan NoConvergence.
+    a is coerced as as_matrix does, its finiteness read off the norm that
+    _rescaled returns: that is finite iff every entry is, so as_matrix's
+    isfinite pass runs only where it is inf or NaN."""
+    a = _as_square(a)
     b, scale, c = _rescaled(a)
+    if not scale < math.inf:
+        _require_finite(a)
     try:
         u, lam, report = _decompose(b, ring, tol, scale)
         if c != 1.0 and 2.0 * scale * c < math.inf:
@@ -289,14 +300,16 @@ def cfc_n(
     return out
 
 
+_POS = ScalarFunction(lambda x: max(x, 0.0), ScalarRing.REAL, "pos")
+_NEG = ScalarFunction(lambda x: max(-x, 0.0), ScalarRing.REAL, "neg")
+
+
 def pos_part(a, tol: float = DEFAULT_TOL) -> CfcOutcome:
-    f = ScalarFunction(lambda x: max(x, 0.0), ScalarRing.REAL, "pos")
-    return cfc_n(f, a, None, ScalarRing.REAL, tol)
+    return cfc_n(_POS, a, None, ScalarRing.REAL, tol)
 
 
 def neg_part(a, tol: float = DEFAULT_TOL) -> CfcOutcome:
-    f = ScalarFunction(lambda x: max(-x, 0.0), ScalarRing.REAL, "neg")
-    return cfc_n(f, a, None, ScalarRing.REAL, tol)
+    return cfc_n(_NEG, a, None, ScalarRing.REAL, tol)
 
 
 def identity_function(ring: ScalarRing = ScalarRing.COMPLEX) -> ScalarFunction:
@@ -352,7 +365,7 @@ def builtin_function(name: str, ring: ScalarRing = ScalarRing.COMPLEX,
 def cfc_builtin(name: str, a, ring: ScalarRing = ScalarRing.COMPLEX,
                 tol: float = DEFAULT_TOL, k: int | None = None,
                 t: float | None = None) -> CfcOutcome:
-    return cfc(builtin_function(name, ring, k=k, t=t), a, ring, tol)
+    return cfc(builtin_function(name, ring, k, t), a, ring, tol)
 
 
 def loewner_le(f: ScalarFunction, g: ScalarFunction, a,

@@ -179,7 +179,7 @@ def function_from_spec(spec: str, ring: ScalarRing) -> ScalarFunction:
         if t is not None and type(t) not in (int, float):
             raise FormatError("field 't' must be a number")
         try:
-            return builtin_function(obj["builtin"], ring, k=k, t=t)
+            return builtin_function(obj["builtin"], ring, k, t)
         except (ValueError, OverflowError) as exc:
             raise FormatError(f"field 'builtin': {exc}") from exc
     if "poly" in obj:

@@ -39,10 +39,12 @@ class PredicateFailure(ValueError):
 
     def __init__(self, report):
         self.report = report
-        super().__init__(
-            f"predicate '{report.predicate}' fails (residual {report.residual:.3e}, "
-            f"tol {report.tol_used:.3e})"
-        )
+        super().__init__(report)  # args == (report,): pickled as cls(report)
+
+    def __str__(self) -> str:
+        # formatted when shown: a junk plan keeps the failure and never shows it
+        r = self.report
+        return f"predicate '{r.predicate}' fails (residual {r.residual:.3e}, tol {r.tol_used:.3e})"
 
 
 class NotNormal(PredicateFailure):
@@ -61,15 +63,26 @@ def as_matrix(a) -> np.ndarray:
     """Coerce to a square array, rejecting non-finite entries: float64 for
     bool, integer and real floating input, so that real matrices stay in
     real arithmetic, and complex128 for anything else."""
+    m = _as_square(a)
+    _require_finite(m)
+    return m
+
+
+def _as_square(a) -> np.ndarray:
+    """as_matrix without its finiteness pass: the dtype and shape rules."""
     m = np.asarray(a)
     m = m.astype(np.float64 if m.dtype.kind in "biuf" else np.complex128, copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] < 1:
         raise ValueError("matrix dimension must be at least 1")
+    return m
+
+
+def _require_finite(m) -> None:
+    """as_matrix's finiteness pass over a float64 or complex128 array."""
     if np.count_nonzero(np.isfinite(m)) != m.size:
         raise ValueError("matrix entries must be finite")
-    return m
 
 
 def identity(n: int) -> np.ndarray:

@@ -51,22 +51,25 @@ def spectrum(a, ring: ScalarRing = ScalarRing.COMPLEX, tol: float = DEFAULT_TOL)
 def is_quasiregular(B: StarSubalgebra, x, tol: float = DEFAULT_TOL):
     """Does some y in B satisfy x + y + xy = 0 = y + x + yx?
 
-    Solved by least squares over B's basis coordinates, stacking both order
-    conditions.  Returns (flag, witness-or-None).
+    Solved by least squares in B's coordinates conj(rows conj(v)): x lies in
+    B and B is closed under products, so (1 + x) b, b (1 + x) and x do for
+    each basis element b, and the two order conditions stack to a 2 dim x
+    dim system.  The verdict reads the full-matrix residuals of y.  Returns
+    (flag, witness-or-None).
     """
     x = as_matrix(x)
     B.require(x, tol)
     n = B.ambient_dim
     one_plus = identity(n) + x
-    cols = []
-    for b in B.basis:
-        cols.append(np.concatenate([(one_plus @ b).ravel(), (b @ one_plus).ravel()]))
-    system = np.column_stack(cols)
-    rhs = np.concatenate([(-x).ravel(), (-x).ravel()])
-    coeffs, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-    y = np.zeros((n, n), dtype=np.complex128)
-    for c, b in zip(coeffs, B.basis):
-        y += c * b
+
+    def coordinates(v):  # column j: the coordinates of the row v[j]
+        return np.conj(B.rows @ np.conj(v).T)
+
+    system = np.concatenate([coordinates((one_plus @ B.basis).reshape(B.dim, -1)),
+                             coordinates((B.basis @ one_plus).reshape(B.dim, -1))])
+    rhs = coordinates(-x.ravel())
+    coeffs, *_ = np.linalg.lstsq(system, np.concatenate([rhs, rhs]), rcond=None)
+    y = (coeffs @ B.rows).reshape(n, n)
     r1 = fro_norm(x + y + x @ y)
     r2 = fro_norm(y + x + y @ x)
     bound = tol * max(1.0, fro_norm(x) ** 2)

@@ -60,10 +60,21 @@ def clusterings(monkeypatch):
     return _count_calls(monkeypatch, "cluster_with_labels")
 
 
+@pytest.fixture
+def finiteness_passes(monkeypatch):
+    """Counts the calls of cfc._require_finite, as_matrix's isfinite pass,
+    which a plan makes only where the norm _rescaled returns is inf or NaN."""
+    return _count_calls(monkeypatch, "_require_finite")
+
+
 # _predicate_report is the residual that the public predicates and the
 # decomposition share; an evaluation counts once however it is reached.
 PREDICATES = ("is_star_normal", "is_selfadjoint", "is_nonneg", "predicate_for_ring",
               "_predicate_report")
+# A plan coerces with as_matrix's dtype and shape half (_as_square) and
+# reads finiteness off its scale; as_matrix runs that half too, and a
+# coercion counts once however it is reached.
+COERCIONS = ("as_matrix", "_as_square")
 MODULES = ("cfckit.matrix_core", "cfckit.eigen", "cfckit.cfc", "cfckit.spectrum",
            "cfckit.oracle", "cfckit.io", "cfckit.unitization")
 
@@ -72,17 +83,19 @@ MODULES = ("cfckit.matrix_core", "cfckit.eigen", "cfckit.cfc", "cfckit.spectrum"
 def work_counts(monkeypatch):
     """Counts outermost predicate evaluations (the selfadjoint residual, or
     over C the commutator product; a plan over C calls _predicate_report only
-    when its backward error does not decide) and every as_matrix coercion
-    (each as bound in every module), numpy eigensolver calls, and the
-    compressions u_F* a u_F of the decomposition over C, of a run or of the
-    refined columns (the calls of eigen.adjoint, which makes one per
-    compression and nothing else)."""
+    when its backward error does not decide), outermost coercions under
+    "as_matrix" (as_matrix, or a plan's _as_square; each as bound in every
+    module), numpy eigensolver calls, and the compressions u_F* a u_F of the
+    decomposition over C, of a run or of the refined columns (the calls of
+    eigen.adjoint, which makes one per compression and nothing else)."""
     counts = {"predicate": 0, "as_matrix": 0, "eigh": 0, "eigvalsh": 0, "compressions": 0}
-    depth = [0]
+    depths = {"predicate": [0], "as_matrix": [0]}
 
-    def predicate(fn):
+    def outermost(key, fn):
+        depth = depths[key]
+
         def wrapper(*args, **kwargs):
-            counts["predicate"] += depth[0] == 0
+            counts[key] += depth[0] == 0
             depth[0] += 1
             try:
                 return fn(*args, **kwargs)
@@ -98,11 +111,10 @@ def work_counts(monkeypatch):
 
     for module in MODULES:
         mod = importlib.import_module(module)
-        for name in PREDICATES:
-            if hasattr(mod, name):
-                monkeypatch.setattr(mod, name, predicate(getattr(mod, name)))
-        if hasattr(mod, "as_matrix"):
-            monkeypatch.setattr(mod, "as_matrix", counted("as_matrix", mod.as_matrix))
+        for key, names in (("predicate", PREDICATES), ("as_matrix", COERCIONS)):
+            for name in names:
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, outermost(key, getattr(mod, name)))
     eigen = importlib.import_module("cfckit.eigen")
     monkeypatch.setattr(eigen, "adjoint", counted("compressions", eigen.adjoint))
     for name in ("eigh", "eigvalsh"):

@@ -1122,3 +1122,66 @@ def test_builtins_are_built_once_per_name_and_ring():
     for k in range(100):
         assert builtin_function("pow", ScalarRing.REAL, k=k).eval(2.0) == 2.0 ** k
     assert builtin_function.cache_info().currsize <= 8 * len(ScalarRing)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf, complex(math.inf, 0.0), complex(0.0, math.nan),
+              complex(1.0, -math.inf)]
+
+
+def _entry_points(a):
+    """Every public way into a plan, over every ring where it takes one."""
+    exp = builtin_function("exp")
+    calls = [lambda: cfc(exp, a), lambda: cfc_n(identity_function(), a),
+             lambda: pos_part(a)]
+    for ring in ScalarRing:
+        calls += [lambda ring=ring: plan(a, ring), lambda ring=ring: cfc_builtin("exp", a, ring),
+                  lambda ring=ring: spectrum(a, ring)]
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 4, 64])
+@pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+def test_non_finite_entries_raise_one_value_error_from_every_entry_point(bad, n):
+    """A plan reads finiteness off ||a||_F, which is finite only when every
+    entry is, and runs as_matrix's isfinite pass where it is not: the same
+    ValueError, before any decomposition, wherever the bad entry sits."""
+    for i, j in ((0, 0), (n - 1, n // 2), (n // 2, n - 1)):
+        a = np.eye(n, dtype=complex if isinstance(bad, complex) else float)
+        a[i, j] = bad
+        for call in _entry_points(a):
+            with pytest.raises(ValueError, match="^matrix entries must be finite$") as info:
+                call()
+            assert type(info.value) is ValueError
+
+
+def test_a_plan_runs_the_isfinite_pass_only_where_the_norm_is_not_finite(finiteness_passes):
+    """A finite ||a||_F, as _rescaled returns it (entries of 1e155 included),
+    proves every entry finite; only an inf or NaN one pays as_matrix's
+    isfinite pass."""
+    for a in (np.eye(4), np.full((4, 4), 1e155), [[1.5e308 + 1.5e308j]], np.zeros((3, 3))):
+        plan(a)
+    assert finiteness_passes[0] == 0
+    with pytest.raises(ValueError, match="finite"):
+        plan([[1.0, math.nan], [0.0, 1.0]])
+    assert finiteness_passes[0] == 1
+
+
+def test_a_wrong_shape_is_reported_before_non_finite_entries():
+    for a in (np.full((2, 3), math.nan), np.full(4, math.inf), np.zeros((0, 0))):
+        for call in _entry_points(a):
+            with pytest.raises(ValueError, match="square matrix|at least 1"):
+                call()
+
+
+@pytest.mark.parametrize("ring", list(ScalarRing))
+def test_finite_entries_whose_norm_overflows_still_plan(ring):
+    """||a||_F^2 overflows for entries of 1e155 (and |a_ij| for 1.5e308 +
+    1.5e308j), which are finite: the plan rescales them, and only an
+    eigenvalue beyond the float range fails it, as a decomposition."""
+    p = plan(np.full((4, 4), 1e155), ring)
+    assert p.error is None
+    assert p.values[-1] == pytest.approx(4e155, rel=1e-12)
+    assert p.values[0] == pytest.approx(0.0, abs=1e-12 * 4e155)
+    p = plan(np.diag([1.5e308 + 1.5e308j, 1.0]))
+    assert p.reason == "decomposition_failed"
+    assert cfc_builtin("id", [[1e308 + 1e308j]]).value[0, 0] == 1e308 + 1e308j

@@ -147,6 +147,20 @@ def test_eigensolver_failure_exits_one(matrix_file, monkeypatch, capsys):
         assert "did not converge" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("matrix, ring, report", [
+    (NONNORMAL, "complex", "'normal' fails (residual 1.414e+00"),
+    (NONNORMAL, "real", "'selfadjoint' fails (residual 1.414e+00"),
+    (NONNORMAL, "nnreal", "'selfadjoint' fails (residual 1.414e+00"),
+    ({"n": 2, "entries": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]}, "nnreal",
+     "'nonneg' fails (residual 7.071e-01"),
+])
+def test_a_failed_predicate_prints_its_report(tmp_path, capsys, matrix, ring, report):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(matrix))
+    assert cfckit.cli.main(["spectrum", "--matrix", str(path), "--ring", ring]) == 1
+    assert capsys.readouterr().err == f"error: predicate {report}, tol 1.000e-09)\n"
+
+
 def test_unitize_info(matrix_file):
     proc = run_cli("unitize-info", "--matrix", matrix_file)
     assert proc.returncode == 0

@@ -1,4 +1,5 @@
 import math
+import pickle
 import time
 import tracemalloc
 import warnings
@@ -9,6 +10,10 @@ import pytest
 from cfckit.matrix_core import (
     DimensionMismatch,
     NotNormal,
+    NotSelfadjoint,
+    PredicateFailure,
+    PredicateReport,
+    _rescaled,
     adjoint,
     as_matrix,
     elemental_subalgebra,
@@ -162,6 +167,35 @@ def test_as_matrix_rejects_bad_input():
         as_matrix(np.array([[np.nan]]))
     with pytest.raises(ValueError, match="at least 1"):
         as_matrix(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.inf),
+                                 complex(math.inf, math.nan)], ids=repr)
+def test_fro_norm_and_rescaled_keep_non_finite_norms(bad):
+    """A plan reads finiteness off _rescaled's norm: on a non-finite array
+    it is inf or NaN (the root of the plain sum of squares, which is NaN for
+    complex inf entries, as numpy's vdot takes it), fro_norm returns the
+    same, and _rescaled leaves the array as it is."""
+    a = np.ones((3, 3), dtype=complex if isinstance(bad, complex) else float)
+    a[1, 2] = bad
+    b, scale, c = _rescaled(a)
+    assert b is a and c == 1.0
+    root = math.sqrt(np.vdot(a, a).real)
+    for got in (scale, fro_norm(a)):
+        assert not got < math.inf
+        assert got == root or (math.isnan(got) and math.isnan(root))
+    if isinstance(bad, float):
+        assert math.isnan(scale) == math.isnan(bad)
+
+
+def test_predicate_failure_formats_its_report_and_pickles():
+    report = PredicateReport("normal", False, 0.5, 1e-9)
+    for cls in (PredicateFailure, NotNormal, NotSelfadjoint):
+        exc = cls(report)
+        assert str(exc) == "predicate 'normal' fails (residual 5.000e-01, tol 1.000e-09)"
+        assert exc.report is report and exc.args == (report,)
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is cls and back.report == report and str(back) == str(exc)
 
 
 def test_subalgebra_from_matrices_rejects_bad_bases():

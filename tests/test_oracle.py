@@ -1,6 +1,5 @@
 import collections
 import math
-import time
 
 import numpy as np
 import pytest
@@ -406,22 +405,23 @@ def _family(name, n, gen):
 
 @pytest.mark.parametrize("n", [24, 32, 64])
 @pytest.mark.parametrize("family", ["line", "circle", "disk"])
-def test_oracle_law_holds_on_large_spectra(family, n):
+def test_oracle_law_holds_on_large_spectra(decompositions, reconstructions, family, n):
     """Newton interpolation at Leja points keeps the oracle law within its
-    bound up to n = 64, where monomial coefficients lose every digit."""
+    bound up to n = 64, where monomial coefficients lose every digit.  The
+    trial's cost is bounded by its work, which no load on the machine
+    changes: at most three decompositions, each rebuilt once."""
     gen = rng_from_seed(40 + n)
     ring = ScalarRing.REAL if family == "line" else ScalarRing.COMPLEX
     a = random_with_spectrum(gen, _family(family, n, gen))
     if ring is ScalarRing.REAL:
         a = (a + adjoint(a)) / 2
     for f in (builtin_function("exp", ring), random_poly_function(gen, ring)):
-        start = time.process_time()  # CPU time: other load does not count
+        decompositions[0] = reconstructions[0] = 0
         report = check_laws(a, f, random_poly_function(gen, ring), ring)
-        elapsed = time.process_time() - start
+        assert decompositions[0] <= 3 and reconstructions[0] == 3
         by_name = {e.name: e for e in report.entries}
         assert report.all_passed, report.table()
         assert not by_name["oracle"].skipped
-        assert elapsed < 2.0
         # cfc_oracle against cfc, within the oracle law's bound
         direct, scale = cfc(f, a, ring).value, fro_norm(a)
         fmax = max(abs(complex(f.eval(x))) for x in spectrum(a, ring).points)

@@ -14,6 +14,7 @@ from cfckit.matrix_core import (
 )
 from cfckit.sampling import (
     random_normal_matrix,
+    random_unitary,
     random_with_spectrum,
     rng_from_seed,
     spaced_eigenvalues,
@@ -121,6 +122,74 @@ def test_quasiregular_ambient_cross_check():
         if pts:
             x = -(1.0 / (pts[0] + 10.0)) * a  # 10 + max|spec| is never spectral
             assert is_quasiregular(B, x)[0]
+
+
+def is_quasiregular_full(B, x, tol=DEFAULT_TOL) -> bool:
+    """The verdict of is_quasiregular solved as one 2n^2 x dim least-squares
+    system over the full matrices (1 + x) b and b (1 + x), b in B's basis."""
+    x = as_matrix(x)
+    n = B.ambient_dim
+    one_plus = identity(n) + x
+    system = np.column_stack([np.concatenate([(one_plus @ b).ravel(), (b @ one_plus).ravel()])
+                              for b in B.basis])
+    coeffs, *_ = np.linalg.lstsq(system, np.concatenate([-x.ravel(), -x.ravel()]), rcond=None)
+    y = np.tensordot(coeffs, B.basis, 1)
+    bound = tol * max(1.0, fro_norm(x) ** 2)
+    return fro_norm(x + y + x @ y) <= bound and fro_norm(y + x + y @ x) <= bound
+
+
+def _quasiregular_case(gen, kind):
+    """(B, x) at n <= 11, x in B and quasiregular or not about evenly: B is
+    spanned by the spectral projections of a random normal matrix, is C*(a)
+    of one (x = -a / t, t an eigenvalue or not), or is a unitary conjugate
+    of M_2 + C (1 + x singular on one summand or not)."""
+    n = int(gen.integers(3, 12))
+    u = random_unitary(gen, n)
+    singular = gen.uniform() < 0.5
+    if kind == 0:
+        cuts = np.sort(gen.choice(np.arange(1, n), size=min(3, n - 1), replace=False))
+        blocks = np.split(np.arange(n), cuts)
+        projections = [u[:, k] @ u[:, k].conj().T for k in blocks]
+        B = subalgebra_from_matrices(projections)
+        c = gen.standard_normal(len(blocks)) + 1j * gen.standard_normal(len(blocks))
+        if singular:
+            c[0] = -1.0
+        return B, sum(ck * p for ck, p in zip(c, projections))
+    if kind == 1:
+        k = int(gen.integers(2, 5))
+        lam = gen.standard_normal(k) + 1j * gen.standard_normal(k)
+        a = random_with_spectrum(gen, lam[gen.integers(0, k, n)])
+        t = lam[0] if singular else lam[0] * (1.0 + gen.uniform(0.1, 1.0))
+        return elemental_subalgebra(a, unital=False), -a / t
+    units = []
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1), (2, 2)):
+        e = np.zeros((n, n), dtype=complex)
+        e[i, j] = 1.0
+        units.append(e)
+    m = gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2))
+    z = complex(gen.standard_normal(), gen.standard_normal())
+    if singular and gen.uniform() < 0.5:
+        m -= (1.0 + np.linalg.eigvals(m)[0]) * np.eye(2)
+    elif singular:
+        z = -1.0
+    x = np.zeros((n, n), dtype=complex)
+    x[:2, :2], x[2, 2] = m, z
+    B = subalgebra_from_matrices([u @ e @ u.conj().T for e in units])
+    return B, u @ x @ u.conj().T
+
+
+def test_quasiregular_coordinate_solve_matches_the_full_solve():
+    """Solving in B's coordinates gives the verdict of the full 2n^2 x dim
+    system on spectral projections, elemental subalgebras and conjugates of
+    M_2 + C, quasiregular and not."""
+    gen = rng_from_seed(61)
+    verdicts = Counter()
+    for i in range(600):
+        B, x = _quasiregular_case(gen, i % 3)
+        ok = is_quasiregular(B, x)[0]
+        assert ok == is_quasiregular_full(B, x), i
+        verdicts[ok] += 1
+    assert min(verdicts.values()) > 200
 
 
 def test_quasispectrum_intrinsic_examples():
