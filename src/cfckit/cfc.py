@@ -62,21 +62,18 @@ class CfcOutcome:
     reason: Optional[str] = None
 
 
-class _EvalFailed(Exception):
-    pass
-
-
 def _junk(n: int, reason: str) -> CfcOutcome:
     return CfcOutcome(value=zeros(n), junk=True, reason=reason)
 
 
-def _eval_row(f: ScalarFunction, xs, tol: float) -> list:
-    """[f(x) for x in xs], each value restricted to f's ring within tol; any
-    failure (an exception from f, a non-finite value, a value off the ring)
-    raises _EvalFailed, since it makes the whole row junk.  A finite Python
-    float already in f's real ring is kept as it is; any other value is
-    complex(f(x)), which restriction to C leaves alone and which
-    restrict_scalar takes to a real ring."""
+def _eval_row(f: ScalarFunction, xs, tol: float) -> Optional[list]:
+    """[f(x) for x in xs], each value restricted to f's ring within tol, or
+    None where any value fails (an exception from f, a non-finite value, a
+    value off the ring), since that fails the whole row: the one rule by
+    which cfckit reads values of f.  A finite Python float already in f's
+    real ring is kept as it is; any other value is complex(f(x)), which
+    restriction to C leaves alone and which restrict_scalar takes to a real
+    ring."""
     feval, ring = f.eval, f.ring
     over_c, over_r = ring is ScalarRing.COMPLEX, ring is ScalarRing.REAL
     isfinite = math.isfinite
@@ -90,10 +87,10 @@ def _eval_row(f: ScalarFunction, xs, tol: float) -> list:
                 continue
             out = complex(out)
             if not (isfinite(out.real) and isfinite(out.imag)):
-                raise ValueError(f"non-finite value at {x!r}")
+                return None
             append(out if over_c else restrict_scalar(out, ring, tol))
-    except Exception as exc:  # domain errors are data, not bugs
-        raise _EvalFailed(str(exc)) from exc
+    except Exception:  # domain errors are data, not bugs
+        return None
     return row
 
 
@@ -177,9 +174,8 @@ class SpectralPlan:
         n = self.a.shape[0]
         if self.error is not None:
             return _junk(n, self.reason)
-        try:
-            fvals = _eval_row(f, self.values, self.tol)
-        except _EvalFailed:
+        fvals = _eval_row(f, self.values, self.tol)
+        if fvals is None:
             return _junk(n, "eval_failed")
         fvals = np.array(fvals, dtype=None if self.u.dtype.kind == "f" else np.complex128)
         return CfcOutcome(value=_reconstruct(self.u, fvals), junk=False)
@@ -191,12 +187,7 @@ class SpectralPlan:
         n = self.a.shape[0]
         if self.error is not None:
             return [_junk(n, self.reason) for _ in fs]
-        rows = []
-        for f in fs:
-            try:
-                rows.append(_eval_row(f, self.values, self.tol))
-            except _EvalFailed:
-                rows.append(None)
+        rows = [_eval_row(f, self.values, self.tol) for f in fs]
         real = self.u.dtype.kind == "f"
         fvals = np.array([r for r in rows if r is not None], dtype=None if real else np.complex128)
         if real and fvals.dtype != np.float64 and np.count_nonzero(fvals.imag):
@@ -288,11 +279,9 @@ def cfc_n(
         B.require(a, tol)
     p = plan(a, ring, tol)
     if p.reason != "predicate_failed":
-        try:
-            if abs(_eval_row(f, (embed(0.0, ring),), tol)[0]) > tol:
-                return _junk(p.a.shape[0], "zero_condition_failed")
-        except _EvalFailed:
-            return _junk(p.a.shape[0], "eval_failed")
+        f0 = _eval_row(f, (embed(0.0, ring),), tol)
+        if f0 is None or abs(f0[0]) > tol:
+            return _junk(p.a.shape[0], "eval_failed" if f0 is None else "zero_condition_failed")
     cut, feval = p.cluster_tol, f.eval
     out = p.apply(ScalarFunction(lambda x: 0.0 if abs(x) <= cut else feval(x), f.ring, f.name))
     if B is not None and not out.junk:

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cfc import ScalarFunction, cfc, constant_function, identity_function, plan
+from .cfc import ScalarFunction, _eval_row, cfc, constant_function, identity_function, plan
 from .matrix_core import (
     MEMBERSHIP_FLOOR,
     _elemental_chain,
@@ -28,12 +28,13 @@ from .matrix_core import (
     identity,
     operator_norm,
 )
-from .scalars import DEFAULT_TOL, ScalarRing, restrict_scalar
+from .scalars import DEFAULT_TOL, ScalarRing
 
 # Interpolation is skipped when two nodes are closer than this, relative to
 # the spectrum's diameter: divided differences over such gaps would test
 # floating point, not mathematics.
 GAP_GUARD_REL = 1e-6
+F_FAILS = "f fails at a point of the spectrum"
 
 
 class OracleSkipped(RuntimeError):
@@ -64,22 +65,23 @@ def cfc_oracle(
 ) -> np.ndarray:
     """Uniqueness oracle: interpolate f on the clustered spectrum of a, then
     evaluate the interpolant on a by plain matrix arithmetic.  Only the
-    interpolation nodes come from an eigensolve; raises OracleSkipped when
-    they are too close together, before f is evaluated."""
+    interpolation nodes come from an eigensolve, and f is read at them by
+    the calculus's rule; raises OracleSkipped when they are too close
+    together or f fails at one of them."""
     p = plan(a, ring, tol)
     points = p.points()
-    values = (complex(restrict_scalar(f.eval(x), f.ring, tol)) for x in points)
-    return _interpolate(p.a, points, values)
+    return _interpolate(p.a, points, _eval_row(f, points, tol))
 
 
-def _interpolate(a: np.ndarray, points, values) -> np.ndarray:
+def _interpolate(a: np.ndarray, points, values: Optional[list]) -> np.ndarray:
     """p(a) with no eigensolve, p of degree < k through the k pairs
     (points[i], values[i]) in Newton form at the points x in Leja order.
     For a = s a' as _rescaled takes it, p(a) is q(a') with q through the
     nodes x / s, so a and x stand for a' and x / s below: p(a) = d_0 + (a/c
     - y_0)(d_1 + (a/c - y_1)(...)) in k - 1 products, with y = x / c, c =
     diameter / 4 (a segment's capacity) and d the divided differences at y.
-    values, maybe lazy, is read after the gap guard."""
+    values None (f failed at a point) raises OracleSkipped after the gap
+    guard, whose note comes first."""
     a, _, s = _rescaled(a)
     # divided as reals: numpy divides a complex array by a float through its
     # reciprocal, which overflows for a subnormal s
@@ -92,6 +94,8 @@ def _interpolate(a: np.ndarray, points, values) -> np.ndarray:
     if gap < GAP_GUARD_REL * diameter:
         raise OracleSkipped(f"minimum spectral gap {float(gap) * s:.3e} below guard "
                             f"({GAP_GUARD_REL:.0e} of diameter {float(diameter) * s:.3e})")
+    if values is None:
+        raise OracleSkipped(F_FAILS)
     c = float(diameter) / 4 or 1.0
     # Leja order: the node of largest modulus first, then each time the node
     # with the largest product of distances to those already taken (ties to
@@ -106,8 +110,7 @@ def _interpolate(a: np.ndarray, points, values) -> np.ndarray:
             reach[i] = -1.0
         order.append(max(range(k), key=reach.__getitem__))
     y = [xs[i] / c for i in order]
-    vals = [complex(v) for v in values]
-    d = [vals[i] for i in order]
+    d = [complex(values[i]) for i in order]
     for j in range(1, k):
         for i in range(k - 1, j - 1, -1):
             d[i] = (d[i] - d[i - 1]) / (y[i] - y[i - j])
@@ -152,6 +155,10 @@ class LawReport:
 
 def _rel(diff, *scales) -> float:
     return fro_norm(diff) / max((1.0, *scales))
+
+
+def _skipped(name: str, note: Optional[str] = None) -> LawEntry:
+    return LawEntry(name, 0.0, 0.0, True, skipped=True, note=note)
 
 
 _MISSING = object()
@@ -257,11 +264,9 @@ def check_laws(
     entries = [LawEntry("junk_totality", 0.0 if junk_ok else 1.0, 0.5, junk_ok)]
 
     if out_f.junk or out_g.junk:  # a failed ring predicate makes both junk
-        skipped = [
+        entries.extend(map(_skipped, (
             "add", "mul", "star", "id", "const", "congruence", "spectral_mapping",
-            "composition", "negation", "isometry", "range", "oracle",
-        ]
-        entries.extend(LawEntry(nm, 0.0, 0.0, True, skipped=True) for nm in skipped)
+            "composition", "negation", "isometry", "range", "oracle")))
         return LawReport(tuple(entries))
 
     scale_a = pa.scale * pa.c
@@ -288,24 +293,24 @@ def check_laws(
     entries.append(LawEntry("congruence", r, tol_h, r <= tol_h))
 
     # the spectrum's points (cluster means) serve spectral mapping and the
-    # oracle's nodes; the isometry reads f where the calculus evaluated it
+    # oracle's nodes; f may fail at a mean where it holds at every eigenvalue
     points = pa.points()
-    fpoints = [complex(restrict_scalar(f.eval(x), f.ring, tol)) for x in points]
+    fpoints = _eval_row(f, points, tol)
     pf = plan(out_f.value, ring, max(tol, 1e-7))
     if pf.error is not None:  # f(a) fails the hypotheses of both laws
         note = f"f(a) is junk over {ring.value} ({pf.reason}): {pf.error}"
-        entries.extend(LawEntry(nm, 0.0, 0.0, True, skipped=True, note=note)
-                       for nm in ("spectral_mapping", "composition"))
+        entries.extend(_skipped(nm, note) for nm in ("spectral_mapping", "composition"))
     else:
-        mapped = sorted(fpoints, key=lambda z: (z.real, z.imag))
-        diam = max([abs(p - q) for p in mapped for q in mapped], default=0.0)
-        hd = _hausdorff(pf.points(), mapped)
-        tol_map = max(tol, 1e-8) * max(1.0, diam)
-        entries.append(LawEntry("spectral_mapping", hd, tol_map, hd <= tol_map))
+        if fpoints is None:
+            entries.append(_skipped("spectral_mapping", F_FAILS))
+        else:
+            diam = max([abs(p - q) for p in fpoints for q in fpoints], default=0.0)
+            hd = _hausdorff(pf.points(), fpoints)
+            tol_map = max(tol, 1e-8) * max(1.0, diam)
+            entries.append(LawEntry("spectral_mapping", hd, tol_map, hd <= tol_map))
         out_comp_staged = pf.apply(g)
         if out_comp_staged.junk:
-            entries.append(LawEntry("composition", 0.0, 0.0, True, skipped=True,
-                                    note="inner value fails the staged hypotheses"))
+            entries.append(_skipped("composition", "inner value fails the staged hypotheses"))
         else:
             scale_comp = fro_norm(out_comp_direct.value)
             r = _rel(out_comp_direct.value - out_comp_staged.value, scale_comp)
@@ -314,16 +319,17 @@ def check_laws(
 
     if ring is ScalarRing.NNREAL:
         # -a leaves the ring, so negation transport has no NNReal instance
-        entries.append(LawEntry("negation", 0.0, 0.0, True, skipped=True,
-                                note="not applicable over nnreal"))
+        entries.append(_skipped("negation", "not applicable over nnreal"))
     else:
-        out_neg = cfc(ScalarFunction(lambda x: f.eval(-x), f.ring, "f(-x)"),
+        # 0.0 - x keeps the +0.0 imaginary part of a real eigenvalue of -a,
+        # which -x would make -0.0, taking f to the other side of a cut
+        out_neg = cfc(ScalarFunction(lambda x: f.eval(0.0 - x), f.ring, "f(-x)"),
                       -a, ring, tol)
         r = _rel(out_neg.value - out_f.value, scale_f)
         entries.append(LawEntry("negation", r, tol_h, r <= tol_h))
 
-    fmax = max((abs(restrict_scalar(f.eval(x), f.ring, tol)) for x in pa.values),
-               default=0.0)
+    # f's row on the plan of a, which out_f already read without a failure
+    fmax = max(map(abs, _eval_row(f, pa.values, tol)), default=0.0)
     r = abs(operator_norm(out_f.value) - fmax) / max(1.0, fmax)
     entries.append(LawEntry("isometry", r, tol, r <= tol))
 
@@ -334,7 +340,7 @@ def check_laws(
     try:
         ref = _interpolate(a, points, fpoints)
     except OracleSkipped as exc:
-        entries.append(LawEntry("oracle", 0.0, 0.0, True, skipped=True, note=str(exc)))
+        entries.append(_skipped("oracle", str(exc)))
     else:
         t = 1e-8 * max(1.0, 1.0 + fmax, scale_a)
         r = fro_norm(out_f.value - ref) / max(1.0, (1.0 + fmax) * max(scale_a, 1.0))

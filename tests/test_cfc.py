@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from cfckit.cfc import (
     ScalarFunction,
     _eval_row,
-    _EvalFailed,
     _reconstruct,
     builtin_function,
     cfc,
@@ -559,8 +558,7 @@ def test_real_scalar_values_are_taken_as_before(ring, value):
         old = _restricted_value(f, 1.0)
     except ValueError:
         assert out.junk and out.reason == "eval_failed"
-        with pytest.raises(_EvalFailed):
-            _eval_row(f, (1.0,), DEFAULT_TOL)
+        assert _eval_row(f, (1.0,), DEFAULT_TOL) is None
         return
     new = _eval_row(f, (1.0,), DEFAULT_TOL)[0]
     assert type(new) is type(old) and new == old
@@ -633,8 +631,7 @@ def test_row_loop_equals_the_per_value_rule(ring, zero_to_zero, table):
     except ValueError:
         want = None
     if want is None:
-        with pytest.raises(_EvalFailed):
-            _eval_row(f, p.values, DEFAULT_TOL)
+        assert _eval_row(f, p.values, DEFAULT_TOL) is None
     else:
         got = _eval_row(f, p.values, DEFAULT_TOL)
         assert [type(v) for v in got] == [type(v) for v in want]
@@ -653,8 +650,7 @@ def test_row_loop_equals_the_per_value_rule(ring, zero_to_zero, table):
         try:
             single = _value_by_the_rule(f, x)
         except ValueError:
-            with pytest.raises(_EvalFailed):
-                _eval_row(f, (x,), DEFAULT_TOL)
+            assert _eval_row(f, (x,), DEFAULT_TOL) is None
             continue
         got = _eval_row(f, (x,), DEFAULT_TOL)[0]
         assert type(got) is type(single) and got == single

@@ -130,7 +130,7 @@ def test_oracle_consistency_with_direct_polynomials():
 
 def test_oracle_gap_guard():
     def fails(x):
-        raise ZeroDivisionError("f is never evaluated on skipped nodes")
+        raise ZeroDivisionError("f fails at every node, but the gap is reported first")
 
     # a gap of 1e-7 lies above the cluster scale 1e-8 ||a||_F and below the
     # guard, 1e-6 of the diameter
@@ -350,6 +350,115 @@ def test_check_laws_skips_the_oracle_and_composition_where_their_hypotheses_fail
     assert report.all_passed
     assert [e.name for e in report.entries if e.skipped] == ["composition"]
     assert _law(report, "composition").note == "inner value fails the staged hypotheses"
+
+
+# f fails at the cluster mean 0 of 1e-10 and -1e-10, where the calculus
+# never evaluates it
+CLUSTER_AT_ZERO = np.diag([1.0, 1e-10, -1e-10])
+F_FAILS = "f fails at a point of the spectrum"
+
+
+@pytest.mark.parametrize("f, ring", [
+    (builtin_function("inv", ScalarRing.REAL), ScalarRing.REAL),
+    (builtin_function("log"), ScalarRing.COMPLEX),
+], ids=["inv over R", "log over C"])
+def test_check_laws_skips_the_laws_that_read_f_where_f_fails_at_a_cluster_mean(f, ring):
+    """cfc of f is sound, but f fails at the point 0 of the spectrum:
+    spectral mapping and the oracle are skipped with that note, the other
+    laws run, and cfc_oracle raises OracleSkipped."""
+    assert not cfc(f, CLUSTER_AT_ZERO, ring).junk
+    report = check_laws(CLUSTER_AT_ZERO, f, builtin_function("id", ring), ring)
+    assert [e.name for e in report.entries if e.skipped] == ["spectral_mapping", "oracle"]
+    assert {_law(report, name).note for name in ("spectral_mapping", "oracle")} == {F_FAILS}
+    with pytest.raises(OracleSkipped, match=F_FAILS):
+        cfc_oracle(f, CLUSTER_AT_ZERO, ring)
+
+
+def test_cfc_oracle_skips_where_f_overflows_at_a_point():
+    """x x at 1e200 is inf: cfc is eval_failed junk, and the oracle skips
+    rather than interpolate a non-finite value."""
+    sq = ScalarFunction(lambda x: x * x, ScalarRing.COMPLEX, "sq")
+    a = np.diag([1e200, 1.0])
+    assert cfc(sq, a).reason == "eval_failed"
+    with pytest.raises(OracleSkipped, match=F_FAILS):
+        cfc_oracle(sq, a)
+
+
+def _raise_at(x):
+    raise ValueError(f"outside the domain at {x!r}")
+
+
+# what f does at its failing point; 1j is off both real rings
+_FAILURES = {
+    "raises": _raise_at,
+    "inf": lambda x: math.inf,
+    "nan": lambda x: math.nan,
+    "off the ring": lambda x: 1j,
+    "not a number": lambda x: None,
+}
+
+
+@pytest.mark.parametrize("ring, failure", [
+    (ring, failure) for ring in ScalarRing for failure in _FAILURES
+    if not (ring is ScalarRing.COMPLEX and failure == "off the ring")  # no value is off C
+])
+@pytest.mark.parametrize("gap", [False, True], ids=["no gap", "gap"])
+def test_a_failing_point_of_the_spectrum_skips_the_laws_that_read_f(ring, failure, gap):
+    """f is the identity but at the mean of the cluster {2, 2 + 2e-10}, which
+    is no eigenvalue: the calculus is sound, spectral mapping and the oracle
+    are skipped with the note (the gap guard's note first, where two nodes
+    are also closer than it), every other law runs and passes, and
+    cfc_oracle raises OracleSkipped."""
+    a = np.diag(([0.0, 1e-7] if gap else []) + [1.0, 2.0, 2.0 + 2e-10])
+    p = plan(a, ring)
+    mean, = [x for x in p.points() if x not in p.values]
+    fail = _FAILURES[failure]
+    f = ScalarFunction(lambda x: fail(x) if x == mean else x, ring, failure)
+    assert not cfc(f, a, ring).junk
+    report = check_laws(a, f, builtin_function("id", ring), ring)
+    skipped = ["spectral_mapping", "oracle"]
+    if ring is ScalarRing.NNREAL:
+        skipped.insert(1, "negation")
+    assert [e.name for e in report.entries if e.skipped] == skipped, report.table()
+    assert report.all_passed, report.table()
+    assert _law(report, "spectral_mapping").note == F_FAILS
+    oracle_note = _law(report, "oracle").note
+    with pytest.raises(OracleSkipped) as exc:
+        cfc_oracle(f, a, ring)
+    assert str(exc.value) == oracle_note
+    assert ("below guard" in oracle_note) if gap else oracle_note == F_FAILS
+
+
+@pytest.mark.parametrize("name, t", [("sqrt", None), ("log", None), ("rpow", 0.3)])
+@pytest.mark.parametrize("spectrum", [[1.0, -1.0], [2.0, -0.5, 1j]])
+def test_negation_law_holds_at_the_branch_cut(name, t, spectrum):
+    """The plan of -a keeps the imaginary part +0.0 of a real eigenvalue, as
+    the plan of a does; f(0.0 - x) keeps it +0.0 where f(-x) would make it
+    -0.0 and take sqrt, log and rpow to the other side of the cut."""
+    report = check_laws(np.diag(spectrum), builtin_function(name, t=t), builtin_function("exp"))
+    assert not _law(report, "negation").skipped
+    assert report.all_passed, report.table()
+
+
+def test_no_exception_but_oracle_skipped_escapes_on_small_normal_inputs():
+    """check_laws lets no exception escape, and cfc_oracle only
+    OracleSkipped, for builtins that fail on parts of the plane, over
+    each ring at n <= 4, some inputs scaled to 1e-9."""
+    gen = rng_from_seed(2024)
+    names = [("sqrt", None, None), ("log", None, None), ("inv", None, None),
+             ("pow", -2, None), ("rpow", None, 0.5), ("rpow", None, -0.5)]
+    skips = 0
+    for i in range(90):
+        ring = list(ScalarRing)[i % 3]
+        a = random_normal_matrix(gen, 1 + i % 4, ring) * (1e-9 if i % 5 == 0 else 1.0)
+        name, k, t = names[i // 3 % len(names)]  # each name over each ring
+        f = builtin_function(name, ring, k, t)
+        check_laws(a, f, builtin_function("exp", ring), ring)
+        try:
+            cfc_oracle(f, a, ring)
+        except OracleSkipped:
+            skips += 1
+    assert skips
 
 
 def test_check_laws_zero_matrix():
