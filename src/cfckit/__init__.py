@@ -24,17 +24,14 @@ from .cfc import (
     plan,
     pos_part,
 )
-from .eigen import cluster_with_labels
-from .matrix_core import (
-    PredicateReport,
-    StarSubalgebra,
-    adjoint,
+from .eigen import (
+    cluster_with_labels,
     elemental_subalgebra,
     is_nonneg,
     is_selfadjoint,
     is_star_normal,
-    operator_norm,
 )
+from .matrix_core import PredicateReport, StarSubalgebra, adjoint, operator_norm
 from .scalars import ScalarRing, embed, restrict_scalar, truncated_sub
 
 # The public names of each module that loads on first use.

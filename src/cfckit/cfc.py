@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .eigen import DEFAULT_CLUSTER_REL, NoConvergence, _decompose, cluster_with_labels
+from .eigen import DEFAULT_CLUSTER_REL, NoConvergence, _decompose, cluster_with_labels, is_nonneg
 from .matrix_core import (
     EPS_FLOOR,
     PredicateFailure,
@@ -28,7 +28,6 @@ from .matrix_core import (
     _rescaled,
     adjoint,
     fro_norm,
-    is_nonneg,
     zeros,
 )
 from .scalars import DEFAULT_TOL, ScalarRing, embed, restrict_scalar

@@ -1,11 +1,13 @@
 """Spectral decompositions: one path for every scalar ring (a Hermitian
 eigensolve, extended to normal matrices by simultaneous diagonalization of
-the commuting Hermitian parts), and eigenvalue clustering.
+the commuting Hermitian parts), the element predicates each ring demands,
+read off that path's verdict, and eigenvalue clustering.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 import sys
 
 import numpy as np
@@ -16,12 +18,14 @@ from .matrix_core import (
     NotSelfadjoint,
     PredicateFailure,
     PredicateReport,
-    _predicate_report,
+    StarSubalgebra,
+    _elemental_chain,
+    _rescaled,
     adjoint,
+    as_matrix,
     fro_norm,
-    nonneg_report,
 )
-from .scalars import ScalarRing
+from .scalars import DEFAULT_TOL, ScalarRing
 
 # Clusters are cut at this fraction of ||a||_F, the one cluster scale.
 DEFAULT_CLUSTER_REL = 1e-8
@@ -79,6 +83,24 @@ def _repeated_runs(sorted_reals, cut):
     return runs
 
 
+def _predicate_report(a, ah, tol: float, scale: float) -> PredicateReport:
+    """The selfadjoint report of a from its adjoint ah: ||a - a*||_F /
+    ||a||_F, scale = ||a||_F in the range _rescaled keeps."""
+    residual = fro_norm(a - ah) / max(scale, EPS_FLOOR)
+    return PredicateReport("selfadjoint", residual <= tol, residual, tol)
+
+
+def _commutator_residual(a, scale: float) -> float:
+    """||a*a - aa*||_F / ||a||_F^2, scale = ||a||_F in the range _rescaled
+    keeps.  With a = h + i k, a*a - aa* = 2i (hk - (hk)*) and s (a - a*) =
+    4i hk for s = a + a*, so one product p decides it: 2 ||hk - (hk)*||_F =
+    ||p + p*||_F / 2.  a - a* is freed before p + p* is formed."""
+    ah = a.conj().T
+    p = (a + ah) @ (a - ah)
+    p += p.conj().T
+    return fro_norm(p) / 2 / max(scale ** 2, EPS_FLOOR)
+
+
 def _decompose(a, ring, tol, scale):
     """(u, lam, report) with a = u diag(lam) u*, u unitary (real orthogonal
     when a is real symmetric), for the calculus over `ring`, its predicate
@@ -86,9 +108,11 @@ def _decompose(a, ring, tol, scale):
     and rescaled by _rescaled, scale = ||a||_F.  A float64 a stays real up
     to the eigensolve (a.conj() is a itself), so a*, s and h are float64
     and u and lam too over R and R>=0.  a - a* decides selfadjointness (R,
-    R>=0), and h = (a + a*) / 2 gets the one Hermitian eigensolve, whose
-    negative eigenvalues, with a's skew part, give the backward error that
-    decides R>=0 (matrix_core.nonneg_report).
+    R>=0), and h = (a + a*) / 2 gets the one Hermitian eigensolve.  Over
+    R>=0 the nonneg report reads the selfadjoint residual and the backward
+    error beta_+ = hypot(||a - a*||_F / 2, ||min(lam, 0)||_2) / ||a||_F of
+    u diag(max(lam, 0)) u*, which drops a's skew part and clamps h's
+    negative eigenvalues, each within tol where the other may not be.
 
     Over C, lam = diag(u* a u) and d = a u - u diag(lam) come from the
     one product a u.  Where ||d||_F exceeds half the diagonal cut
@@ -97,20 +121,21 @@ def _decompose(a, ring, tol, scale):
     which a's compression c = u_R* a u_R is not diagonal gets one more
     eigensolve, of (c - c*) / 2i.  Then beta = ||d||_F / scale is a
     backward error: a lies within ||d||_F of the normal matrix u diag(lam)
-    u* (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 1.5).
+    u* (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 1.5),
+    and beta alone decides soundness.  The columns j with ||d_j|| above the
+    cut get one refinement (_refined), and the plan is sound iff beta <= tol
+    after it; every report, failed or not, carries that beta against tol.
     With a = N + E, N normal and ||N||_F <= ||a||_F, the commutator
-    residual of is_star_normal is at most 4 beta + 2 beta^2, so it is
-    formed only where that bound exceeds tol, and a failure there is raised
-    as it is: no input the commutator rejects is sound, and such an input
-    pays one eigensolve, a u and the commutator, and no refinement.  The
-    columns j with ||d_j|| above the cut then get one refinement
-    (_refined), and the plan is sound iff beta <= tol after it; the
-    report carries that beta against tol.  Eigenvalues come back sorted by
+    residual ||a*a - aa*||_F / ||a||_F^2 is at most 4 beta + 2 beta^2 for
+    every u diag(lam) u* the refinement can reach, so where beta > tol a
+    commutator above 4 tol + 2 tol^2 certifies that no refinement can
+    succeed: such an input pays one eigensolve, a u and the commutator, and
+    is rejected with its unrefined beta.  Eigenvalues come back sorted by
     (re, im)."""
     ah = a.conj().T
     s = a + ah
     if ring is not ScalarRing.COMPLEX:
-        report = _predicate_report(a, ah, None, tol, scale)
+        report = _predicate_report(a, ah, tol, scale)
         if not report.holds:
             raise NotSelfadjoint(report)
     del ah  # the peak holds a, h and the eigensolve's output, no more
@@ -121,7 +146,11 @@ def _decompose(a, ring, tol, scale):
     del s
     if ring is not ScalarRing.COMPLEX:
         if ring is ScalarRing.NNREAL:
-            report = nonneg_report(report, wh, scale)
+            residual = report.residual
+            if wh[0] < 0:
+                negative = fro_norm(wh[wh < 0]) / max(scale, EPS_FLOOR)
+                residual = max(residual, math.hypot(residual / 2, negative))
+            report = PredicateReport("nonneg", residual <= tol, residual, tol)
             if not report.holds:
                 raise PredicateFailure(report)
         return u, wh, report
@@ -150,11 +179,8 @@ def _decompose(a, ring, tol, scale):
             d = au - u * lam
             err = fro_norm(d)
     beta = err / max(scale, EPS_FLOOR)
-    if 4 * beta + 2 * beta * beta > tol:
-        ah = a.conj().T
-        report = _predicate_report(a, ah, a + ah, tol, scale)
-        if not report.holds:
-            raise NotNormal(report)
+    if beta > tol and _commutator_residual(a, scale) > 4 * tol + 2 * tol * tol:
+        raise NotNormal(PredicateReport("normal", False, beta, tol))
     if err > cut:
         beta = _refined(u, au, lam, d, cut) / max(scale, EPS_FLOOR)
     report = PredicateReport("normal", beta <= tol, beta, tol)
@@ -223,6 +249,58 @@ def _linked_groups(link):
         label = new
     groups = (np.flatnonzero(label == k) for k in np.flatnonzero(label == np.arange(m)))
     return [g for g in groups if len(g) > 1]
+
+
+def predicate_for_ring(a, ring: ScalarRing, tol: float = DEFAULT_TOL) -> PredicateReport:
+    """The report of the plan of a over the ring, or its PredicateFailure's:
+    _decompose of a rescaled by _rescaled, NoConvergence where its
+    eigensolve fails.  Over R that report is the plan's first step, the
+    selfadjoint residual, and no eigensolve runs."""
+    a, scale, _ = _rescaled(as_matrix(a))
+    if ring is ScalarRing.REAL:
+        return _predicate_report(a, a.conj().T, tol, scale)
+    try:
+        return _decompose(a, ring, tol, scale)[2]
+    except PredicateFailure as exc:
+        return exc.report
+
+
+def is_star_normal(a, tol: float = DEFAULT_TOL) -> PredicateReport:
+    """Is a normal?  The plan's report over C: its backward error beta =
+    ||a u - u diag(lam)||_F / ||a||_F against tol, which a commutator
+    residual within tol does not bound (_decompose)."""
+    return predicate_for_ring(a, ScalarRing.COMPLEX, tol)
+
+
+def is_selfadjoint(a, tol: float = DEFAULT_TOL) -> PredicateReport:
+    """Is a = a*?  Residual ||a - a*||_F / ||a||_F."""
+    return predicate_for_ring(a, ScalarRing.REAL, tol)
+
+
+def is_nonneg(a, tol: float = DEFAULT_TOL) -> PredicateReport:
+    """Selfadjoint with spectrum in [0, inf); equivalent to a = b* b in M_n.
+    The plan's report over R>=0: selfadjoint where that fails, else nonneg."""
+    return predicate_for_ring(a, ScalarRing.NNREAL, tol)
+
+
+def elemental_subalgebra(a, unital: bool = True, tol: float = DEFAULT_TOL) -> StarSubalgebra:
+    """Orthonormal basis of the star-subalgebra generated by a normal element.
+
+    For normal a, C*(a) is the polynomials in a (with p(0) = 0 when not
+    unital), so a* is never needed: one Arnoldi chain x_0 = I (or a),
+    x_{k+1} = q_k a, each step orthogonalised twice, spans it.  The chain
+    ends at n elements, at a residual of rounding size, or at a unit
+    direction that does not commute with a, which is rounding noise.  For k
+    distinct eigenvalues the unital dimension is k; the non-unital one drops
+    to k - 1 when 0 is an eigenvalue.  The basis is built in place, one row
+    of n^2 entries per element, in an array whose rows double as needed.
+    NotNormal unless the plan over C accepts a (is_star_normal).
+    """
+    a = as_matrix(a)
+    report = is_star_normal(a, tol)
+    if not report.holds:
+        raise NotNormal(report)
+    return _elemental_chain(a, unital)
 
 
 def cluster_with_labels(lam, diameter: float):

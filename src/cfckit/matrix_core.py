@@ -1,5 +1,6 @@
-"""Dense complex matrices: adjoint, operator norm, the three element
-predicates (normal / selfadjoint / nonnegative) and star-subalgebra machinery.
+"""Dense complex matrices: coercion, adjoint, norms and the one scale rule,
+the element predicates' report and failures (eigen decides them), and
+star-subalgebra machinery.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scalars import DEFAULT_TOL, ScalarRing
+from .scalars import DEFAULT_TOL
 
 # Floor for relative residuals so the zero matrix passes every predicate exactly.
 EPS_FLOOR = 1e-300
@@ -151,65 +152,6 @@ class PredicateReport:
     tol_used: float
 
 
-def _predicate_report(a, ah, s, tol: float, scale: float) -> PredicateReport:
-    """The selfadjoint report of a from its adjoint ah when s is None, else
-    the normal one from s = a + a* too; scale = ||a||_F, in the range
-    _rescaled keeps.  With a = h + i k, a*a - aa* = 2i (hk - (hk)*) and
-    s (a - a*) = 4i hk, so one product p decides normality: 2 ||hk - (hk)*||_F
-    = ||p + p*||_F / 2.  a - a* is freed before p + p* is formed."""
-    if s is None:
-        residual = fro_norm(a - ah) / max(scale, EPS_FLOOR)
-        return PredicateReport("selfadjoint", residual <= tol, residual, tol)
-    p = s @ (a - ah)
-    p += p.conj().T
-    residual = fro_norm(p) / 2 / max(scale ** 2, EPS_FLOOR)
-    return PredicateReport("normal", residual <= tol, residual, tol)
-
-
-def nonneg_report(sa: PredicateReport, lam, scale: float) -> PredicateReport:
-    """The nonneg rule, from the selfadjoint report of a, the ascending
-    eigenvalues lam of its Hermitian part h and ||a||_F: the selfadjoint
-    residual and the backward error beta_+ = hypot(||a - a*||_F / 2,
-    ||min(lam, 0)||_2) / ||a||_F of u diag(max(lam, 0)) u*, which drops a's
-    skew part and clamps h's negative eigenvalues, both within tol."""
-    residual = sa.residual
-    if lam[0] < 0:
-        negative = fro_norm(lam[lam < 0]) / max(scale, EPS_FLOOR)
-        residual = max(residual, math.hypot(residual / 2, negative))
-    return PredicateReport("nonneg", residual <= sa.tol_used, residual, sa.tol_used)
-
-
-def predicate_for_ring(a, ring: ScalarRing, tol: float = DEFAULT_TOL) -> PredicateReport:
-    """The element predicate a scalar ring demands of its calculus inputs,
-    taken of a rescaled by _rescaled."""
-    a, scale, _ = _rescaled(as_matrix(a))
-    ah = adjoint(a)
-    if ring is ScalarRing.COMPLEX:
-        return _predicate_report(a, ah, a + ah, tol, scale)
-    sa = _predicate_report(a, ah, None, tol, scale)
-    if ring is ScalarRing.REAL:
-        return sa
-    lam = np.linalg.eigvalsh((a + ah) / 2) if sa.holds else np.zeros(1)
-    return nonneg_report(sa, lam, scale)
-
-
-def is_star_normal(a, tol: float = DEFAULT_TOL) -> PredicateReport:
-    """Does a commute with its adjoint?  Residual ||a*a - aa*||_F / ||a||_F^2.
-    A plan over C asks more: its backward error must be within tol too
-    (eigen._decompose)."""
-    return predicate_for_ring(a, ScalarRing.COMPLEX, tol)
-
-
-def is_selfadjoint(a, tol: float = DEFAULT_TOL) -> PredicateReport:
-    """Is a = a*?  Residual ||a - a*||_F / ||a||_F."""
-    return predicate_for_ring(a, ScalarRing.REAL, tol)
-
-
-def is_nonneg(a, tol: float = DEFAULT_TOL) -> PredicateReport:
-    """Selfadjoint with spectrum in [0, inf); equivalent to a = b* b in M_n."""
-    return predicate_for_ring(a, ScalarRing.NNREAL, tol)
-
-
 @dataclass(frozen=True, eq=False)
 class StarSubalgebra:
     """A star- and multiplication-closed subspace of M_n, carried by an
@@ -269,27 +211,8 @@ def _reorthogonalized(cand, q) -> np.ndarray:
     return r
 
 
-def elemental_subalgebra(a, unital: bool = True, tol: float = DEFAULT_TOL) -> StarSubalgebra:
-    """Orthonormal basis of the star-subalgebra generated by a normal element.
-
-    For normal a, C*(a) is the polynomials in a (with p(0) = 0 when not
-    unital), so a* is never needed: one Arnoldi chain x_0 = I (or a),
-    x_{k+1} = q_k a, each step orthogonalised twice, spans it.  The chain
-    ends at n elements, at a residual of rounding size, or at a unit
-    direction that does not commute with a, which is rounding noise.  For k
-    distinct eigenvalues the unital dimension is k; the non-unital one drops
-    to k - 1 when 0 is an eigenvalue.  The basis is built in place, one row
-    of n^2 entries per element, in an array whose rows double as needed.
-    """
-    a = as_matrix(a)
-    report = is_star_normal(a, tol)
-    if not report.holds:
-        raise NotNormal(report)
-    return _elemental_chain(a, unital)
-
-
 def _elemental_chain(a, unital: bool) -> StarSubalgebra:
-    """elemental_subalgebra's chain, for a coerced a whose normality its
+    """eigen.elemental_subalgebra's chain, for a coerced a whose normality its
     caller has decided, run on b = a / c as _rescaled takes it: C*(a) =
     C*(b), and the powers of b stay in the float range."""
     a, scale, _ = _rescaled(a)

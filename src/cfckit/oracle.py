@@ -228,12 +228,13 @@ def check_laws(
 ) -> LawReport:
     """Evaluate the derived-law suite for one matrix and one function pair.
 
-    Laws whose hypotheses fail (ring predicate, inner junk, oracle guard) are
-    reported as skipped; junk totality is checked unconditionally.  One plan
-    of a serves every law on a and the oracle's nodes (its nine values in one
-    apply_all; the range law trusts its ring check), one of f(a) spectral
-    mapping and staged composition; negation keeps its own cfc on -a.  f and
-    g are evaluated once per distinct argument per trial, raising ones too.
+    Laws whose hypotheses fail (ring predicate, inner junk, f + g or f g
+    beyond the float range, oracle guard) are reported as skipped; junk
+    totality is checked unconditionally.  One plan of a serves every law on
+    a and the oracle's nodes (its nine values in one apply_all; the range
+    law trusts its ring check), one of f(a) spectral mapping and staged
+    composition; negation keeps its own cfc on -a.  f and g are evaluated
+    once per distinct argument per trial, raising ones too.
     """
     f, g = _memoised(f), _memoised(g)
     pa = plan(a, ring, tol)
@@ -274,11 +275,13 @@ def check_laws(
     scale_g = fro_norm(out_g.value)
     tol_h = tol * max(1.0, scale_a, scale_f, scale_g, scale_f * scale_g)
 
-    r = _rel(out_sum.value - (out_f.value + out_g.value))
-    entries.append(LawEntry("add", r, tol_h, r <= tol_h))
-
-    r = _rel(out_prod.value - out_f.value @ out_g.value)
-    entries.append(LawEntry("mul", r, tol_h, r <= tol_h))
+    for name, out, op, expr in (("add", out_sum, operator.add, "f + g"),
+                                ("mul", out_prod, operator.matmul, "f g")):
+        if out.junk:  # out_f and out_g are sound: expr overflowed at an eigenvalue
+            entries.append(_skipped(name, f"{expr} fails at a point of the spectrum"))
+            continue
+        r = _rel(out.value - op(out_f.value, out_g.value))
+        entries.append(LawEntry(name, r, tol_h, r <= tol_h))
 
     r = _rel(out_conj.value - adjoint(out_f.value))
     entries.append(LawEntry("star", r, tol_h, r <= tol_h))
@@ -292,22 +295,19 @@ def check_laws(
     r = _rel(out_cong.value - out_f.value, scale_f)
     entries.append(LawEntry("congruence", r, tol_h, r <= tol_h))
 
-    # the spectrum's points (cluster means) serve spectral mapping and the
-    # oracle's nodes; f may fail at a mean where it holds at every eigenvalue
-    points = pa.points()
-    fpoints = _eval_row(f, points, tol)
+    # f's row on the plan of a, which out_f already read without a failure:
+    # spectral mapping compares it with the eigenvalues of f(a), unclustered,
+    # since f may split a cluster of a or merge two
+    frow = _eval_row(f, pa.values, tol)
     pf = plan(out_f.value, ring, max(tol, 1e-7))
     if pf.error is not None:  # f(a) fails the hypotheses of both laws
         note = f"f(a) is junk over {ring.value} ({pf.reason}): {pf.error}"
         entries.extend(_skipped(nm, note) for nm in ("spectral_mapping", "composition"))
     else:
-        if fpoints is None:
-            entries.append(_skipped("spectral_mapping", F_FAILS))
-        else:
-            diam = max([abs(p - q) for p in fpoints for q in fpoints], default=0.0)
-            hd = _hausdorff(pf.points(), fpoints)
-            tol_map = max(tol, 1e-8) * max(1.0, diam)
-            entries.append(LawEntry("spectral_mapping", hd, tol_map, hd <= tol_map))
+        diam = max([abs(p - q) for p in frow for q in frow], default=0.0)
+        hd = _hausdorff(pf.values, frow)
+        tol_map = max(tol, 1e-8) * max(1.0, diam)
+        entries.append(LawEntry("spectral_mapping", hd, tol_map, hd <= tol_map))
         out_comp_staged = pf.apply(g)
         if out_comp_staged.junk:
             entries.append(_skipped("composition", "inner value fails the staged hypotheses"))
@@ -328,8 +328,7 @@ def check_laws(
         r = _rel(out_neg.value - out_f.value, scale_f)
         entries.append(LawEntry("negation", r, tol_h, r <= tol_h))
 
-    # f's row on the plan of a, which out_f already read without a failure
-    fmax = max(map(abs, _eval_row(f, pa.values, tol)), default=0.0)
+    fmax = max(map(abs, frow), default=0.0)
     r = abs(operator_norm(out_f.value) - fmax) / max(1.0, fmax)
     entries.append(LawEntry("isometry", r, tol, r <= tol))
 
@@ -337,8 +336,11 @@ def check_laws(
     inside, r = _elemental_chain(a, unital=True).contains(out_f.value, t)
     entries.append(LawEntry("range", r, t, inside))
 
+    # the oracle's nodes are the spectrum's points (cluster means); f may
+    # fail at a mean where it holds at every eigenvalue
+    points = pa.points()
     try:
-        ref = _interpolate(a, points, fpoints)
+        ref = _interpolate(a, points, _eval_row(f, points, tol))
     except OracleSkipped as exc:
         entries.append(_skipped("oracle", str(exc)))
     else:

@@ -67,10 +67,11 @@ def finiteness_passes(monkeypatch):
     return _count_calls(monkeypatch, "_require_finite")
 
 
-# _predicate_report is the residual that the public predicates and the
-# decomposition share; an evaluation counts once however it is reached.
+# _predicate_report is the selfadjoint residual and _commutator_residual the
+# certificate of a plan over C, both read inside the decomposition, which the
+# public predicates call; an evaluation counts once however it is reached.
 PREDICATES = ("is_star_normal", "is_selfadjoint", "is_nonneg", "predicate_for_ring",
-              "_predicate_report")
+              "_predicate_report", "_commutator_residual")
 # A plan coerces with as_matrix's dtype and shape half (_as_square) and
 # reads finiteness off its scale; as_matrix runs that half too, and a
 # coercion counts once however it is reached.
@@ -82,8 +83,8 @@ MODULES = ("cfckit.matrix_core", "cfckit.eigen", "cfckit.cfc", "cfckit.spectrum"
 @pytest.fixture
 def work_counts(monkeypatch):
     """Counts outermost predicate evaluations (the selfadjoint residual, or
-    over C the commutator product; a plan over C calls _predicate_report only
-    when its backward error does not decide), outermost coercions under
+    over C the commutator product, which a plan forms only where its
+    backward error exceeds tol), outermost coercions under
     "as_matrix" (as_matrix, or a plan's _as_square; each as bound in every
     module), numpy eigensolver calls, and the compressions u_F* a u_F of the
     decomposition over C, of a run or of the refined columns (the calls of

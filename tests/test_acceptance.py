@@ -19,13 +19,8 @@ from cfckit.cfc import (
     neg_part,
     pos_part,
 )
-from cfckit.matrix_core import (
-    adjoint,
-    elemental_subalgebra,
-    fro_norm,
-    is_nonneg,
-    operator_norm,
-)
+from cfckit.eigen import elemental_subalgebra, is_nonneg
+from cfckit.matrix_core import adjoint, fro_norm, operator_norm
 from cfckit.oracle import cfc_oracle
 from cfckit.sampling import (
     random_normal_matrix,

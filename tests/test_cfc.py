@@ -25,18 +25,14 @@ from cfckit.cfc import (
     plan,
     pos_part,
 )
-from cfckit.eigen import DEFAULT_CLUSTER_REL
-from cfckit.matrix_core import (
-    NotInSubalgebra,
-    PredicateFailure,
-    adjoint,
+from cfckit.eigen import (
+    DEFAULT_CLUSTER_REL,
     elemental_subalgebra,
-    fro_norm,
     is_nonneg,
     is_star_normal,
-    operator_norm,
     predicate_for_ring,
 )
+from cfckit.matrix_core import NotInSubalgebra, PredicateFailure, adjoint, fro_norm, operator_norm
 from cfckit.sampling import (
     random_normal_matrix,
     random_poly_function,

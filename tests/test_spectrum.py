@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from cfckit.cfc import plan
+from cfckit.eigen import elemental_subalgebra
 from cfckit.matrix_core import (
     NotInSubalgebra,
     as_matrix,
-    elemental_subalgebra,
     fro_norm,
     identity,
     subalgebra_from_matrices,
