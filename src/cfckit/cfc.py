@@ -240,7 +240,7 @@ def plan(a, ring: ScalarRing = ScalarRing.COMPLEX, tol: float = DEFAULT_TOL) -> 
     except (PredicateFailure, NoConvergence) as exc:
         return SpectralPlan(a, ring, tol, scale, c, error=exc)
     values = lam.tolist()
-    if ring is ScalarRing.NNREAL:
+    if ring is ScalarRing.NNREAL and values[0] < 0.0:  # ascending: else no value moves
         values = [max(x, 0.0) for x in values]
     elif ring is ScalarRing.COMPLEX:  # +0.0: a negative real eigenvalue has arg pi
         cut = REAL_SNAP_REL * scale * c

@@ -60,9 +60,10 @@ class NoConvergence(RuntimeError):
 
 def _eigh(h):
     """np.linalg.eigh, in real arithmetic when h is real: a float64 h goes
-    to it as it is, a complex h with no imaginary part as its real part."""
+    to it as it is, a complex h with no imaginary part as its real part
+    (h[-1, 0] is read first: a complex input seldom has a real corner)."""
     try:
-        if h.dtype.kind == "c" and not np.count_nonzero(h.imag):
+        if h.dtype.kind == "c" and not h[-1, 0].imag and not np.count_nonzero(h.imag):
             h = h.real
         return np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -307,7 +308,8 @@ def cluster_with_labels(lam, diameter: float):
     """(points, multiplicities): lam grouped into clusters whose members lie
     within `diameter` of each other, their means as the points, in the order
     of tie_sorted, in a complex array (bench/spans.py reads the cluster count as
-    its size), and the cluster sizes as a tuple.
+    its size), and the cluster sizes as a tuple.  lam is an array or a
+    sequence of Python numbers (a plan's values), read as they are.
 
     One greedy sweep in real-part order: each eigenvalue joins the first live
     cluster whose members all lie within diameter of it, else opens a new
@@ -317,7 +319,9 @@ def cluster_with_labels(lam, diameter: float):
     if not diameter >= 0:
         raise ValueError("diameter must be nonnegative")
     clusters, live = [], 0
-    for z in sorted(np.asarray(lam, dtype=np.complex128).tolist(), key=lambda z: z.real):
+    if isinstance(lam, np.ndarray):
+        lam = lam.astype(np.complex128, copy=False).tolist()
+    for z in sorted(lam, key=lambda z: z.real):
         while live < len(clusters) and z.real - clusters[live][0].real > diameter:
             live += 1
         for c in clusters[live:]:
