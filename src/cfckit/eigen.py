@@ -314,23 +314,35 @@ def cluster_with_labels(lam, diameter: float):
     One greedy sweep in real-part order: each eigenvalue joins the first live
     cluster whose members all lie within diameter of it, else opens a new
     one.  A cluster stops being live once its first member's real part lies
-    more than diameter behind, since |re(x - y)| <= |x - y|.
+    more than diameter behind, since |re(x - y)| <= |x - y|.  Each cluster
+    keeps its radius r about its first member w0, so a z with |z - w0| + r
+    <= diameter (1 - 8 eps) - 8 tiny joins with no member loop: then |z - w|
+    <= |z - w0| + |w0 - w| for every member w, and the margin covers the
+    rounding of the three moduli and their sum, relative or, below the
+    normal range, on the grid of tiny = 2^-1074, so the loop would have let
+    z join.  A k-fold eigenvalue then costs k comparisons, not k (k - 1) / 2.
     """
     if not diameter >= 0:
         raise ValueError("diameter must be nonnegative")
-    clusters, live = [], 0
+    clusters, radii, live = [], [], 0
+    inner = diameter * (1.0 - 8.0 * sys.float_info.epsilon) - 8 * 5e-324
     if isinstance(lam, np.ndarray):
         lam = lam.astype(np.complex128, copy=False).tolist()
     for z in sorted(lam, key=lambda z: z.real):
         while live < len(clusters) and z.real - clusters[live][0].real > diameter:
             live += 1
-        for c in clusters[live:]:
+        for j in range(live, len(clusters)):
+            c = clusters[j]
             # the first member alone rules out most clusters
-            if abs(z - c[0]) <= diameter and all(abs(z - w) <= diameter for w in c):
+            d0 = abs(z - c[0])
+            if d0 <= diameter and (d0 + radii[j] <= inner
+                                   or all(abs(z - w) <= diameter for w in c[1:])):
                 c.append(z)
+                radii[j] = max(radii[j], d0)
                 break
         else:
             clusters.append([z])
+            radii.append(0.0)
     means = tie_sorted([(_mean(c), len(c)) for c in clusters], diameter)
     return (np.array([z for z, _ in means], dtype=np.complex128),
             tuple(k for _, k in means))

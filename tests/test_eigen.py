@@ -434,6 +434,64 @@ def test_sweep_clustering_matches_brute_force_random():
         _assert_same_clustering(lam, cluster_tol)
 
 
+class _Counted(complex):
+    """A complex number that counts the differences taken from it: one per
+    member comparison of a sweep (and one per member of a cluster's mean)."""
+
+    subs = 0
+
+    def __sub__(self, other):
+        _Counted.subs += 1
+        return complex.__sub__(self, other)
+
+
+def _member_loop_sweep(lam, diameter):
+    """The sweep with no radius: each eigenvalue is compared with the first
+    member of each live cluster, then with every member of the one it may
+    join, as cluster_with_labels did before it kept radii."""
+    clusters, live = [], 0
+    for z in sorted(lam, key=lambda z: z.real):
+        while live < len(clusters) and z.real - clusters[live][0].real > diameter:
+            live += 1
+        for c in clusters[live:]:
+            if abs(z - c[0]) <= diameter and all(abs(z - w) <= diameter for w in c):
+                c.append(z)
+                break
+        else:
+            clusters.append([z])
+    return clusters
+
+
+def _comparisons(fn, lam, diameter):
+    _Counted.subs = 0
+    out = fn([_Counted(z) for z in lam], diameter)
+    return out, _Counted.subs
+
+
+@pytest.mark.parametrize("spectrum", ["512-fold", "chain"])
+def test_clustering_compares_a_repeated_eigenvalue_with_its_first_member_only(spectrum):
+    """A k-fold eigenvalue costs about k member comparisons, not k (k - 1) / 2,
+    and every cluster, point and multiplicity is the member loop's.  On a
+    chain (steps of diameter / 64, each cluster as wide as it may be) the
+    radius test decides the members of the first half of each cluster, and
+    the member loop the rest."""
+    diameter = 1e-8
+    if spectrum == "512-fold":
+        lam = [1.0 + 0.5j + k * 1e-12 * (-1) ** k for k in range(512)]
+    else:
+        lam = [2.0 + k * diameter / 64 for k in range(512)]
+    (points, mults), new = _comparisons(cluster_with_labels, lam, diameter)
+    clusters, old = _comparisons(_member_loop_sweep, lam, diameter)
+    _assert_same_clustering(lam, diameter)
+    assert list(mults) == [len(c) for c in clusters]
+    # the means add one difference per member after the first
+    new -= len(lam) - len(mults)
+    if spectrum == "512-fold":
+        assert mults == (512,) and new <= 2 * 512 and old >= 512 * 511 // 2
+    else:
+        assert len(mults) > 1 and new < old
+
+
 # plan(a, REAL) and plan(a) are the decompositions over R and C; their cases
 # keep the ids of hermitian_eigen and normal_spectral_decomposition, the
 # guards over plan() that they replace.
