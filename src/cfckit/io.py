@@ -50,6 +50,8 @@ def matrix_from_json(obj) -> np.ndarray:
     flat = _finite_pairs_array(entries)
     if flat is None:
         flat = np.array(_complex_pairs(entries, "entries"), dtype=np.complex128)
+    if not np.count_nonzero(flat.imag):  # a real file stays real, as in cfc
+        flat = flat.real.copy()
     try:
         return as_matrix(flat.reshape(n, n))
     except ValueError as exc:

@@ -268,6 +268,18 @@ def test_matrix_json_round_trip_bit_exact(rng):
     assert matrix_to_json(b) == obj
 
 
+def test_a_real_matrix_file_stays_real():
+    """Every imaginary part zero (-0.0 included) reads as float64, so the CLI
+    runs the real predicate and symmetrization as cfc does on the same
+    array; one nonzero imaginary part keeps the whole matrix complex."""
+    real = {"n": 2, "entries": [[1.0, 0.0], [2, -0.0], [2.0, 0], [-3.5, 0.0]]}
+    a = matrix_from_json(real)
+    assert a.dtype == np.float64 and a.tolist() == [[1.0, 2.0], [2.0, -3.5]]
+    assert matrix_to_json(a) == matrix_to_json(a.astype(complex))
+    b = matrix_from_json({"n": 1, "entries": [[1.0, 5e-324]]})
+    assert b.dtype == np.complex128 and b[0, 0].imag == 5e-324
+
+
 def test_matrix_from_json_field_errors():
     with pytest.raises(FormatError, match="must be a JSON object"):
         matrix_from_json([[1.0, 0.0]])
@@ -540,8 +552,13 @@ _MATRICES = st.integers(1, 3).flatmap(lambda n: st.fixed_dictionaries(
 @example({"n": 1, "entries": [[1.0, float("nan")]]})
 def test_fast_parser_accepts_what_the_loop_accepts(obj):
     """The numpy pass of matrix_from_json gives the loop's array bit for bit,
-    and leaves every input the loop rejects to it, message and all."""
-    assert _outcome(obj) == _loop_outcome(obj)
+    and leaves every input the loop rejects to it, message and all; either
+    way the array is float64 iff every imaginary part is zero."""
+    out = _outcome(obj)
+    assert out == _loop_outcome(obj)
+    if not isinstance(out, str):
+        real = all(im == 0 for _, im in obj["entries"])
+        assert out[0] == (np.float64 if real else np.complex128)
 
 
 @pytest.mark.parametrize("entries, accepted", [
