@@ -158,8 +158,13 @@ class LawReport:
         return "\n".join(lines)
 
 
-def _rel(diff, *scales) -> float:
-    return fro_norm(diff) / max((1.0, *scales))
+def _within(name: str, residual: float, scale: float, tol: float) -> LawEntry:
+    """The law's absolute residual against tol * scale, its one scale;
+    skipped with a note where that scale overflows, so that no tolerance is
+    infinite."""
+    if not scale < math.inf:
+        return _skipped(name, f"the scale of the {name} law overflows")
+    return LawEntry(name, residual, tol * scale, residual <= tol * scale)
 
 
 def _skipped(name: str, note: Optional[str] = None) -> LawEntry:
@@ -239,6 +244,19 @@ def check_laws(
     law trusts its ring check), one of f(a) spectral mapping and staged
     composition; negation keeps its own cfc on -a.  f and g are evaluated
     once per distinct argument per trial, raising ones too.
+
+    Each law compares an absolute residual with tol times one scale, the
+    norm of its own operands: max(||f(a)||, ||g(a)||) for add, their product
+    for mul, ||f(a)|| for star and congruence, ||a|| for id, 1 for const
+    (|c| >= 2), and max |f| for spectral mapping (at max(tol, 1e-8)), whose
+    eigenvalues of f(a) carry rounding relative to the largest of them.
+    Negation and composition read a second eigensolve, whose rounding f or g
+    carries into the value whatever its norm, and isometry compares two
+    numbers of size max |f|: they keep a floor, max(1, norm).  The oracle
+    interpolates f at cluster means, up to 1e-8 ||a|| from the eigenvalues,
+    and meets 1e-8 max(1 + max |f|, L ||a||), L the steepest difference
+    quotient of f between two eigenvalues.  A law whose scale overflows is
+    skipped with a note.
     """
     f, g = _memoised(f), _memoised(g)
     pa = plan(a, ring, tol)
@@ -247,11 +265,15 @@ def check_laws(
     c = 2.0 if ring is not ScalarRing.COMPLEX else 2.0 + 0.5j
 
     # congruence: perturb f by |vanishing polynomial|, which is 0 at every
-    # eigenvalue the calculus evaluates f at
+    # eigenvalue the calculus evaluates f at; 0 at an exact root before any
+    # product, which may overflow (inf * 0 is nan) where the spectrum is wide
     roots = [complex(p) for p in pa.values]
+    exact = frozenset(roots)
 
     def vanish(x):
         z = complex(x)
+        if z in exact:
+            return 0.0
         prod = 1.0 + 0.0j
         for p in roots:
             prod *= z - p
@@ -277,51 +299,45 @@ def check_laws(
     scale_a = pa.scale * pa.c
     scale_f = fro_norm(out_f.value)
     scale_g = fro_norm(out_g.value)
-    tol_h = tol * max(1.0, scale_a, scale_f, scale_g, scale_f * scale_g)
 
-    for name, out, op, expr in (("add", out_sum, operator.add, "f + g"),
-                                ("mul", out_prod, operator.matmul, "f g")):
+    for name, out, op, expr, scale in (
+            ("add", out_sum, operator.add, "f + g", max(scale_f, scale_g)),
+            ("mul", out_prod, operator.matmul, "f g", scale_f * scale_g)):
         if out.junk:  # out_f and out_g are sound: expr overflowed at an eigenvalue
             entries.append(_skipped(name, f"{expr} fails at a point of the spectrum"))
-            continue
-        r = _rel(out.value - op(out_f.value, out_g.value))
-        entries.append(LawEntry(name, r, tol_h, r <= tol_h))
+        else:
+            r = fro_norm(out.value - op(out_f.value, out_g.value))
+            entries.append(_within(name, r, scale, tol))
 
-    r = _rel(out_conj.value - adjoint(out_f.value))
-    entries.append(LawEntry("star", r, tol_h, r <= tol_h))
-
-    r = _rel(out_id.value - a, scale_a)
-    entries.append(LawEntry("id", r, tol * max(1.0, scale_a), r <= tol * max(1.0, scale_a)))
-
+    entries.append(_within("star", fro_norm(out_conj.value - adjoint(out_f.value)), scale_f, tol))
+    entries.append(_within("id", fro_norm(out_id.value - a), scale_a, tol))
     diff = out_c.value.copy()
     diff.reshape(-1)[:: n + 1] -= c
-    r = _rel(diff)
-    entries.append(LawEntry("const", r, tol, r <= tol))
-
-    r = _rel(out_cong.value - out_f.value, scale_f)
-    entries.append(LawEntry("congruence", r, tol_h, r <= tol_h))
+    entries.append(_within("const", fro_norm(diff), 1.0, tol))  # |c| >= 2: tol is the stricter
+    entries.append(_within("congruence", fro_norm(out_cong.value - out_f.value), scale_f, tol))
 
     # f's row on the plan of a, which out_f already read without a failure:
     # spectral mapping compares it with the eigenvalues of f(a), unclustered,
     # since f may split a cluster of a or merge two
     frow = _eval_row(f, pa.values, tol)
+    fmax = max(map(abs, frow), default=0.0)
+    # the steepest difference quotient of f between two eigenvalues
+    slope = max([abs(p - q) / e for i, (p, x) in enumerate(zip(frow, pa.values))
+                 for q, y in zip(frow[:i], pa.values[:i]) if (e := abs(x - y))], default=0.0)
     pf = plan(out_f.value, ring, max(tol, 1e-7))
     if pf.error is not None:  # f(a) fails the hypotheses of both laws
         note = f"f(a) is junk over {ring.value} ({pf.reason}): {pf.error}"
         entries.extend(_skipped(nm, note) for nm in ("spectral_mapping", "composition"))
     else:
-        diam = max([abs(p - q) for p in frow for q in frow], default=0.0)
-        hd = _hausdorff(pf.values, frow)
-        tol_map = max(tol, 1e-8) * max(1.0, diam)
-        entries.append(LawEntry("spectral_mapping", hd, tol_map, hd <= tol_map))
+        entries.append(_within("spectral_mapping", _hausdorff(pf.values, frow), fmax,
+                               max(tol, 1e-8)))
         out_comp_staged = pf.apply(g)
         if out_comp_staged.junk:
             entries.append(_skipped("composition", "inner value fails the staged hypotheses"))
         else:
-            scale_comp = fro_norm(out_comp_direct.value)
-            r = _rel(out_comp_direct.value - out_comp_staged.value, scale_comp)
-            t = tol * max(1.0, scale_comp)
-            entries.append(LawEntry("composition", r, t, r <= t))
+            scale_comp = max(1.0, fro_norm(out_comp_direct.value))
+            r = fro_norm(out_comp_direct.value - out_comp_staged.value)
+            entries.append(_within("composition", r, scale_comp, tol))
 
     if ring is ScalarRing.NNREAL:
         # -a leaves the ring, so negation transport has no NNReal instance
@@ -331,12 +347,11 @@ def check_laws(
         # which -x would make -0.0, taking f to the other side of a cut
         out_neg = cfc(ScalarFunction(lambda x: f.eval(0.0 - x), f.ring, "f(-x)"),
                       -a, ring, tol)
-        r = _rel(out_neg.value - out_f.value, scale_f)
-        entries.append(LawEntry("negation", r, tol_h, r <= tol_h))
+        r = fro_norm(out_neg.value - out_f.value)
+        entries.append(_within("negation", r, max(1.0, scale_f), tol))
 
-    fmax = max(map(abs, frow), default=0.0)
-    r = abs(operator_norm(out_f.value) - fmax) / max(1.0, fmax)
-    entries.append(LawEntry("isometry", r, tol, r <= tol))
+    r = abs(operator_norm(out_f.value) - fmax)
+    entries.append(_within("isometry", r, max(1.0, fmax), tol))
 
     t = max(tol, MEMBERSHIP_FLOOR)
     inside, r = _elemental_chain(a, unital=True).contains(out_f.value, t)
@@ -350,8 +365,7 @@ def check_laws(
     except OracleSkipped as exc:
         entries.append(_skipped("oracle", str(exc)))
     else:
-        t = 1e-8 * max(1.0, 1.0 + fmax, scale_a)
-        r = fro_norm(out_f.value - ref) / max(1.0, (1.0 + fmax) * max(scale_a, 1.0))
-        entries.append(LawEntry("oracle", r, t, r <= t))
+        entries.append(_within("oracle", fro_norm(out_f.value - ref),
+                               max(1.0 + fmax, slope * scale_a), 1e-8))
 
     return LawReport(tuple(entries))

@@ -900,6 +900,25 @@ def test_apply_all_matches_apply_bit_for_bit(seed, n, ring, kind, picks):
     assert (p.error is None) == (kind != "junk") or n == 1
 
 
+@pytest.mark.parametrize("kind", ["real_u", "complex_u"])
+@pytest.mark.parametrize("ring", list(ScalarRing))
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 17, 64])
+def test_apply_all_of_every_function_matches_apply_bit_for_bit(n, ring, kind):
+    """The stacked rebuild of a check_laws trial at the sizes it meets: all
+    the pool's functions at once, failing ones among them, give apply's
+    outcomes byte for byte."""
+    gen = rng_from_seed(300 + n)
+    p = plan(_apply_all_input(kind, ring, gen, n), ring)
+    assert p.error is None
+    fs = _APPLY_ALL_FUNCTIONS + (builtin_function("exp", ring), random_poly_function(gen, ring),
+                                 identity_function(ring), builtin_function("inv", ring))
+    got, want = p.apply_all(fs), [p.apply(f) for f in fs]
+    for x, y in zip(got, want, strict=True):
+        assert (x.junk, x.reason, x.value.dtype, x.value.tobytes()) == \
+            (y.junk, y.reason, y.value.dtype, y.value.tobytes())
+    assert not got[-3].junk and not got[-2].junk
+
+
 def test_near_degenerate_chain_at_n_64_reconstructs_a():
     """The near_degenerate draw of seed 572 at n = 64 over C, which the
     property test above can draw: apply(id) must reproduce a within 1e-12."""

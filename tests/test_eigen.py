@@ -584,3 +584,17 @@ def test_residual_reads_the_scale_rule_below_the_normal_range():
         r = plan(a * 2.0 ** -e).residual()
         assert base / 4 <= r <= 4 * base, (e, r)
     assert plan(a * 2.0 ** -1040).residual() >= base
+
+
+def test_eigh_reads_every_imaginary_part_not_only_the_corner():
+    """_eigh reads h[-1, 0] first, then every imaginary part: a complex h
+    whose corner is real but which has another imaginary part goes to the
+    complex solver as it is, and one with no imaginary part to the real one."""
+    from cfckit.eigen import _eigh
+
+    h = np.array([[1.0, 0.5j, 2.0], [-0.5j, 3.0, 0.25], [2.0, 0.25, -1.0]])
+    w, u = _eigh(h)
+    want_w, want_u = np.linalg.eigh(h)
+    assert u.dtype == np.complex128 and np.array_equal(u, want_u) and np.array_equal(w, want_w)
+    w, u = _eigh(h.real + 0j)
+    assert u.dtype == np.float64 and np.allclose((u * w) @ u.T, h.real, atol=1e-14)

@@ -1,13 +1,16 @@
 import collections
+import importlib
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfckit.cfc import ScalarFunction, builtin_function, cfc, identity_function, plan
 from cfckit.eigen import _commutator_residual, elemental_subalgebra, is_nonneg, is_star_normal
-from cfckit.matrix_core import NotNormal, adjoint, as_matrix, fro_norm, identity, zeros
+from cfckit.matrix_core import NotNormal, _rescaled, adjoint, as_matrix, fro_norm, identity, zeros
 from cfckit.oracle import (
     OracleSkipped,
     StarPolynomial,
@@ -628,3 +631,125 @@ def test_every_layer_reads_the_scale_rule_below_the_normal_range():
     assert not any(e.skipped for e in report.entries)
     direct = cfc(f, a).value
     assert fro_norm(cfc_oracle(f, a) - direct) <= 1e-12 * fro_norm(direct)
+
+
+def _newton_reference(a, points, values):
+    """_interpolate's general path for any number of points, one included:
+    the nodes rescaled with a, put in Leja order, divided differences, and
+    Horner's rule with k - 1 products."""
+    a, _, s = _rescaled(a)
+    x = (np.array(points, dtype=np.complex128).view(np.float64) / s).view(np.complex128)
+    k, n = len(x), a.shape[0]
+    dist = np.abs(x[:, None] - x)
+    c = float(dist.max()) / 4 or 1.0
+    dist.reshape(-1)[:: k + 1] = math.inf
+    xs, rows = x.tolist(), dist.tolist()
+    order = [max(range(k), key=lambda i: abs(xs[i]))]
+    reach = [1.0] * k
+    for _ in range(k - 1):
+        reach = [r * (d / c) for r, d in zip(reach, rows[order[-1]])]
+        for i in order:
+            reach[i] = -1.0
+        order.append(max(range(k), key=reach.__getitem__))
+    y = [xs[i] / c for i in order]
+    d = [complex(values[i]) for i in order]
+    for j in range(1, k):
+        for i in range(k - 1, j - 1, -1):
+            d[i] = (d[i] - d[i - 1]) / (y[i] - y[i - j])
+    b = a / c
+    out = d[-1] * identity(n)
+    for dj, yj in zip(reversed(d[:-1]), reversed(y[:-1])):
+        out = b @ out - yj * out
+        out.reshape(-1)[:: n + 1] += dj
+    return out
+
+
+@pytest.mark.parametrize("s", [2.0 ** -1025, 1e-150, 1.0, 1e150, 1e300])
+@pytest.mark.parametrize("spectrum", [[1.5], [-2.0 + 0.5j] * 4, [0.25, -1.0, 2j, 3.0]],
+                         ids=["one-node", "one-node-4-fold", "four-nodes"])
+def test_interpolate_equals_the_general_newton_path_bit_for_bit(spectrum, s):
+    """The one-node shortcut, f(lambda) I with no rescale or product, is the
+    general path's value bit for bit, as is every other interpolant."""
+    a = random_with_spectrum(rng_from_seed(70), np.array(spectrum) * s)
+    p = plan(a)
+    points = p.points()
+    values = [complex(z) * (1 - 0.5j) / s + 0.25 for z in points]
+    got, want = _interpolate(p.a, points, values), _newton_reference(p.a, points, values)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    with pytest.raises(OracleSkipped, match="f fails"):
+        _interpolate(p.a, points, None)
+
+
+SPOILED = 1.0 + 1e-6
+# the positions of the values check_laws rebuilds in its one apply_all
+_APPLY_ALL_ROW = {"star": 4, "id": 5, "congruence": 7}
+
+
+@pytest.mark.parametrize("ring", [ScalarRing.COMPLEX, ScalarRing.REAL])
+@pytest.mark.parametrize("law", ["id", "star", "congruence", "negation", "oracle"])
+def test_a_value_spoiled_by_a_millionth_fails_its_law_at_scale_1e150(monkeypatch, law, ring):
+    """Negative controls: each law's scale is its own operands' norm, so at
+    ||a|| = 3e150 a value off by 1e-6 relative FAILs where the parent's
+    tolerances, scaled twice, read up to 3e142 and let it pass."""
+    oracle = importlib.import_module("cfckit.oracle")
+    cfc_mod = importlib.import_module("cfckit.cfc")
+
+    def spoil(out):
+        out.value = out.value * SPOILED
+        return out
+
+    if law in _APPLY_ALL_ROW:
+        apply_all = cfc_mod.SpectralPlan.apply_all
+
+        def spoiled_apply_all(self, fs):
+            outs = apply_all(self, fs)
+            spoil(outs[_APPLY_ALL_ROW[law]])
+            return outs
+        monkeypatch.setattr(cfc_mod.SpectralPlan, "apply_all", spoiled_apply_all)
+    elif law == "negation":
+        monkeypatch.setattr(oracle, "cfc", lambda *args: spoil(cfc(*args)))
+    else:
+        monkeypatch.setattr(oracle, "_interpolate", lambda *args: _interpolate(*args) * SPOILED)
+    s = 1e150
+    a = s * random_with_spectrum(rng_from_seed(7), SCALE_SPECTRA[ring])
+    if ring is not ScalarRing.COMPLEX:
+        a = (a + adjoint(a)) / 2
+    f = ScalarFunction(lambda x: (x / s) ** 2 + 1, ring, "(x/s)^2+1")
+    g = ScalarFunction(lambda x: x / s, ring, "x/s")
+    entry = _law(check_laws(a, f, g, ring), law)
+    assert not entry.skipped and not entry.passed, entry
+    assert entry.residual > 10 * entry.tolerance
+
+
+@pytest.mark.parametrize("s", [1e150, 1e155])
+def test_congruence_reads_f_where_the_vanishing_polynomial_overflows(s):
+    """At 1e150 the vanishing polynomial's product over six eigenvalues
+    overflows, and inf * 0 was nan at an exact root: its row was junk and
+    the law compared zeros with f(a).  It is 0 at a root before any product,
+    so f + vanish equals f(a) exactly."""
+    ring = ScalarRing.COMPLEX
+    a = s * random_with_spectrum(rng_from_seed(7), SCALE_SPECTRA[ring])
+    f = ScalarFunction(lambda x: (x / s) ** 2 + 1, ring, "(x/s)^2+1")
+    entry = _law(check_laws(a, f, ScalarFunction(lambda x: x / s, ring, "x/s"), ring),
+                 "congruence")
+    assert entry.passed and not entry.skipped and entry.residual == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 24),
+       ring=st.sampled_from(list(ScalarRing)), exponent=st.floats(-150.0, 150.0))
+def test_check_laws_passes_correct_values_at_any_size_and_scale(seed, n, ring, exponent):
+    """Every law runs and passes on correct values from n = 1 to 24 at scales
+    from 1e-150 to 1e150, with p and q random cubics, f = s p(x / s) and g =
+    q(x / s) (so that g reads f's values in range too): the laws' own
+    scales hold where the norms are far from 1."""
+    gen = rng_from_seed(seed)
+    s = 10.0 ** exponent
+    a = random_normal_matrix(gen, n, ring) * s
+    p, q = random_poly_function(gen, ring), random_poly_function(gen, ring)
+    f = ScalarFunction(lambda x: s * p.eval(x / s), ring, "s p(x/s)")
+    g = ScalarFunction(lambda x: q.eval(x / s), ring, "q(x/s)")
+    report = check_laws(a, f, g, ring)
+    assert report.all_passed, report.table()
+    skips = {e.name for e in report.entries if e.skipped}
+    assert skips <= ({"negation"} if ring is ScalarRing.NNREAL else set()), report.table()

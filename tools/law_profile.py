@@ -109,7 +109,8 @@ def main(argv=None) -> int:
     print(f"{'ring/n':<14}" + "".join(f"{c:>12}" for c in COLUMNS))
     for label in sorted(samples, key=order):
         row = samples[label]
-        print(f"{label:<14}" + "".join(f"{statistics.median(row[c]) * 1e6:>12.1f}" for c in COLUMNS))
+        cells = (statistics.median(row[c]) * 1e6 for c in COLUMNS)
+        print(f"{label:<14}" + "".join(f"{x:>12.1f}" for x in cells))
     return 0
 
 
