@@ -75,7 +75,7 @@ def _eval_row(f: ScalarFunction, xs, tol: float) -> Optional[list]:
     ring."""
     feval, ring = f.eval, f.ring
     over_c, over_r = ring is ScalarRing.COMPLEX, ring is ScalarRing.REAL
-    isfinite = math.isfinite
+    isfinite, cisfinite = math.isfinite, cmath.isfinite
     row = []
     append = row.append
     try:
@@ -85,7 +85,7 @@ def _eval_row(f: ScalarFunction, xs, tol: float) -> Optional[list]:
                 append(out)
                 continue
             out = complex(out)
-            if not (isfinite(out.real) and isfinite(out.imag)):
+            if not cisfinite(out):
                 return None
             append(out if over_c else restrict_scalar(out, ring, tol))
     except Exception:  # domain errors are data, not bugs

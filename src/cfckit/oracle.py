@@ -88,9 +88,11 @@ def _interpolate(a: np.ndarray, points, values: Optional[list]) -> np.ndarray:
             raise OracleSkipped(F_FAILS)
         return complex(values[0]) * identity(a.shape[0])
     a, _, s = _rescaled(a)
-    # divided as reals: numpy divides a complex array by a float through its
-    # reciprocal, which overflows for a subnormal s
-    x = (np.array(points, dtype=np.complex128).view(np.float64) / s).view(np.complex128)
+    x = np.array(points, dtype=np.complex128)
+    if s != 1.0:
+        # divided as reals: numpy divides a complex array by a float through
+        # its reciprocal, which overflows for a subnormal s
+        x = (x.view(np.float64) / s).view(np.complex128)
     k, n = len(x), a.shape[0]
     dist = np.abs(x[:, None] - x)
     diameter = dist.max()
@@ -224,8 +226,7 @@ def _conj(f: ScalarFunction) -> ScalarFunction:
 
 
 def _hausdorff(xs, ys) -> float:
-    xs = [complex(x) for x in xs]
-    ys = [complex(y) for y in ys]
+    """Of two finite sets of ring scalars (floats or complex numbers)."""
     d1 = max([min([abs(x - y) for y in ys]) for x in xs])
     d2 = max([min([abs(x - y) for x in xs]) for y in ys])
     return max(d1, d2)
@@ -253,10 +254,12 @@ def check_laws(
     Negation and composition read a second eigensolve, whose rounding f or g
     carries into the value whatever its norm, and isometry compares two
     numbers of size max |f|: they keep a floor, max(1, norm).  The oracle
-    interpolates f at cluster means, up to 1e-8 ||a|| from the eigenvalues,
-    and meets 1e-8 max(1 + max |f|, L ||a||), L the steepest difference
-    quotient of f between two eigenvalues.  A law whose scale overflows is
-    skipped with a note.
+    interpolates f at cluster means, each within the cluster scale 1e-8
+    ||a|| of its eigenvalues, which moves f and the interpolant by up to L
+    1e-8 ||a|| each at an eigenvalue, L the steepest difference quotient of
+    f between two eigenvalues within that scale of each other: it meets
+    1e-8 max(1 + max |f|, 2 sqrt(n) L ||a||).  A law whose scale overflows
+    is skipped with a note.
     """
     f, g = _memoised(f), _memoised(g)
     pa = plan(a, ring, tol)
@@ -321,9 +324,17 @@ def check_laws(
     # since f may split a cluster of a or merge two
     frow = _eval_row(f, pa.values, tol)
     fmax = max(map(abs, frow), default=0.0)
-    # the steepest difference quotient of f between two eigenvalues
-    slope = max([abs(p - q) / e for i, (p, x) in enumerate(zip(frow, pa.values))
-                 for q, y in zip(frow[:i], pa.values[:i]) if (e := abs(x - y))], default=0.0)
+    # f's steepest difference quotient between two eigenvalues within the
+    # cluster scale of each other, which the oracle's nodes do not tell apart
+    # (the values ascend in real part)
+    vals, cut, slope = pa.values, pa.cluster_tol, 0.0
+    for i in range(1, n):
+        for j in range(i - 1, -1, -1):
+            if vals[i].real - vals[j].real > cut:
+                break
+            e = abs(vals[i] - vals[j])
+            if 0.0 < e <= cut:
+                slope = max(slope, abs(frow[i] - frow[j]) / e)
     pf = plan(out_f.value, ring, max(tol, 1e-7))
     if pf.error is not None:  # f(a) fails the hypotheses of both laws
         note = f"f(a) is junk over {ring.value} ({pf.reason}): {pf.error}"
@@ -366,6 +377,6 @@ def check_laws(
         entries.append(_skipped("oracle", str(exc)))
     else:
         entries.append(_within("oracle", fro_norm(out_f.value - ref),
-                               max(1.0 + fmax, slope * scale_a), 1e-8))
+                               max(1.0 + fmax, 2.0 * math.sqrt(n) * slope * scale_a), 1e-8))
 
     return LawReport(tuple(entries))

@@ -29,7 +29,7 @@ import sys  # noqa: E402
 import time  # noqa: E402
 from collections import defaultdict  # noqa: E402
 
-# (column, function name, modules that bind it); methods are (class path, name)
+# (column, function name, modules that bind it)
 HELPERS = (
     ("plan", "plan", ("cfckit.cfc", "cfckit.oracle")),
     ("eval_row", "_eval_row", ("cfckit.cfc", "cfckit.oracle")),
@@ -78,13 +78,10 @@ def main(argv=None) -> int:
 
     spent = defaultdict(float)
     for column, name, modules in HELPERS:
-        inner = None
-        for modname in modules:
-            mod = importlib.import_module(modname)
-            if hasattr(mod, name):
-                inner = inner or getattr(mod, name)
-                setattr(mod, name, _timed(spent, column, getattr(mod, name)))
-        if inner is None:
+        bound = [mod for mod in map(importlib.import_module, modules) if hasattr(mod, name)]
+        for mod in bound:
+            setattr(mod, name, _timed(spent, column, getattr(mod, name)))
+        if not bound:
             print(f"note: {name} is bound in none of {modules}", file=sys.stderr)
     plan_cls = importlib.import_module("cfckit.cfc").SpectralPlan
     plan_cls.apply_all = _timed(spent, "apply_all", plan_cls.apply_all)
