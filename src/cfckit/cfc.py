@@ -23,8 +23,7 @@ from .matrix_core import (
     PredicateFailure,
     PredicateReport,
     StarSubalgebra,
-    _as_square,
-    _require_finite,
+    _coerced_rescaled,
     _rescaled,
     adjoint,
     fro_norm,
@@ -222,12 +221,8 @@ def plan(a, ring: ScalarRing = ScalarRing.COMPLEX, tol: float = DEFAULT_TOL) -> 
     needs no check; past that (entries near the float max) an eigenvalue
     whose modulus lies beyond the float range makes the plan NoConvergence.
     a is coerced as as_matrix does, its finiteness read off the norm that
-    _rescaled returns: that is finite iff every entry is, so as_matrix's
-    isfinite pass runs only where it is inf or NaN."""
-    a = _as_square(a)
-    b, scale, c = _rescaled(a)
-    if not scale < math.inf:
-        _require_finite(a)
+    _rescaled returns (matrix_core._coerced_rescaled)."""
+    a, b, scale, c = _coerced_rescaled(a)
     try:
         u, lam, report = _decompose(b, ring, tol, scale)
         if c != 1.0 and 2.0 * scale * c < math.inf:

@@ -115,7 +115,7 @@ def operator_norm(a) -> float:
     """Largest singular value, via the Hermitian eigenproblem for a* a, taken
     of a rescaled as _rescaled says, so that a* a stays in the float range.
     a is coerced as as_matrix does, its finiteness read off the scale."""
-    a, _, c = _coerced_rescaled(a)
+    _, a, _, c = _coerced_rescaled(a)
     gram = adjoint(a) @ a
     gram = (gram + adjoint(gram)) / 2
     w = np.linalg.eigvalsh(gram)
@@ -123,14 +123,14 @@ def operator_norm(a) -> float:
 
 
 def _coerced_rescaled(a):
-    """_rescaled(as_matrix(a)) with as_matrix's finiteness read off the
-    norm _rescaled takes: that is finite iff every entry is, so the isfinite
-    pass runs only where it is inf or NaN."""
+    """(as_matrix(a), *_rescaled of it), with as_matrix's finiteness read off
+    the norm _rescaled takes: that is finite iff every entry is, so the
+    isfinite pass runs only where it is inf or NaN."""
     a = _as_square(a)
     b, scale, c = _rescaled(a)
     if not scale < math.inf:
         _require_finite(a)
-    return b, scale, c
+    return a, b, scale, c
 
 
 def _rescaled(a):
@@ -193,7 +193,7 @@ class StarSubalgebra:
     def contains(self, x, tol: float = DEFAULT_TOL):
         """(membership, relative projection residual), taken of x rescaled
         by _rescaled: x is in the subalgebra iff x / c is."""
-        x, scale, _ = _coerced_rescaled(x)
+        _, x, scale, _ = _coerced_rescaled(x)
         if x.shape[0] != self.ambient_dim:
             raise DimensionMismatch(
                 f"element is {x.shape[0]}x{x.shape[0]}, subalgebra ambient "

@@ -26,9 +26,10 @@ def rng():
     return np.random.default_rng(12345)
 
 
-def _count_calls(monkeypatch, name):
-    """Counts the calls of cfc.<name>, as the calculus module binds it."""
-    mod = importlib.import_module("cfckit.cfc")
+def _count_calls(monkeypatch, name, module="cfckit.cfc"):
+    """Counts the calls of <module>.<name>, as that module binds it (the
+    calculus module unless named)."""
+    mod = importlib.import_module(module)
     calls = [0]
     inner = getattr(mod, name)
 
@@ -62,9 +63,10 @@ def clusterings(monkeypatch):
 
 @pytest.fixture
 def finiteness_passes(monkeypatch):
-    """Counts the calls of cfc._require_finite, as_matrix's isfinite pass,
-    which a plan makes only where the norm _rescaled returns is inf or NaN."""
-    return _count_calls(monkeypatch, "_require_finite")
+    """Counts the calls of matrix_core._require_finite, as_matrix's isfinite
+    pass, which a plan (through _coerced_rescaled) makes only where the norm
+    _rescaled returns is inf or NaN."""
+    return _count_calls(monkeypatch, "_require_finite", "cfckit.matrix_core")
 
 
 # _predicate_report is the selfadjoint residual and _commutator_residual the
