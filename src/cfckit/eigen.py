@@ -30,27 +30,22 @@ from .scalars import DEFAULT_TOL, ScalarRing
 # Clusters are cut at this fraction of ||a||_F, the one cluster scale.
 DEFAULT_CLUSTER_REL = 1e-8
 
-# A cluster of h's eigenvalues on which a's compression is diagonal to within
-# this fraction of ||a||_F is left as h's eigensolver returned it: the cluster
-# is one eigenspace of a, which any orthonormal basis diagonalizes.  With
-# exact multiplicities the off-diagonal rounding measured at most 7.2 eps
-# ||a||_F (n = 4 to 512, up to 256-fold), so the cut has about 9x headroom;
-# distinct eigenvalues sharing a real part leave an off-diagonal of the order
-# of their distance.  A skipped cluster adds at most the cut to the residual.
-# The residual ||a u_R - u_R diag(lam_R)||_F bounds that off-diagonal, so a
-# run whose residual is at most half the cut skips the compression: the other
-# half covers the rounding in which the computed bound and the computed
-# off-diagonal differ, so the skip never changes the test's outcome.  On 200
-# runs of 4x4 inputs with two double eigenvalues the residual measured at
-# most 3.6 eps ||a||_F; a run next to a close eigenvalue of h reads more
-# (eigenvector leakage of order eps ||a||^2 / gap) and takes the exact test.
-# Over C the same cut marks the columns _refined takes, and a residual ||d||_F
-# within half of it skips the runs and the refinement.  On Haar conjugates of
-# uniform spectra in the unit square (40 inputs each at n = 4, 16 and 64, 8 at
-# n = 256) a column read 0.07-0.12 cuts in the median at n >= 16; 1, 8, 32
-# and 8 inputs had columns above the cut (up to 1.1, 5.1, 28 and 53 cuts,
-# where two eigenvalues of h lie close), which the refinement brought to at
-# most 1.24 cuts.
+# Over C the columns j of d = a u - u diag(lam) with ||d_j|| above this
+# fraction of ||a||_F are refined (_refined), and a residual ||d||_F within
+# it skips the refinement.  A cluster of h's eigenvalues that one eigenspace
+# of a fills is left as h's eigensolver returned it, since any orthonormal
+# basis diagonalizes it: with exact multiplicities the residual of such a
+# cluster's columns measured at most 3.6 eps ||a||_F (200 4x4 inputs with
+# two double eigenvalues) and the off-diagonal of a's compression on it at
+# most 7.2 eps ||a||_F (n = 4 to 512, up to 256-fold): about 18x below the
+# cut and 4x below its half, the link test of _refined; distinct eigenvalues
+# sharing a real part leave a residual of the order of their distance, and a
+# column next to a close eigenvalue of h reads eigenvector leakage of order
+# eps ||a||^2 / gap.  On Haar conjugates of uniform spectra in the unit
+# square (40 inputs each at n = 4, 16 and 64, 8 at n = 256) a column read
+# 0.07-0.12 cuts in the median at n >= 16; 1, 8, 32 and 8 inputs had columns
+# above the cut (up to 1.1, 5.1, 28 and 53 cuts, where two eigenvalues of h
+# lie close), which the refinement brought to at most 1.24 cuts.
 DIAGONAL_CUT_REL = 64 * sys.float_info.epsilon
 
 
@@ -68,20 +63,6 @@ def _eigh(h):
         return np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-
-
-def _repeated_runs(sorted_reals, cut):
-    """Slices of the runs of two or more entries of an ascending real
-    sequence, split at gaps > cut.  A run may be wider than cut: a split at
-    a gap g would leave eigenvector errors of order eps ||a|| / g."""
-    xs = sorted_reals.tolist()
-    runs, start = [], 0
-    for i in range(1, len(xs) + 1):
-        if i == len(xs) or xs[i] - xs[i - 1] > cut:
-            if i - start > 1:
-                runs.append(slice(start, i))
-            start = i
-    return runs
 
 
 def _predicate_report(a, ah, tol: float, scale: float) -> PredicateReport:
@@ -116,23 +97,20 @@ def _decompose(a, ring, tol, scale):
     negative eigenvalues, each within tol where the other may not be.
 
     Over C, lam = diag(u* a u) and d = a u - u diag(lam) come from the
-    one product a u.  Where ||d||_F exceeds half the diagonal cut
-    (DIAGONAL_CUT_REL * scale), each run R of h's eigenvalues (gaps <=
-    DEFAULT_CLUSTER_REL * scale) whose columns d does not clear and on
-    which a's compression c = u_R* a u_R is not diagonal gets one more
-    eigensolve, of (c - c*) / 2i.  Then beta = ||d||_F / scale is a
-    backward error: a lies within ||d||_F of the normal matrix u diag(lam)
-    u* (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 1.5),
-    and beta alone decides soundness.  The columns j with ||d_j|| above the
-    cut get one refinement (_refined), and the plan is sound iff beta <= tol
-    after it; every report, failed or not, carries that beta against tol.
-    With a = N + E, N normal and ||N||_F <= ||a||_F, the commutator
-    residual ||a*a - aa*||_F / ||a||_F^2 is at most 4 beta + 2 beta^2 for
-    every u diag(lam) u* the refinement can reach, so where beta > tol a
-    commutator above 4 tol + 2 tol^2 certifies that no refinement can
-    succeed: such an input pays one eigensolve, a u and the commutator, and
-    is rejected with its unrefined beta.  Eigenvalues come back sorted by
-    (re, im)."""
+    one product a u, and beta = ||d||_F / scale is a backward error: a
+    lies within ||d||_F of the normal matrix u diag(lam) u* (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, 1.5), and beta
+    alone decides soundness.  Where ||d||_F exceeds the diagonal cut
+    (DIAGONAL_CUT_REL * scale), one refinement (_refined) splits the
+    clusters of h that a does not fill with one eigenspace, and the plan is
+    sound iff beta <= tol after it; every report, failed or not, carries
+    that beta against tol.  With a = N + E, N normal and ||N||_F <=
+    ||a||_F, the commutator residual ||a*a - aa*||_F / ||a||_F^2 is at most
+    4 beta + 2 beta^2 for every u diag(lam) u* the refinement can reach, so
+    where h's own eigenvectors leave beta > tol a commutator above 4 tol +
+    2 tol^2 certifies that no refinement can succeed: such an input pays
+    one eigensolve, a u and the commutator, and is rejected with that beta.
+    Eigenvalues come back sorted by (re, im)."""
     ah = a.conj().T
     s = a + ah
     if ring is not ScalarRing.COMPLEX:
@@ -161,24 +139,6 @@ def _decompose(a, ring, tol, scale):
     d = au - u * lam
     cut = DIAGONAL_CUT_REL * scale
     err = fro_norm(d)
-    if err > cut / 2:
-        rotated = False
-        for cols in _repeated_runs(wh, DEFAULT_CLUSTER_REL * scale):
-            if fro_norm(d[:, cols]) <= cut / 2:
-                continue
-            c = adjoint(u[:, cols]) @ au[:, cols]
-            off = c.copy()
-            off.flat[:: len(c) + 1] = 0.0
-            if fro_norm(off) <= cut:
-                continue
-            _, v = _eigh((c - c.conj().T) / 2j)  # one adjoint() per compression
-            u[:, cols] = u[:, cols] @ v
-            au[:, cols] = au[:, cols] @ v
-            rotated = True
-        if rotated:
-            lam = (np.conj(u) * au).sum(0)
-            d = au - u * lam
-            err = fro_norm(d)
     beta = err / max(scale, EPS_FLOOR)
     if beta > tol and _commutator_residual(a, scale) > 4 * tol + 2 * tol * tol:
         raise NotNormal(PredicateReport("normal", False, beta, tol))
@@ -195,36 +155,54 @@ def _decompose(a, ring, tol, scale):
 
 def _refined(u, au, lam, d, cut):
     """||d||_F after refining, in place, the columns F of u (au, lam, d)
-    with ||d_j|| > cut: one compression c = u_F* a u_F, then for each group
-    G of columns that c links (an off-diagonal entry above cut / 2) one
-    eigensolve of the Hermitian part of e^(-i theta) c_G, theta the
-    direction in which lam_G spreads most, whose eigenvectors a normal c_G
-    shares (a Jacobi-like sweep for normal matrices, Goldstine and Horwitz,
-    J. ACM 6, 1959).  theta = pi / 2 alone fails where linked eigenvalues
-    share an imaginary part, and one theta for all of F where two unrelated
-    columns project onto one value.  A group's refinement is kept only if
-    it lowers its part of ||d||_F."""
-    cols = np.flatnonzero(_column_norms2(d) > cut * cut)
-    if len(cols) > 1:
-        uf, auf = u[:, cols], au[:, cols]
-        c = adjoint(uf) @ auf
-        groups = _linked_groups(np.abs(c) > cut / 2)
-        v = np.eye(len(cols), dtype=np.complex128)
-        for g in groups:
-            w = lam[cols[g]]
-            w = w - w.sum() / len(w)
-            # rotates sum(w^2) onto the positive real axis
-            cg = c[np.ix_(g, g)] * cmath.exp(-0.5j * cmath.phase(complex(w @ w)))
-            v[np.ix_(g, g)] = _eigh((cg + cg.conj().T) / 2)[1]
-        uf, auf = uf @ v, auf @ v
-        lf = (np.conj(uf) * auf).sum(0)
-        df = auf - uf * lf
-        new, old = _column_norms2(df), _column_norms2(d[:, cols])
-        keep = np.zeros(len(cols), dtype=bool)
-        for g in groups:
-            keep[g] = new[g].sum() < old[g].sum()
-        f = cols[keep]
-        u[:, f], au[:, f], lam[f], d[:, f] = uf[:, keep], auf[:, keep], lf[keep], df[:, keep]
+    with ||d_j|| > cut, the one step that splits a cluster of h: one
+    compression c = u_F* a u_F; F cut into the smallest intervals, in h's
+    eigenvalue order, that no link |c_ij| > cut / 2 crosses; and for each
+    interval G of two or more columns one eigensolve of the Hermitian part
+    of e^(-i theta) w, w = c_G - (tr c_G / |G|) I, whose eigenvectors a
+    normal c_G shares (a Jacobi-like sweep for normal matrices, Goldstine
+    and Horwitz, J. ACM 6, 1959).  theta = phase(tr w^2) / 2 turns the sum
+    of the squared centred eigenvalues of c_G onto the positive real axis,
+    the direction in which they spread most, and does not depend on the
+    basis: distinct eigenvalues sharing a real part give +-pi / 2 (the skew
+    part), a near-repeat of h under a rounding-size skew part about 0 (h's
+    own eigenvectors).  The centring shifts the Hermitian part by a real
+    multiple of I, which moves no eigenvector and shrinks its norm.  A
+    group's refinement is kept only if it lowers its part of ||d||_F; v is
+    the identity on a single column, which the product leaves as it was."""
+    norms2 = _column_norms2(d)
+    cols = np.flatnonzero(norms2 > cut * cut)
+    m = len(cols)
+    if m < 2:
+        return fro_norm(d)
+    f = slice(cols[0], cols[-1] + 1) if cols[-1] - cols[0] == m - 1 else cols
+    uf, auf = u[:, f], au[:, f]
+    c = adjoint(uf) @ auf
+    link = np.abs(c) > cut / 2
+    link |= link.T
+    link.flat[:: m + 1] = True  # each column reaches itself at least
+    # an interval closes where the farthest column linked so far is its last
+    bounds, end = [0], 0
+    for k, r in enumerate((m - 1 - link[:, ::-1].argmax(1)).tolist()):
+        end = max(end, r)
+        if end == k:
+            bounds.append(k + 1)
+    v = np.eye(m, dtype=np.complex128)
+    for i, j in zip(bounds, bounds[1:]):
+        if j - i > 1:
+            w = c[i:j, i:j]
+            w.flat[:: j - i + 1] -= w.trace() / (j - i)
+            w = w * cmath.exp(-0.5j * cmath.phase(complex((w * w.T).sum())))
+            w += w.conj().T
+            v[i:j, i:j] = _eigh(w)[1]
+    uf, auf = uf @ v, auf @ v
+    lf = (np.conj(uf) * auf).sum(0)
+    df = auf - uf * lf
+    keep = np.add.reduceat(_column_norms2(df) - norms2[f], bounds[:-1]) < 0
+    if not keep.all():
+        keep = np.repeat(keep, np.diff(bounds))
+        f, uf, auf, lf, df = cols[keep], uf[:, keep], auf[:, keep], lf[keep], df[:, keep]
+    u[:, f], au[:, f], lam[f], d[:, f] = uf, auf, lf, df
     return fro_norm(d)
 
 
@@ -232,24 +210,6 @@ def _column_norms2(x):
     """The squared 2-norms of the columns of x, in the range that
     _rescaled keeps."""
     return (x.real ** 2 + x.imag ** 2).sum(0)
-
-
-def _linked_groups(link):
-    """The index arrays of the connected components of two or more nodes of
-    the graph whose adjacency (made symmetric here) is the boolean matrix
-    link: each node takes the least label among its own and its neighbours',
-    then the label of that label, until nothing changes."""
-    link = link | link.T
-    m = len(link)
-    label = np.arange(m)
-    while True:
-        new = np.minimum(np.where(link, label, m).min(1), label)
-        new = new[new]
-        if np.array_equal(new, label):
-            break
-        label = new
-    groups = (np.flatnonzero(label == k) for k in np.flatnonzero(label == np.arange(m)))
-    return [g for g in groups if len(g) > 1]
 
 
 def predicate_for_ring(a, ring: ScalarRing, tol: float = DEFAULT_TOL) -> PredicateReport:

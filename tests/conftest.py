@@ -89,8 +89,8 @@ def work_counts(monkeypatch):
     backward error exceeds tol), outermost coercions under
     "as_matrix" (as_matrix, or a plan's _as_square; each as bound in every
     module), numpy eigensolver calls, and the compressions u_F* a u_F of the
-    decomposition over C, of a run or of the refined columns (the calls of
-    eigen.adjoint, which makes one per compression and nothing else)."""
+    refined columns of a decomposition over C (the calls of eigen.adjoint,
+    which makes one per compression and nothing else)."""
     counts = {"predicate": 0, "as_matrix": 0, "eigh": 0, "eigvalsh": 0, "compressions": 0}
     depths = {"predicate": [0], "as_matrix": [0]}
 

@@ -93,10 +93,12 @@ def test_normal_residual_from_one_product_matches_the_commutator(scale):
 
 def test_normal_predicate_where_the_frobenius_norm_overflows():
     # finite entries whose ||a||_F is inf: the predicate still decides, and
-    # reports the plan's backward error, sqrt(2) / 3 at any scale
+    # reports the backward error of h's own eigenvectors, which the
+    # commutator rejects before any refinement: 1 / 2 at any scale
     assert fro_norm(np.full((3, 3), 1e308)) == math.inf
-    rep = is_star_normal(np.triu(np.full((3, 3), 1e308)))
-    assert not rep.holds and rep.residual == pytest.approx(math.sqrt(2) / 3, rel=1e-12)
+    for scale in (1.0, 1e-300, 1e200, 1e308):
+        rep = is_star_normal(np.triu(np.full((3, 3), scale)))
+        assert not rep.holds and rep.residual == pytest.approx(0.5, rel=1e-12)
     assert is_star_normal(np.diag([1e308, -1e308, 1e308j, 1e308])).holds
 
 

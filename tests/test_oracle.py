@@ -735,6 +735,39 @@ def test_congruence_reads_f_where_the_vanishing_polynomial_overflows(s):
     assert entry.passed and not entry.skipped and entry.residual == 0.0
 
 
+@pytest.mark.parametrize("ring", [ScalarRing.COMPLEX, ScalarRing.REAL])
+@pytest.mark.parametrize("lam", [[1.0, 2.0], [-1.0, 0.5, 2.0], [0.5, 1.0, 1.5, 3.0]],
+                         ids=lambda lam: f"n{len(lam)}")
+def test_congruence_fails_where_every_function_is_read_off_the_spectrum(monkeypatch, ring, lam):
+    """Negative control of the vanishing polynomial's product: with every
+    row of the trial's apply_all read at the plan's values moved by
+    1e-6 ||a||, no argument is an exact root, so f + vanish differs from f
+    by the product, about 1e-6 ||a|| times the distances to the other
+    eigenvalues, and congruence FAILs far beyond its tolerance."""
+    cfc_mod = importlib.import_module("cfckit.cfc")
+    eval_row = cfc_mod._eval_row
+    a = random_with_spectrum(rng_from_seed(11), np.asarray(lam) * (1.0 + 0.5j))
+    if ring is ScalarRing.REAL:
+        a = random_with_spectrum(rng_from_seed(11), lam)
+        a = (a + adjoint(a)) / 2
+    shift = 1e-6 * fro_norm(a)
+    monkeypatch.setattr(cfc_mod, "_eval_row",
+                        lambda f, xs, tol: eval_row(f, [x + shift for x in xs], tol))
+    entry = _law(check_laws(a, builtin_function("exp", ring), identity_function(ring), ring),
+                 "congruence")
+    assert not entry.skipped and not entry.passed, entry
+    assert entry.residual > 10 * entry.tolerance
+
+
+def test_a_law_whose_scale_overflows_is_skipped_with_its_note():
+    """||a||_F = 1.5e308 sqrt(2) overflows, so the id law has no finite
+    tolerance: it is skipped with its note, and the trial raises nothing."""
+    a = np.diag([1.5e308, 1.5e308])
+    ring = ScalarRing.REAL
+    entry = _law(check_laws(a, identity_function(ring), identity_function(ring), ring), "id")
+    assert entry.skipped and entry.note == "the scale of the id law overflows"
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 24),
        ring=st.sampled_from(list(ScalarRing)), exponent=st.floats(-150.0, 150.0))
