@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import sys
 
 import numpy as np
@@ -67,8 +68,13 @@ def _eigh(h):
 
 def _predicate_report(a, ah, tol: float, scale: float) -> PredicateReport:
     """The selfadjoint report of a from its adjoint ah: ||a - a*||_F /
-    ||a||_F, scale = ||a||_F in the range _rescaled keeps."""
-    residual = fro_norm(a - ah) / max(scale, EPS_FLOOR)
+    ||a||_F, scale = ||a||_F in the range _rescaled keeps.  It reads 0.0
+    only where a = a* exactly (_decompose relies on it): a nonzero skew part
+    whose quotient rounds to zero reads the least subnormal."""
+    skew = fro_norm(a - ah)
+    residual = skew / max(scale, EPS_FLOOR)
+    if not residual and skew:
+        residual = 5e-324
     return PredicateReport("selfadjoint", residual <= tol, residual, tol)
 
 
@@ -90,7 +96,11 @@ def _decompose(a, ring, tol, scale):
     and rescaled by _rescaled, scale = ||a||_F.  A float64 a stays real up
     to the eigensolve (a.conj() is a itself), so a*, s and h are float64
     and u and lam too over R and R>=0.  a - a* decides selfadjointness (R,
-    R>=0), and h = (a + a*) / 2 gets the one Hermitian eigensolve.  Over
+    R>=0) before anything else is formed, and h = (a + a*) / 2 gets the one
+    Hermitian eigensolve; an exactly symmetric float64 a (selfadjoint
+    residual 0.0) takes h = a + 0.0, which is ((a + a*) + 0.0) / 2 to the
+    bit, -0.0 and subnormals included.  A complex a always forms a + a*:
+    complex division by 2 rewrites signs of zero that a + 0.0 keeps.  Over
     R>=0 the nonneg report reads the selfadjoint residual and the backward
     error beta_+ = hypot(||a - a*||_F / 2, ||min(lam, 0)||_2) / ||a||_F of
     u diag(max(lam, 0)) u*, which drops a's skew part and clamps h's
@@ -112,15 +122,18 @@ def _decompose(a, ring, tol, scale):
     one eigensolve, a u and the commutator, and is rejected with that beta.
     Eigenvalues come back sorted by (re, im)."""
     ah = a.conj().T
-    s = a + ah
     if ring is not ScalarRing.COMPLEX:
         report = _predicate_report(a, ah, tol, scale)
         if not report.holds:
             raise NotSelfadjoint(report)
+    if ring is not ScalarRing.COMPLEX and report.residual == 0.0 and a.dtype.kind == "f":
+        s = a + 0.0
+    else:
+        s = a + ah
+        if s.dtype.kind == "f":
+            s += 0.0  # -0.0 to +0.0, as s /= 2 does to a complex s: h must not depend on the dtype
+        s /= 2
     del ah  # the peak holds a, h and the eigensolve's output, no more
-    if s.dtype.kind == "f":
-        s += 0.0  # -0.0 to +0.0, as s /= 2 does to a complex s: h must not depend on the dtype
-    s /= 2
     wh, u = _eigh(s)
     del s
     if ring is not ScalarRing.COMPLEX:
@@ -281,6 +294,10 @@ def cluster_with_labels(lam, diameter: float):
     rounding of the three moduli and their sum, relative or, below the
     normal range, on the grid of tiny = 2^-1074, so the loop would have let
     z join.  A k-fold eigenvalue then costs k comparisons, not k (k - 1) / 2.
+    Where no value has an imaginary part the sweep runs in ascending order,
+    so w0 is a cluster's least member and z its greatest, and since rounding
+    is monotone |z - w0| <= diameter bounds |z - w| for every member w: the
+    first member alone decides, and every cluster costs O(k).
     """
     if not diameter >= 0:
         raise ValueError("diameter must be nonnegative")
@@ -288,6 +305,7 @@ def cluster_with_labels(lam, diameter: float):
     inner = diameter * (1.0 - 8.0 * sys.float_info.epsilon) - 8 * 5e-324
     if isinstance(lam, np.ndarray):
         lam = lam.astype(np.complex128, copy=False).tolist()
+    real = not any(map(operator.attrgetter("imag"), lam))
     for z in sorted(lam, key=lambda z: z.real):
         while live < len(clusters) and z.real - clusters[live][0].real > diameter:
             live += 1
@@ -295,7 +313,7 @@ def cluster_with_labels(lam, diameter: float):
             c = clusters[j]
             # the first member alone rules out most clusters
             d0 = abs(z - c[0])
-            if d0 <= diameter and (d0 + radii[j] <= inner
+            if d0 <= diameter and (real or d0 + radii[j] <= inner
                                    or all(abs(z - w) <= diameter for w in c[1:])):
                 c.append(z)
                 radii[j] = max(radii[j], d0)

@@ -466,7 +466,8 @@ def test_cfc_real_input_value_is_complex():
 
 def _real_typed_inputs():
     """Symmetric float, int and bool matrices (distinct, repeated and zero
-    eigenvalues, definite and indefinite) and non-symmetric ones."""
+    eigenvalues, definite and indefinite, and at the scales 2^-1030 and
+    1e200, which _rescaled rescales) and non-symmetric ones."""
     gen = rng_from_seed(41)
     sym = random_with_spectrum(gen, [-1.0, 0.0, 0.0, 0.5, 2.0]).real
     psd = random_with_spectrum(gen, [0.0, 0.25, 0.25, 3.0]).real
@@ -476,6 +477,7 @@ def _real_typed_inputs():
         (sym + sym.T) * 0.5e-6, (psd + psd.T) * 5e5, np.diag([1.0, -0.0, 3.0]), np.eye(1),
         -(psd + psd.T) + 0.0 * ints[:4, :4], -np.diag([0.0, 2.0]),
         ints + ints.T, np.diag([0, 2, 2]), bools | bools.T, np.eye(3, dtype=bool),
+        (psd + psd.T) * 2.0 ** -1030, (sym + sym.T) * 1e200,
         gen.standard_normal((4, 4)), ints, np.array([[True, True], [False, True]]),
     ]
 

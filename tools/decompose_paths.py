@@ -1,15 +1,18 @@
-"""Print the paths the decomposition over C takes on each benchmark workload
-and seed, so that a change to the refinement can quote its traffic:
+"""Print the paths the decomposition takes on each benchmark workload and
+seed, so that a change to one of them can quote its traffic:
 
     python3 tools/decompose_paths.py CHECKOUT --workloads dense small-stream laws cli --seeds 3 5
 
 It imports CHECKOUT/src/cfckit and CHECKOUT/bench/workloads.py (read only:
 no bytecode is written), with one BLAS thread as bench/run.py has, wraps
-eigen._decompose (wherever a module binds it), eigen._commutator_residual,
-eigen._refined and eigen._eigh, and runs every op of each workload and seed
-once, in order, as tools/output_digest.py does.  A line reads `workload
-seed` and these counts:
+eigen._decompose (wherever a module binds it), eigen._predicate_report,
+eigen._commutator_residual, eigen._refined and eigen._eigh, and runs every op
+of each workload and seed once, in order, as tools/output_digest.py does.  A
+line reads `workload seed`, the workload's op count `ops` and these counts:
 
+    real          decompositions over R and R>=0 (plans and is_nonneg)
+    symmetric     those of a float64 input whose selfadjoint residual is
+                  exactly 0, which take h = a + 0.0 and form no a + a*
     plans         decompositions over C (plans and the public predicates)
     certificates  commutator products formed, where h's eigenvectors leave
                   the backward error above tol
@@ -38,7 +41,7 @@ from collections import Counter  # noqa: E402
 import numpy as np  # noqa: E402
 
 WORKLOADS = ("dense", "small-stream", "laws", "cli")
-COUNTS = ("plans", "certificates", "rejected", "refinements", "flagged", "groups",
+COUNTS = ("real", "symmetric", "plans", "certificates", "rejected", "refinements", "flagged", "groups",
           "eigensolves", "kept")
 
 
@@ -62,12 +65,18 @@ def _instrument(eigen, cfc_module, counts):
     _decompose) so that they add to counts."""
     decompose, commutator = eigen._decompose, eigen._commutator_residual
     refined, eigh = eigen._refined, eigen._eigh
+    predicate_report = eigen._predicate_report
     complex_ring = eigen.ScalarRing.COMPLEX
-    state = {"certified": False, "refined": False, "inside": False}
+    state = {"certified": False, "refined": False, "inside": False, "real": None}
 
     def counted_decompose(a, ring, tol, scale):
         if ring is not complex_ring:
-            return decompose(a, ring, tol, scale)
+            counts["real"] += 1
+            state["real"] = a
+            try:
+                return decompose(a, ring, tol, scale)
+            finally:
+                state["real"] = None
         counts["plans"] += 1
         state.update(certified=False, refined=False)
         try:
@@ -75,6 +84,12 @@ def _instrument(eigen, cfc_module, counts):
         except eigen.NotNormal:
             counts["rejected"] += state["certified"] and not state["refined"]
             raise
+
+    def counted_predicate_report(a, ah, tol, scale):
+        report = predicate_report(a, ah, tol, scale)
+        if a is state["real"]:
+            counts["symmetric"] += a.dtype == np.float64 and report.residual == 0.0
+        return report
 
     def counted_commutator(a, scale):
         counts["certificates"] += 1
@@ -102,6 +117,7 @@ def _instrument(eigen, cfc_module, counts):
         return eigh(h)
 
     eigen._decompose = cfc_module._decompose = counted_decompose
+    eigen._predicate_report = counted_predicate_report
     eigen._commutator_residual = counted_commutator
     eigen._refined = counted_refined
     eigen._eigh = counted_eigh
@@ -135,7 +151,7 @@ def main(argv=None) -> int:
                 for i in range(wl.size):
                     wl.op(i).call()
                 cells = " ".join(f"{k}={counts[k]}" for k in COUNTS)
-                print(f"{name} {seed} {cells}", flush=True)
+                print(f"{name} {seed} ops={wl.size} {cells}", flush=True)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     return 0
