@@ -68,10 +68,12 @@ def _eval_row(f: ScalarFunction, xs, tol: float) -> Optional[list]:
     """[f(x) for x in xs], each value restricted to f's ring within tol, or
     None where any value fails (an exception from f, a non-finite value, a
     value off the ring), since that fails the whole row: the one rule by
-    which cfckit reads values of f.  A finite Python float already in f's
-    real ring is kept as it is; any other value is complex(f(x)), which
+    which cfckit reads values of f.  Over R and R>=0 a Python complex with
+    a zero imaginary part is read as its real part, as restrict_scalar's
+    first branch reads it, and a finite Python float already in f's real
+    ring is kept as it is; any other value is complex(f(x)), which
     restriction to C leaves alone and which restrict_scalar takes to a real
-    ring."""
+    ring within tol."""
     feval, ring = f.eval, f.ring
     over_c, over_r = ring is ScalarRing.COMPLEX, ring is ScalarRing.REAL
     isfinite, cisfinite = math.isfinite, cmath.isfinite
@@ -80,9 +82,13 @@ def _eval_row(f: ScalarFunction, xs, tol: float) -> Optional[list]:
     try:
         for x in xs:
             out = feval(x)
-            if type(out) is float and not over_c and isfinite(out) and (out >= 0.0 or over_r):
-                append(out)
-                continue
+            if not over_c:
+                kind = type(out)
+                if kind is complex and out.imag == 0.0:
+                    out, kind = out.real, float
+                if kind is float and isfinite(out) and (out >= 0.0 or over_r):
+                    append(out)
+                    continue
             out = complex(out)
             if not cisfinite(out):
                 return None

@@ -112,14 +112,12 @@ def fro_norm(a) -> float:
 
 
 def operator_norm(a) -> float:
-    """Largest singular value, via the Hermitian eigenproblem for a* a, taken
-    of a rescaled as _rescaled says, so that a* a stays in the float range.
+    """Largest singular value, c times that of b for a = c b as _rescaled
+    takes it, from one singular-value solve of b (no vectors), so that the
+    result overflows only where the norm itself lies beyond the float range.
     a is coerced as as_matrix does, its finiteness read off the scale."""
-    _, a, _, c = _coerced_rescaled(a)
-    gram = adjoint(a) @ a
-    gram = (gram + adjoint(gram)) / 2
-    w = np.linalg.eigvalsh(gram)
-    return c * float(np.sqrt(max(w[-1], 0.0)))
+    _, b, _, c = _coerced_rescaled(a)
+    return c * float(np.linalg.svd(b, compute_uv=False)[0])
 
 
 def _coerced_rescaled(a):
@@ -244,7 +242,8 @@ def _elemental_chain(a, unital: bool) -> StarSubalgebra:
         np.divide(r, nrm, out=q[k])
         qk = q[k].reshape(n, n)
         cand = qk @ a
-        if fro_norm(cand - a @ qk) > CHAIN_COMMUTATOR_REL * scale:
+        # I / sqrt(n) commutes with a exactly: its two products with a round alike
+        if (k or not unital) and fro_norm(cand - a @ qk) > CHAIN_COMMUTATOR_REL * scale:
             break
         k += 1
     return StarSubalgebra(ambient_dim=n, rows=q[:k].copy(), unital=unital)  # frees the spare rows

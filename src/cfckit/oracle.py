@@ -249,17 +249,18 @@ def check_laws(
     Each law compares an absolute residual with tol times one scale, the
     norm of its own operands: max(||f(a)||, ||g(a)||) for add, their product
     for mul, ||f(a)|| for star and congruence, ||a|| for id, 1 for const
-    (|c| >= 2), and max |f| for spectral mapping (at max(tol, 1e-8)), whose
+    (|c| >= 2), and max |f| for isometry, whose two sides (the operator
+    norm of f(a), from one singular-value solve, and max |f|) are both of
+    that size, and for spectral mapping (at max(tol, 1e-8)), whose
     eigenvalues of f(a) carry rounding relative to the largest of them.
-    Negation and composition read a second eigensolve, whose rounding f or g
-    carries into the value whatever its norm, and isometry compares two
-    numbers of size max |f|: they keep a floor, max(1, norm).  The oracle
-    interpolates f at cluster means, each within the cluster scale 1e-8
-    ||a|| of its eigenvalues, which moves f and the interpolant by up to L
-    1e-8 ||a|| each at an eigenvalue, L the steepest difference quotient of
-    f between two eigenvalues within that scale of each other: it meets
-    1e-8 max(1 + max |f|, 2 sqrt(n) L ||a||).  A law whose scale overflows
-    is skipped with a note.
+    Negation and composition read a second eigensolve, whose rounding f or
+    g carries into the value whatever its norm: they keep a floor, max(1,
+    norm).  The oracle interpolates f at cluster means, each within the
+    cluster scale 1e-8 ||a|| of its eigenvalues, which moves f and the
+    interpolant by up to L 1e-8 ||a|| each at an eigenvalue, L the steepest
+    difference quotient of f between two eigenvalues within that scale of
+    each other: it meets 1e-8 max(1 + max |f|, 2 sqrt(n) L ||a||).  A law
+    whose scale overflows is skipped with a note.
     """
     f, g = _memoised(f), _memoised(g)
     pa = plan(a, ring, tol)
@@ -362,7 +363,7 @@ def check_laws(
         entries.append(_within("negation", r, max(1.0, scale_f), tol))
 
     r = abs(operator_norm(out_f.value) - fmax)
-    entries.append(_within("isometry", r, max(1.0, fmax), tol))
+    entries.append(_within("isometry", r, fmax, tol))
 
     t = max(tol, MEMBERSHIP_FLOOR)
     inside, r = _elemental_chain(a, unital=True).contains(out_f.value, t)

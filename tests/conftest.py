@@ -62,6 +62,13 @@ def clusterings(monkeypatch):
 
 
 @pytest.fixture
+def restrictions(monkeypatch):
+    """Counts the calls of restrict_scalar as the calculus binds it, which
+    _eval_row makes only where a value needs its tolerance test."""
+    return _count_calls(monkeypatch, "restrict_scalar")
+
+
+@pytest.fixture
 def finiteness_passes(monkeypatch):
     """Counts the calls of matrix_core._require_finite, as_matrix's isfinite
     pass, which a plan (through _coerced_rescaled) makes only where the norm
@@ -88,10 +95,12 @@ def work_counts(monkeypatch):
     over C the commutator product, which a plan forms only where its
     backward error exceeds tol), outermost coercions under
     "as_matrix" (as_matrix, or a plan's _as_square; each as bound in every
-    module), numpy eigensolver calls, and the compressions u_F* a u_F of the
-    refined columns of a decomposition over C (the calls of eigen.adjoint,
-    which makes one per compression and nothing else)."""
-    counts = {"predicate": 0, "as_matrix": 0, "eigh": 0, "eigvalsh": 0, "compressions": 0}
+    module), numpy eigensolver and singular-value calls (the svd of
+    operator_norm), and the compressions u_F* a u_F of the refined columns
+    of a decomposition over C (the calls of eigen.adjoint, which makes one
+    per compression and nothing else)."""
+    counts = {"predicate": 0, "as_matrix": 0, "eigh": 0, "eigvalsh": 0, "svd": 0,
+              "compressions": 0}
     depths = {"predicate": [0], "as_matrix": [0]}
 
     def outermost(key, fn):
@@ -120,6 +129,6 @@ def work_counts(monkeypatch):
                     monkeypatch.setattr(mod, name, outermost(key, getattr(mod, name)))
     eigen = importlib.import_module("cfckit.eigen")
     monkeypatch.setattr(eigen, "adjoint", counted("compressions", eigen.adjoint))
-    for name in ("eigh", "eigvalsh"):
+    for name in ("eigh", "eigvalsh", "svd"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     return counts

@@ -33,6 +33,7 @@ from cfckit.eigen import (
     predicate_for_ring,
 )
 from cfckit.matrix_core import NotInSubalgebra, PredicateFailure, adjoint, fro_norm, operator_norm
+from cfckit.oracle import check_laws
 from cfckit.sampling import (
     random_normal_matrix,
     random_poly_function,
@@ -391,7 +392,7 @@ def test_cfc_checks_the_predicate_once_and_solves_once(work_counts, ring, lam, e
     split = int(eighs > 1)
     predicates = int(ring is not ScalarRing.COMPLEX) or split
     assert work_counts == {"predicate": predicates, "as_matrix": 1, "eigh": eighs,
-                           "eigvalsh": 0, "compressions": split}
+                           "eigvalsh": 0, "svd": 0, "compressions": split}
 
 
 @pytest.mark.parametrize("ring", list(ScalarRing))
@@ -404,7 +405,7 @@ def test_cfc_junk_input_pays_its_predicate_and_no_eigensolve(work_counts, ring):
     assert out.junk and out.reason == "predicate_failed"
     eighs = int(ring is ScalarRing.COMPLEX)
     assert work_counts == {"predicate": 1, "as_matrix": 1, "eigh": eighs, "eigvalsh": 0,
-                           "compressions": 0}
+                           "svd": 0, "compressions": 0}
 
 
 def test_spectrum_checks_the_predicate_once_and_solves_once(work_counts):
@@ -414,7 +415,7 @@ def test_spectrum_checks_the_predicate_once_and_solves_once(work_counts):
     for ring in ScalarRing:
         spectrum(a, ring)
     assert work_counts == {"predicate": 2, "as_matrix": 3, "eigh": 3, "eigvalsh": 0,
-                           "compressions": 0}
+                           "svd": 0, "compressions": 0}
 
 
 def test_cfc_n_junk_inputs_pay_no_eigensolve(work_counts):
@@ -574,6 +575,62 @@ def test_real_scalar_values_are_taken_as_before(ring, value):
         ref = (u * fvals) @ adjoint(u)
     assert not out.junk and out.value.dtype == np.complex128
     assert out.value.tobytes() == ref.tobytes()
+
+
+def _bits(x):
+    """The type and every bit of a scalar, signs of zero included."""
+    return type(x), *(float(part).hex() for part in (x.real, x.imag))
+
+
+@pytest.mark.parametrize("ring", list(ScalarRing))
+@pytest.mark.parametrize("value", [
+    complex(1.5, 0.0), complex(1.5, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0),
+    complex(0.0, -0.0), complex(-2.5, 0.0), complex(-2.5, -0.0),
+    complex(-0.5e-9, 0.0), complex(-0.5e-9, -0.0),  # within tol below 0: 0.0 over R>=0
+    complex(2.0, 0.5e-9), complex(2.0, -0.5e-9), complex(-0.5e-9, 0.5e-9),  # within tol
+    complex(math.nan, 0.0), complex(math.inf, -0.0), complex(-math.inf, 0.0),
+    complex(1.0, math.nan), complex(1.0, math.inf), complex(math.nan, math.nan),
+])
+def test_on_ring_complex_values_read_as_restrict_scalar_reads_them(restrictions, ring, value):
+    """A Python complex with a zero imaginary part is read off the ring's
+    float path, bit for bit what restrict_scalar returns for it, with no
+    call of restrict_scalar where it needs no tolerance test: over R, and
+    over R>=0 where its real part is >= 0 (-0.0 included).  A value with a
+    NaN or inf part makes the row None on every ring."""
+    f = ScalarFunction(lambda x: value, ring)
+    row = _eval_row(f, (1.0,), DEFAULT_TOL)
+    calls = restrictions[0]
+    if not cmath.isfinite(value):
+        assert row is None and calls == 0
+        return
+    try:
+        want = restrict_scalar(value, ring, DEFAULT_TOL)
+    except ValueError:
+        assert row is None
+    else:
+        assert _bits(row[0]) == _bits(want)
+    fast = ring is ScalarRing.COMPLEX or value.imag == 0.0 and (
+        ring is ScalarRing.REAL or value.real >= 0.0)
+    assert calls == (0 if fast else 1)
+
+
+@pytest.mark.parametrize("ring", [ScalarRing.REAL, ScalarRing.NNREAL])
+def test_a_negative_tol_is_junk_before_any_value_is_read(ring):
+    """restrict_scalar rejects a negative tol, which the float path never
+    sees: the plan's predicate, a residual <= tol, fails first, so every
+    cfc, cfc_n and check_laws call is junk and f is never read, even on an
+    exactly symmetric input whose residual is 0.0."""
+    read = []
+    f = ScalarFunction(lambda x: read.append(x) or complex(x), ring, "id")
+    a = np.diag([0.0, 1.0, 2.0])
+    for tol in (-1e-9, -5e-324):
+        for out in (cfc(f, a, ring, tol), cfc_n(f, a, None, ring, tol)):
+            assert out.junk and out.reason == "predicate_failed"
+        report = check_laws(a, f, f, ring, tol)
+        junk, *laws = report.entries
+        assert junk.name == "junk_totality" and junk.passed
+        assert laws and all(e.skipped for e in laws)
+    assert read == []
 
 
 def _value_by_the_rule(f, x, tol=DEFAULT_TOL):

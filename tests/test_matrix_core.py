@@ -56,6 +56,52 @@ def test_operator_norm_examples():
         assert operator_norm(s * np.diag([3.0, 1.0])) == pytest.approx(3.0 * s, rel=1e-12)
 
 
+def _largest_singular_value(a, k):
+    """np.linalg.svd's largest singular value of a 2^k, an exact scaling of
+    a's parts into the normal range, taken back by 2^-k."""
+    a = np.ascontiguousarray(a)
+    b = np.ldexp(a.view(np.float64), k).view(a.dtype)
+    return math.ldexp(float(np.linalg.svd(b, compute_uv=False)[0]), -k)
+
+
+@pytest.mark.parametrize("s, k", [(2.0**-1070, 1070), (1e-170, 564), (1.0, 0),
+                                  (1e155, -514), (1e300, -996)])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_operator_norm_is_the_largest_singular_value_at_any_scale(s, k, dtype):
+    """One singular-value solve of a rescaled, against np.linalg.svd of a
+    scaled exactly by 2^k, on non-normal inputs whose products with
+    themselves would leave the float range (at 2^-1070 every entry is
+    subnormal, and some round to 0)."""
+    gen = rng_from_seed(31)
+    for n in (1, 2, 5):
+        a = gen.standard_normal((n, n))
+        if dtype is np.complex128:
+            a = a + 1j * gen.standard_normal((n, n))
+        a = s * a
+        want = _largest_singular_value(a, k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = operator_norm(a)
+        assert abs(got - want) <= 1e-14 * want + 2 * 5e-324, (n, got, want)
+
+
+def test_operator_norm_of_the_zero_matrix_a_scalar_and_an_entry_near_the_float_max():
+    """|a_ij| overflows for 1.5e308 + 1.5e308j, which _rescaled's parts do
+    not: the norm is that of the rescaled matrix, finite where the true norm
+    is and inf, with no warning, where it lies beyond the float range."""
+    z = 1.5e308 + 1.5e308j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert operator_norm(np.zeros((3, 3))) == 0.0
+        assert operator_norm(np.array([[3.0 - 4.0j]])) == pytest.approx(5.0, rel=1e-15)
+        assert operator_norm(np.array([[-2.0]])) == 2.0
+        assert operator_norm(np.diag([z, 1.0, 2.0])) == math.inf
+        half = np.array([[z / 2, 1.0], [0.0, 2.0]])
+        assert operator_norm(half) == pytest.approx(_largest_singular_value(half, -2),
+                                                    rel=1e-14)
+        assert operator_norm(half) == pytest.approx(abs(z / 2), rel=1e-14)
+
+
 def test_cstar_identity_on_random_matrices(rng):
     for _ in range(20):
         a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))

@@ -516,7 +516,9 @@ def test_check_laws_trial_decomposes_at_most_three_times(decompositions, reconst
     negation law over R>=0), each rebuilt once: the nine functions the laws
     apply to the plan of a share one stacked reconstruction.  Over R and
     R>=0 each plan checks the predicate once; over C the plans' backward
-    errors decide, and the range law trusts the plan of a."""
+    errors decide, and the range law trusts the plan of a.  The plans are
+    the trial's only eigensolves, 3 eigh (2 over R>=0); the isometry law's
+    operator norm is its one svd."""
     gen = rng_from_seed(33)
     a = random_with_spectrum(gen, np.arange(6) * 0.25 + (0.5j if ring is ScalarRing.COMPLEX else 0))
     if ring is not ScalarRing.COMPLEX:
@@ -527,6 +529,7 @@ def test_check_laws_trial_decomposes_at_most_three_times(decompositions, reconst
     assert decompositions[0] <= most
     assert reconstructions[0] == most
     assert work_counts["predicate"] == (0 if ring is ScalarRing.COMPLEX else most)
+    assert (work_counts["eigh"], work_counts["eigvalsh"], work_counts["svd"]) == (most, 0, 1)
 
 
 def _family(name, n, gen):
@@ -717,6 +720,25 @@ def test_a_value_spoiled_by_a_millionth_fails_its_law_at_scale_1e150(monkeypatch
     f = ScalarFunction(lambda x: (x / s) ** 2 + 1, ring, "(x/s)^2+1")
     g = ScalarFunction(lambda x: x / s, ring, "x/s")
     entry = _law(check_laws(a, f, g, ring), law)
+    assert not entry.skipped and not entry.passed, entry
+    assert entry.residual > 10 * entry.tolerance
+
+
+@pytest.mark.parametrize("ring", [ScalarRing.COMPLEX, ScalarRing.REAL])
+@pytest.mark.parametrize("s", [1e-150, 1.0, 1e150])
+def test_isometry_fails_a_doubled_operator_norm_at_any_scale(monkeypatch, ring, s):
+    """Negative control of the isometry law's scale, max |f| with no floor:
+    an operator norm of f(a) twice the true one FAILs at every scale, where
+    the floor max(1, max |f|) let it pass below unit scale (residual
+    1.1e-150 against 1e-9 at s = 1e-150), and the true one passes."""
+    oracle = importlib.import_module("cfckit.oracle")
+    a = s * random_normal_matrix(rng_from_seed(41), 6, ring)
+    f = identity_function(ring)
+    entry = _law(check_laws(a, f, f, ring), "isometry")
+    assert entry.passed and not entry.skipped, entry
+    norm = oracle.operator_norm
+    monkeypatch.setattr(oracle, "operator_norm", lambda x: 2.0 * norm(x))
+    entry = _law(check_laws(a, f, f, ring), "isometry")
     assert not entry.skipped and not entry.passed, entry
     assert entry.residual > 10 * entry.tolerance
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cfckit.matrix_core import DimensionMismatch, adjoint, operator_norm
-from cfckit.sampling import rng_from_seed
+from cfckit.sampling import random_with_spectrum, rng_from_seed
 from cfckit.spectrum import spectrum
 from cfckit.unitization import (
     UnitizationElement,
@@ -105,6 +105,21 @@ def test_embedding_is_isometric():
     gen = rng_from_seed(9)
     a = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
     assert uni_norm(UnitizationElement(0, a)) == pytest.approx(operator_norm(a))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_uni_norm_agrees_with_the_map_at_n_16(seed):
+    """max(|z|, ||z I + a||) against the operator norm of the 256 x 256 map
+    m -> z m + a m, within 4 n^2 eps relative, the bound the benchmark's
+    `unitize-info` check reads, on Haar conjugates of random spectra."""
+    gen = rng_from_seed(seed)
+    n = 16
+    a = random_with_spectrum(gen, gen.standard_normal(n) + 1j * gen.standard_normal(n))
+    bound = 4.0 * n * n * np.finfo(np.float64).eps
+    for z in (0.0, complex(gen.standard_normal(), gen.standard_normal())):
+        x = UnitizationElement(z, a)
+        norm = uni_norm(x)
+        assert abs(uni_norm_via_map(x) - norm) <= bound * norm
 
 
 def test_represent_examples():

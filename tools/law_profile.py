@@ -1,7 +1,9 @@
 """Print where a check_laws trial spends its time, helper by helper, over
-the benchmark's `laws` workload, grouped by ring and n:
+the benchmark's `laws` workload, grouped by ring and n, or with `--by k` by
+the number k of distinct eigenvalues of the trial's input (the points of
+its plan of a), on which the chain's and the oracle's costs grow:
 
-    python3 tools/law_profile.py CHECKOUT --seeds 3 --repeats 5
+    python3 tools/law_profile.py CHECKOUT --seeds 3 --repeats 5 [--by k]
 
 It imports CHECKOUT/src/cfckit and CHECKOUT/bench/workloads.py (read only:
 no bytecode is written), with one BLAS thread as bench/run.py has, wraps
@@ -14,7 +16,7 @@ every read of f or g by the calculus's rule (inside apply, apply_all and the
 oracle too), `chain` the range law's C*(a) basis, `interpolate` the oracle,
 `opnorm` the isometry law's operator norm and `cluster` the oracle's
 clustering of the spectrum.  What the columns leave over is the laws'
-own arithmetic.
+own arithmetic.  `ops` counts the group's ops over all seeds.
 """
 
 import os
@@ -64,6 +66,8 @@ def main(argv=None) -> int:
     ap.add_argument("checkout", help="a checkout with src/cfckit and bench/workloads.py")
     ap.add_argument("--seeds", nargs="+", type=int, default=[3])
     ap.add_argument("--repeats", type=int, default=5, help="runs of each op (default 5)")
+    ap.add_argument("--by", choices=("n", "k"), default="n",
+                    help="group by ring and n (default) or by distinct eigenvalues k")
     args = ap.parse_args(argv)
 
     root = os.path.abspath(args.checkout)
@@ -85,6 +89,16 @@ def main(argv=None) -> int:
             print(f"note: {name} is bound in none of {modules}", file=sys.stderr)
     plan_cls = importlib.import_module("cfckit.cfc").SpectralPlan
     plan_cls.apply_all = _timed(spent, "apply_all", plan_cls.apply_all)
+    # the trial's first plan is the plan of a, whose points the oracle law
+    # clusters; k is read off them after the trial
+    plans = []
+    oracle = importlib.import_module("cfckit.oracle")
+    timed_plan = oracle.plan
+
+    def recorded_plan(*args, **kwargs):
+        plans.append(timed_plan(*args, **kwargs))
+        return plans[-1]
+    oracle.plan = recorded_plan
 
     samples = defaultdict(lambda: defaultdict(list))  # label -> column -> per-trial seconds
     for seed in args.seeds:
@@ -93,21 +107,27 @@ def main(argv=None) -> int:
             for i in range(wl.size):
                 op = wl.op(i)
                 spent.clear()
+                plans.clear()
                 t0 = time.perf_counter()
                 op.call()
                 spent["trial"] = time.perf_counter() - t0
+                label = f"k={len(plans[0].points())}" if args.by == "k" else op.label
                 for column in COLUMNS:
-                    samples[op.label][column].append(spent[column])
+                    samples[label][column].append(spent[column])
 
     def order(label):
+        if args.by == "k":
+            return int(label[2:])
         ring, n = label.split("/n=")
         return ring, int(n)
 
-    print(f"{'ring/n':<14}" + "".join(f"{c:>12}" for c in COLUMNS))
+    head = "ring/n" if args.by == "n" else "k"
+    print(f"{head:<14}{'ops':>6}" + "".join(f"{c:>12}" for c in COLUMNS))
     for label in sorted(samples, key=order):
         row = samples[label]
         cells = (statistics.median(row[c]) * 1e6 for c in COLUMNS)
-        print(f"{label:<14}" + "".join(f"{x:>12.1f}" for x in cells))
+        ops = len(row["trial"]) // args.repeats
+        print(f"{label:<14}{ops:>6}" + "".join(f"{x:>12.1f}" for x in cells))
     return 0
 
 
