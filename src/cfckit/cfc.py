@@ -29,7 +29,7 @@ from .matrix_core import (
     fro_norm,
     zeros,
 )
-from .scalars import DEFAULT_TOL, ScalarRing, embed, restrict_scalar
+from .scalars import DEFAULT_TOL, ScalarRing, restrict_scalar
 
 
 # Over C, an imaginary part at most this times ||a||_F is rounding of an
@@ -64,17 +64,17 @@ def _junk(n: int, reason: str) -> CfcOutcome:
     return CfcOutcome(value=zeros(n), junk=True, reason=reason)
 
 
-def _eval_row(f: ScalarFunction, xs, tol: float) -> Optional[list]:
-    """[f(x) for x in xs], each value restricted to f's ring within tol, or
-    None where any value fails (an exception from f, a non-finite value, a
-    value off the ring), since that fails the whole row: the one rule by
-    which cfckit reads values of f.  Over R and R>=0 a Python complex with
+def _eval_row(feval: Callable, ring: ScalarRing, xs, tol: float) -> Optional[list]:
+    """[feval(x) for x in xs], each value restricted to the ring within tol,
+    or None where any value fails (an exception from feval, a non-finite
+    value, a value off the ring), since that fails the whole row: the one
+    rule by which cfckit reads values of a ScalarFunction f, passed as
+    (f.eval, f.ring).  Over R and R>=0 a Python complex with
     a zero imaginary part is read as its real part, as restrict_scalar's
-    first branch reads it, and a finite Python float already in f's real
-    ring is kept as it is; any other value is complex(f(x)), which
+    first branch reads it, and a finite Python float already in the real
+    ring is kept as it is; any other value is complex(feval(x)), which
     restriction to C leaves alone and which restrict_scalar takes to a real
     ring within tol."""
-    feval, ring = f.eval, f.ring
     over_c, over_r = ring is ScalarRing.COMPLEX, ring is ScalarRing.REAL
     isfinite, cisfinite = math.isfinite, cmath.isfinite
     row = []
@@ -175,29 +175,34 @@ class SpectralPlan:
         reason.  With a real u the values stay float64 when every one is a
         float, and the value is one real product u diag(f(lam)) u^T; the
         outcome's value is complex128 either way."""
-        n = self.a.shape[0]
-        if self.error is not None:
-            return _junk(n, self.reason)
-        fvals = _eval_row(f, self.values, self.tol)
+        return self._apply(f.eval, f.ring)
+
+    def _apply(self, feval: Callable, ring: ScalarRing) -> CfcOutcome:
+        """apply of ScalarFunction(feval, ring), which cfc_n reaches with f
+        cut at zero without building one; a junk plan is one without u."""
+        u = self.u
+        if u is None:
+            return _junk(self.a.shape[0], self.reason)
+        fvals = _eval_row(feval, ring, self.values, self.tol)
         if fvals is None:
-            return _junk(n, "eval_failed")
-        fvals = np.array(fvals, dtype=None if self.u.dtype.kind == "f" else np.complex128)
-        return CfcOutcome(value=_reconstruct(self.u, fvals), junk=False)
+            return _junk(len(u), "eval_failed")
+        fvals = np.array(fvals, dtype=None if u.dtype.kind == "f" else np.complex128)
+        return CfcOutcome(_reconstruct(u, fvals), False)
 
     def apply_all(self, fs) -> list:
         """[apply(f) for f in fs], bit for bit: a failing f is its own eval_failed
         junk, and the value rows are stacked for one reconstruction (rebuilt one
         by one, as apply does, where u is real and some row is not)."""
-        n = self.a.shape[0]
-        if self.error is not None:
+        n, u = self.a.shape[0], self.u
+        if u is None:
             return [_junk(n, self.reason) for _ in fs]
-        rows = [_eval_row(f, self.values, self.tol) for f in fs]
-        real = self.u.dtype.kind == "f"
+        rows = [_eval_row(f.eval, f.ring, self.values, self.tol) for f in fs]
+        real = u.dtype.kind == "f"
         fvals = np.array([r for r in rows if r is not None], dtype=None if real else np.complex128)
-        if real and fvals.dtype != np.float64 and np.count_nonzero(fvals.imag):
-            values = iter([_reconstruct(self.u, row) for row in fvals])
+        if real and fvals.dtype.kind == "c" and np.count_nonzero(fvals.imag):
+            values = iter([_reconstruct(u, row) for row in fvals])
         else:
-            values = iter(_reconstruct(self.u, fvals) if len(fvals) else ())
+            values = iter(_reconstruct(u, fvals) if len(fvals) else ())
         return [_junk(n, "eval_failed") if r is None else CfcOutcome(next(values), False)
                 for r in rows]
 
@@ -207,9 +212,9 @@ def _reconstruct(u, fvals):
     real where u is real and F is float64 or has no imaginary part."""
     rows = fvals if fvals.ndim == 1 else fvals[:, None, :]
     if u.dtype.kind == "f":
-        if rows.dtype != np.float64 and not np.count_nonzero(rows.imag):
+        if rows.dtype.kind == "c" and not np.count_nonzero(rows.imag):
             rows = rows.real
-        if rows.dtype == np.float64:
+        if rows.dtype.kind == "f":
             return ((u * rows) @ u.T).astype(np.complex128)
     return (u * rows) @ u.conj().T
 
@@ -279,11 +284,11 @@ def cfc_n(
         B.require(a, tol)
     p = plan(a, ring, tol)
     if p.reason != "predicate_failed":
-        f0 = _eval_row(f, (embed(0.0, ring),), tol)
+        f0 = _eval_row(f.eval, f.ring, (0j if ring is ScalarRing.COMPLEX else 0.0,), tol)
         if f0 is None or abs(f0[0]) > tol:
             return _junk(p.a.shape[0], "eval_failed" if f0 is None else "zero_condition_failed")
     cut, feval = p.cluster_tol, f.eval
-    out = p.apply(ScalarFunction(lambda x: 0.0 if abs(x) <= cut else feval(x), f.ring, f.name))
+    out = p._apply(lambda x: 0.0 if abs(x) <= cut else feval(x), f.ring)
     if B is not None and not out.junk:
         B.require(out.value, tol, "calculus value escaped the subalgebra")
     return out

@@ -69,12 +69,13 @@ def _eigh(h):
 def _predicate_report(a, ah, tol: float, scale: float) -> PredicateReport:
     """The selfadjoint report of a from its adjoint ah: ||a - a*||_F /
     ||a||_F, scale = ||a||_F in the range _rescaled keeps.  It reads 0.0
-    only where a = a* exactly (_decompose relies on it): a nonzero skew part
-    whose quotient rounds to zero reads the least subnormal."""
-    skew = fro_norm(a - ah)
-    residual = skew / max(scale, EPS_FLOOR)
-    if not residual and skew:
-        residual = 5e-324
+    exactly where a = a* (_decompose relies on it), which one count of
+    a - a* decides with no norm formed; a nonzero skew part whose quotient
+    rounds to zero reads the least subnormal."""
+    skew = a - ah
+    residual = 0.0
+    if np.count_nonzero(skew):
+        residual = fro_norm(skew) / max(scale, EPS_FLOOR) or 5e-324
     return PredicateReport("selfadjoint", residual <= tol, residual, tol)
 
 

@@ -70,7 +70,7 @@ def cfc_oracle(
     together or f fails at one of them."""
     p = plan(a, ring, tol)
     points = p.points()
-    return _interpolate(p.a, points, _eval_row(f, points, tol))
+    return _interpolate(p.a, points, _eval_row(f.eval, f.ring, points, tol))
 
 
 def _interpolate(a: np.ndarray, points, values: Optional[list]) -> np.ndarray:
@@ -323,7 +323,7 @@ def check_laws(
     # f's row on the plan of a, which out_f already read without a failure:
     # spectral mapping compares it with the eigenvalues of f(a), unclustered,
     # since f may split a cluster of a or merge two
-    frow = _eval_row(f, pa.values, tol)
+    frow = _eval_row(f.eval, f.ring, pa.values, tol)
     fmax = max(map(abs, frow), default=0.0)
     # f's steepest difference quotient between two eigenvalues within the
     # cluster scale of each other, which the oracle's nodes do not tell apart
@@ -373,7 +373,7 @@ def check_laws(
     # fail at a mean where it holds at every eigenvalue
     points = pa.points()
     try:
-        ref = _interpolate(a, points, _eval_row(f, points, tol))
+        ref = _interpolate(a, points, _eval_row(f.eval, f.ring, points, tol))
     except OracleSkipped as exc:
         entries.append(_skipped("oracle", str(exc)))
     else:

@@ -69,6 +69,31 @@ def restrictions(monkeypatch):
 
 
 @pytest.fixture
+def report_norms(monkeypatch):
+    """Counts the calls of fro_norm, as eigen binds it, made inside
+    eigen._predicate_report, the selfadjoint report of a plan over R and
+    R>=0: none where one count of a - a* finds a = a* exactly."""
+    eigen = importlib.import_module("cfckit.eigen")
+    report, norm = eigen._predicate_report, eigen.fro_norm
+    calls, inside = [0], [False]
+
+    def counted_report(*args):
+        inside[0] = True
+        try:
+            return report(*args)
+        finally:
+            inside[0] = False
+
+    def counted_norm(x):
+        calls[0] += inside[0]
+        return norm(x)
+
+    monkeypatch.setattr(eigen, "_predicate_report", counted_report)
+    monkeypatch.setattr(eigen, "fro_norm", counted_norm)
+    return calls
+
+
+@pytest.fixture
 def finiteness_passes(monkeypatch):
     """Counts the calls of matrix_core._require_finite, as_matrix's isfinite
     pass, which a plan (through _coerced_rescaled) makes only where the norm

@@ -431,6 +431,35 @@ def test_cfc_n_junk_inputs_pay_no_eigensolve(work_counts):
     assert work_counts["as_matrix"] == 2  # one per call
 
 
+def _symmetric(lam, seed):
+    """An exactly symmetric float64 q diag(lam) q^T, q a random orthogonal."""
+    q = np.linalg.qr(rng_from_seed(seed).standard_normal((len(lam), len(lam))))[0]
+    a = (q * lam) @ q.T
+    return (a + a.T) / 2
+
+
+@pytest.mark.parametrize("ring", [ScalarRing.REAL, ScalarRing.NNREAL], ids=lambda r: r.value)
+def test_a_sound_symmetric_4x4_call_pays_one_eigh_one_rebuild_and_no_norm(
+        work_counts, reconstructions, report_norms, monkeypatch, ring):
+    """The small-matrix hot path, counted: a sound, exactly symmetric 4x4
+    call over R and R>=0 makes one eigensolve and one reconstruction, and
+    its selfadjoint report forms no norm, since one count of a - a^T finds
+    it exactly symmetric.  pos_part reads f once at 0 and once per
+    eigenvalue, with the same counts."""
+    a = _symmetric([0.25, 0.5, 1.0, 2.0], 31)
+    assert not cfc_builtin("exp", a, ring).junk
+    assert (work_counts["eigh"], reconstructions[0], report_norms[0]) == (1, 1, 0)
+    reads = []
+    monkeypatch.setattr(sys.modules["cfckit.cfc"], "_POS",
+                        ScalarFunction(lambda x: reads.append(x) or max(x, 0.0), ScalarRing.REAL))
+    b = _symmetric([-1.0, -0.5, 0.5, 2.0], 32)
+    want = [0.0, *plan(b, ScalarRing.REAL).values]
+    work_counts["eigh"] = reconstructions[0] = 0
+    assert not pos_part(b).junk
+    assert reads == want
+    assert (work_counts["eigh"], reconstructions[0], report_norms[0]) == (1, 1, 0)
+
+
 def test_cfc_n_nnreal_indefinite_with_f0_nonzero_is_predicate_failed():
     indefinite = random_with_spectrum(rng_from_seed(10), [-1.0, 0.5, 2.0])
     shifted = ScalarFunction(lambda x: x + 1, ScalarRing.NNREAL, "x+1")
@@ -559,9 +588,9 @@ def test_real_scalar_values_are_taken_as_before(ring, value):
         old = _restricted_value(f, 1.0)
     except ValueError:
         assert out.junk and out.reason == "eval_failed"
-        assert _eval_row(f, (1.0,), DEFAULT_TOL) is None
+        assert _eval_row(f.eval, f.ring, (1.0,), DEFAULT_TOL) is None
         return
-    new = _eval_row(f, (1.0,), DEFAULT_TOL)[0]
+    new = _eval_row(f.eval, f.ring, (1.0,), DEFAULT_TOL)[0]
     assert type(new) is type(old) and new == old
     signs = [math.copysign(1.0, part) for z in (new, old) for part in (z.real, z.imag)]
     assert signs[:2] == signs[2:]
@@ -598,7 +627,7 @@ def test_on_ring_complex_values_read_as_restrict_scalar_reads_them(restrictions,
     over R>=0 where its real part is >= 0 (-0.0 included).  A value with a
     NaN or inf part makes the row None on every ring."""
     f = ScalarFunction(lambda x: value, ring)
-    row = _eval_row(f, (1.0,), DEFAULT_TOL)
+    row = _eval_row(f.eval, f.ring, (1.0,), DEFAULT_TOL)
     calls = restrictions[0]
     if not cmath.isfinite(value):
         assert row is None and calls == 0
@@ -624,6 +653,8 @@ def test_a_negative_tol_is_junk_before_any_value_is_read(ring):
     f = ScalarFunction(lambda x: read.append(x) or complex(x), ring, "id")
     a = np.diag([0.0, 1.0, 2.0])
     for tol in (-1e-9, -5e-324):
+        report = predicate_for_ring(a, ScalarRing.REAL, tol)
+        assert report.residual == 0.0 and not report.holds
         for out in (cfc(f, a, ring, tol), cfc_n(f, a, None, ring, tol)):
             assert out.junk and out.reason == "predicate_failed"
         report = check_laws(a, f, f, ring, tol)
@@ -688,9 +719,9 @@ def test_row_loop_equals_the_per_value_rule(ring, zero_to_zero, table):
     except ValueError:
         want = None
     if want is None:
-        assert _eval_row(f, p.values, DEFAULT_TOL) is None
+        assert _eval_row(f.eval, f.ring, p.values, DEFAULT_TOL) is None
     else:
-        got = _eval_row(f, p.values, DEFAULT_TOL)
+        got = _eval_row(f.eval, f.ring, p.values, DEFAULT_TOL)
         assert [type(v) for v in got] == [type(v) for v in want]
         assert [(complex(v), math.copysign(1.0, complex(v).real), math.copysign(1.0, complex(v).imag))
                 for v in got] == \
@@ -707,9 +738,9 @@ def test_row_loop_equals_the_per_value_rule(ring, zero_to_zero, table):
         try:
             single = _value_by_the_rule(f, x)
         except ValueError:
-            assert _eval_row(f, (x,), DEFAULT_TOL) is None
+            assert _eval_row(f.eval, f.ring, (x,), DEFAULT_TOL) is None
             continue
-        got = _eval_row(f, (x,), DEFAULT_TOL)[0]
+        got = _eval_row(f.eval, f.ring, (x,), DEFAULT_TOL)[0]
         assert type(got) is type(single) and got == single
 
 

@@ -236,9 +236,9 @@ def test_hermitian_keeps_real_eigenvectors_real():
 def _symmetrized_inputs():
     """Exactly symmetric float64 inputs (n = 1, 4 and 64, -0.0 entries, the
     zero matrix, an indefinite one, and the scales 2^-1030 and 1e200, which
-    _rescaled rescales) and two that are not: one ulp off on one
-    off-diagonal entry, and a subnormal skew part whose quotient by ||a||_F
-    rounds to zero."""
+    _rescaled rescales) and three that are not: one ulp off on one
+    off-diagonal entry of a 4x4, positive and indefinite, and a subnormal
+    skew part whose quotient by ||a||_F rounds to zero."""
     gen = rng_from_seed(53)
     out = []
     for n in (1, 4, 64):
@@ -246,12 +246,15 @@ def _symmetrized_inputs():
         out.append((m + m.T) * 0.5)
     psd = out[1]
     indefinite = random_with_spectrum(gen, [-1.0, 0.5, 2.0]).real
-    off = psd.copy()
-    off[0, 1] = np.nextafter(off[0, 1], np.inf)
+    m = random_with_spectrum(gen, [-1.0, -0.5, 0.5, 2.0]).real
+    off, off_indefinite = psd.copy(), (m + m.T) * 0.5
+    for x in (off, off_indefinite):
+        x[0, 1] = np.nextafter(x[0, 1], np.inf)
     return out + [
         np.array([[2.0, -0.0, 0.5], [-0.0, -0.0, -0.0], [0.5, -0.0, 3.0]]),
         np.zeros((4, 4)), -np.zeros((2, 2)), indefinite + indefinite.T,
-        psd * 2.0 ** -1030, psd * 1e200, off, np.array([[10.0, 0.0], [5e-324, 3.0]]),
+        psd * 2.0 ** -1030, psd * 1e200, off, off_indefinite,
+        np.array([[10.0, 0.0], [5e-324, 3.0]]),
     ]
 
 
@@ -260,7 +263,9 @@ def test_real_plans_decompose_the_symmetrized_input_bit_for_bit(ring, monkeypatc
     """Over R and R>=0 the one eigensolve of a float64 input reads h = ((a +
     a^T) + 0.0) / 2 bit for bit, whether the plan forms that sum or takes h =
     a + 0.0 for an exactly symmetric a, and the plan's u, lam and report (or
-    its failure's) are those of np.linalg.eigh(h)."""
+    its failure's) are those of np.linalg.eigh(h).  The selfadjoint residual
+    is 0.0 exactly where a = a^T, and else ||a - a^T||_F / ||a||_F, or the
+    least subnormal where that quotient rounds to zero."""
     solved = []
 
     def eigh(h):
@@ -274,7 +279,10 @@ def test_real_plans_decompose_the_symmetrized_input_bit_for_bit(ring, monkeypatc
         h /= 2
         w, u = np.linalg.eigh(h)
         residual = is_selfadjoint(a).residual
-        assert (residual == 0.0) == np.array_equal(a, a.T)
+        if np.array_equal(a, a.T):
+            assert residual == 0.0 and h.tobytes() == (b + 0.0).tobytes()
+        else:
+            assert residual == (fro_norm(b - b.T) / scale or 5e-324) > 0.0
         name = "selfadjoint"
         if ring is ScalarRing.NNREAL:
             name = "nonneg"
@@ -291,6 +299,30 @@ def test_real_plans_decompose_the_symmetrized_input_bit_for_bit(ring, monkeypatc
         assert p.error is None and p.report == report
         assert p.u.tobytes() == u.tobytes()
         assert p.lam.tobytes() == (w if c == 1.0 else w * c).tobytes()
+
+
+@pytest.mark.parametrize("ring", [ScalarRing.REAL, ScalarRing.NNREAL], ids=lambda r: r.value)
+def test_exactly_hermitian_complex_inputs_read_0_and_still_form_a_plus_a_star(ring, monkeypatch):
+    """A complex input with a = a* exactly reads the selfadjoint residual
+    0.0 over R and R>=0, and its eigensolve still reads h = (a + a*) / 2,
+    which complex division forms with signs of zero that a + 0.0 keeps
+    (-0.0 imaginary parts on real off-diagonal pairs, and on the diagonal)."""
+    solved = []
+
+    def eigh(h):
+        solved.append(h.copy())
+        return np.linalg.eigh(h)
+
+    monkeypatch.setattr(eigen, "_eigh", eigh)
+    gen = rng_from_seed(61)
+    g = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
+    real_pairs = np.array([[2.0, complex(0.5, -0.0)], [complex(0.5, 0.0), complex(3.0, -0.0)]])
+    for a in (g @ adjoint(g), real_pairs, np.diag([1.0, 2.0]) + 0j):
+        assert np.array_equal(a, adjoint(a))
+        solved.clear()
+        p = plan(a, ring)
+        assert p.error is None and p.report.residual == 0.0
+        assert [x.tobytes() for x in solved] == [((a + adjoint(a)) / 2).tobytes()]
 
 
 def test_decompositions_report_their_residual():
