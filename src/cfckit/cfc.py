@@ -193,10 +193,17 @@ class SpectralPlan:
         """[apply(f) for f in fs], bit for bit: a failing f is its own eval_failed
         junk, and the value rows are stacked for one reconstruction (rebuilt one
         by one, as apply does, where u is real and some row is not)."""
+        return self._apply_all([(f.eval, f.ring) for f in fs])[0]
+
+    def _apply_all(self, pairs) -> tuple:
+        """(apply_all of the ScalarFunctions (feval, ring) of pairs, the rows
+        _eval_row read for them), without building one: a row is None where
+        its function failed, and every row is None on a junk plan."""
         n, u = self.a.shape[0], self.u
         if u is None:
-            return [_junk(n, self.reason) for _ in fs]
-        rows = [_eval_row(f.eval, f.ring, self.values, self.tol) for f in fs]
+            return [_junk(n, self.reason) for _ in pairs], [None] * len(pairs)
+        xs, tol = self.values, self.tol
+        rows = [_eval_row(feval, ring, xs, tol) for feval, ring in pairs]
         real = u.dtype.kind == "f"
         fvals = np.array([r for r in rows if r is not None], dtype=None if real else np.complex128)
         if real and fvals.dtype.kind == "c" and np.count_nonzero(fvals.imag):
@@ -204,7 +211,7 @@ class SpectralPlan:
         else:
             values = iter(_reconstruct(u, fvals) if len(fvals) else ())
         return [_junk(n, "eval_failed") if r is None else CfcOutcome(next(values), False)
-                for r in rows]
+                for r in rows], rows
 
 
 def _reconstruct(u, fvals):

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cfc import ScalarFunction, _eval_row, cfc, constant_function, identity_function, plan
+from .cfc import ScalarFunction, _eval_row, plan
 from .matrix_core import (
     MEMBERSHIP_FLOOR,
     _elemental_chain,
@@ -35,6 +35,8 @@ from .scalars import DEFAULT_TOL, ScalarRing
 # floating point, not mathematics.
 GAP_GUARD_REL = 1e-6
 F_FAILS = "f fails at a point of the spectrum"
+# The spacing of the floats below the normal range, math.ulp(0.0)
+SUBNORMAL_SPACING = 2.0 ** -1074
 
 
 class OracleSkipped(RuntimeError):
@@ -160,13 +162,38 @@ class LawReport:
         return "\n".join(lines)
 
 
-def _within(name: str, residual: float, scale: float, tol: float) -> LawEntry:
-    """The law's absolute residual against tol * scale, its one scale;
-    skipped with a note where that scale overflows, so that no tolerance is
+def _within(name: str, residual: float, scale: float, tol: float,
+            floor: float = 0.0) -> LawEntry:
+    """The law's absolute residual against tol * scale, its one scale, plus
+    floor, its rounding below the normal range (_subnormal_floors); skipped
+    with a note where that scale overflows, so that no tolerance is
     infinite."""
     if not scale < math.inf:
         return _skipped(name, f"the scale of the {name} law overflows")
-    return LawEntry(name, residual, tol * scale, residual <= tol * scale)
+    bound = tol * scale + floor
+    return LawEntry(name, residual, bound, residual <= bound)
+
+
+def _subnormal_floors(n: int) -> tuple:
+    """(k R + 2) 2^-1074 for k = 1, 2, 3, with R = sqrt(2) n (n + sqrt(2n)):
+    a bound on the absolute rounding below the normal range of a residual
+    that compares k values u diag(F) u* at n, where tol times the law's
+    scale underflows.
+    There a product lands on the subnormal grid, off by up to half a spacing
+    whatever its size, and a sum is exact: fl(x op y) = (x op y)(1 + d) + e
+    with |e| <= 2^-1075, and e = 0 for a sum (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., section 2.1); the relative part d
+    stays with tol * scale.  A part of u_ik F_k is the sum of two products,
+    off by one spacing; a part of its product with conj(u_jk) carries that
+    times |re u_jk| + |im u_jk| <= sqrt(2) |u_jk| and one spacing of its own
+    two products; over the n terms of an entry, with sum_k |u_jk| <= sqrt(n)
+    on a unit row of u, that is n + sqrt(2n) spacings a part, and R in
+    Frobenius norm over the 2 n^2 parts of the value (a real reconstruction
+    has half the products).  The 2 spacings are the last rounding of each
+    side of the comparison: a norm c ||b|| (or a distance to C*(a) times
+    it), a modulus |x|, or an eigenvalue lam c."""
+    r = math.sqrt(2.0) * n * (n + math.sqrt(2.0 * n))
+    return tuple((k * r + 2.0) * SUBNORMAL_SPACING for k in (1, 2, 3))
 
 
 def _skipped(name: str, note: Optional[str] = None) -> LawEntry:
@@ -176,12 +203,11 @@ def _skipped(name: str, note: Optional[str] = None) -> LawEntry:
 _MISSING = object()
 
 
-def _memoised(f: ScalarFunction) -> ScalarFunction:
-    """f keeping its values and the exceptions it raised.  A repeat of an
+def _memoised(feval):
+    """feval keeping its values and the exceptions it raised.  A repeat of an
     argument object is one lookup by its id (the object is kept alive, so its
     id is not reused); any other argument is looked up by a key that tells
     2.0 from 2+0j and 0.0 from -0.0."""
-    feval = f.eval
     by_id, kept, by_key, raised = {}, [], {}, {}
     copysign = math.copysign
 
@@ -206,23 +232,7 @@ def _memoised(f: ScalarFunction) -> ScalarFunction:
         kept.append(x)
         return value
 
-    return ScalarFunction(evaluate, f.ring, f.name)
-
-
-def _compose(g: ScalarFunction, f: ScalarFunction) -> ScalarFunction:
-    geval, feval = g.eval, f.eval
-    return ScalarFunction(lambda x: geval(feval(x)), f.ring, "g.f")
-
-
-def _pointwise(op, f: ScalarFunction, g: ScalarFunction, name) -> ScalarFunction:
-    feval, geval = f.eval, g.eval
-    return ScalarFunction(lambda x: op(feval(x), geval(x)), f.ring, name)
-
-
-def _conj(f: ScalarFunction) -> ScalarFunction:
-    if f.ring is ScalarRing.COMPLEX:
-        return ScalarFunction(lambda x: complex(f.eval(x)).conjugate(), f.ring, "conj f")
-    return f
+    return evaluate
 
 
 def _hausdorff(xs, ys) -> float:
@@ -241,10 +251,12 @@ def check_laws(
     Laws whose hypotheses fail (ring predicate, inner junk, f + g or f g
     beyond the float range, oracle guard) are reported as skipped; junk
     totality is checked unconditionally.  One plan of a serves every law on
-    a and the oracle's nodes (its nine values in one apply_all; the range
+    a and the oracle's nodes (its nine values in one _apply_all, whose row
+    of f serves spectral mapping, isometry and the oracle's slope; the range
     law trusts its ring check), one of f(a) spectral mapping and staged
-    composition; negation keeps its own cfc on -a.  f and g are evaluated
-    once per distinct argument per trial, raising ones too.
+    composition, one of -a negation.  f and g are evaluated once per
+    distinct argument per trial, raising ones too, and the functions
+    derived from them are bare evals.
 
     Each law compares an absolute residual with tol times one scale, the
     norm of its own operands: max(||f(a)||, ||g(a)||) for add, their product
@@ -253,6 +265,10 @@ def check_laws(
     norm of f(a), from one singular-value solve, and max |f|) are both of
     that size, and for spectral mapping (at max(tol, 1e-8)), whose
     eigenvalues of f(a) carry rounding relative to the largest of them.
+    Where f's values lie below the normal range tol times those scales
+    underflows, and add, star, congruence, spectral mapping, isometry and
+    range (which compares its distance r ||f(a)||_F from C*(a)) add the
+    floor _subnormal_floors of the values they compare.
     Negation and composition read a second eigensolve, whose rounding f or
     g carries into the value whatever its norm: they keep a floor, max(1,
     norm).  The oracle interpolates f at cluster means, each within the
@@ -262,7 +278,8 @@ def check_laws(
     each other: it meets 1e-8 max(1 + max |f|, 2 sqrt(n) L ||a||).  A law
     whose scale overflows is skipped with a note.
     """
-    f, g = _memoised(f), _memoised(g)
+    fring, gring = f.ring, g.ring
+    feval, geval = _memoised(f.eval), _memoised(g.eval)
     pa = plan(a, ring, tol)
     a = pa.a
     n = a.shape[0]
@@ -283,13 +300,14 @@ def check_laws(
             prod *= z - p
         return abs(prod)
 
-    (out_f, out_g, out_sum, out_prod, out_conj, out_id, out_c, out_cong,
-     out_comp_direct) = pa.apply_all([
-        f, g, _pointwise(operator.add, f, g, "f+g"),
-        _pointwise(operator.mul, f, g, "f*g"), _conj(f), identity_function(ring),
-        constant_function(c, ring),
-        ScalarFunction(lambda x: f.eval(x) + vanish(x), f.ring, "f+vanish"), _compose(g, f)])
-    junk_ok = all(
+    conj = (lambda x: complex(feval(x)).conjugate()) if fring is ScalarRing.COMPLEX else feval
+    outs, rows = pa._apply_all([
+        (feval, fring), (geval, gring), (lambda x: feval(x) + geval(x), fring),
+        (lambda x: feval(x) * geval(x), fring), (conj, fring), (lambda x: x, ring),
+        (lambda x: c, ring), (lambda x: feval(x) + vanish(x), fring),
+        (lambda x: geval(feval(x)), fring)])
+    out_f, out_g, out_sum, out_prod, out_conj, out_id, out_c, out_cong, out_comp_direct = outs
+    junk_ok = not (out_f.junk or out_g.junk) or all(
         (not o.junk) or np.all(o.value == 0) for o in (out_f, out_g)
     )
     entries = [LawEntry("junk_totality", 0.0 if junk_ok else 1.0, 0.5, junk_ok)]
@@ -303,27 +321,30 @@ def check_laws(
     scale_a = pa.scale * pa.c
     scale_f = fro_norm(out_f.value)
     scale_g = fro_norm(out_g.value)
+    floor1, floor2, floor3 = _subnormal_floors(n)
 
-    for name, out, op, expr, scale in (
-            ("add", out_sum, operator.add, "f + g", max(scale_f, scale_g)),
-            ("mul", out_prod, operator.matmul, "f g", scale_f * scale_g)):
+    for name, out, op, expr, scale, floor in (
+            ("add", out_sum, operator.add, "f + g", max(scale_f, scale_g), floor3),
+            ("mul", out_prod, operator.matmul, "f g", scale_f * scale_g, 0.0)):
         if out.junk:  # out_f and out_g are sound: expr overflowed at an eigenvalue
             entries.append(_skipped(name, f"{expr} fails at a point of the spectrum"))
         else:
             r = fro_norm(out.value - op(out_f.value, out_g.value))
-            entries.append(_within(name, r, scale, tol))
+            entries.append(_within(name, r, scale, tol, floor))
 
-    entries.append(_within("star", fro_norm(out_conj.value - adjoint(out_f.value)), scale_f, tol))
+    entries.append(_within("star", fro_norm(out_conj.value - adjoint(out_f.value)), scale_f, tol,
+                           floor2))
     entries.append(_within("id", fro_norm(out_id.value - a), scale_a, tol))
     diff = out_c.value.copy()
     diff.reshape(-1)[:: n + 1] -= c
     entries.append(_within("const", fro_norm(diff), 1.0, tol))  # |c| >= 2: tol is the stricter
-    entries.append(_within("congruence", fro_norm(out_cong.value - out_f.value), scale_f, tol))
+    entries.append(_within("congruence", fro_norm(out_cong.value - out_f.value), scale_f, tol,
+                           floor2))
 
-    # f's row on the plan of a, which out_f already read without a failure:
+    # f's row on the plan of a, which out_f read without a failure:
     # spectral mapping compares it with the eigenvalues of f(a), unclustered,
     # since f may split a cluster of a or merge two
-    frow = _eval_row(f.eval, f.ring, pa.values, tol)
+    frow = rows[0]
     fmax = max(map(abs, frow), default=0.0)
     # f's steepest difference quotient between two eigenvalues within the
     # cluster scale of each other, which the oracle's nodes do not tell apart
@@ -342,8 +363,8 @@ def check_laws(
         entries.extend(_skipped(nm, note) for nm in ("spectral_mapping", "composition"))
     else:
         entries.append(_within("spectral_mapping", _hausdorff(pf.values, frow), fmax,
-                               max(tol, 1e-8)))
-        out_comp_staged = pf.apply(g)
+                               max(tol, 1e-8), floor1))
+        out_comp_staged = pf._apply(geval, gring)
         if out_comp_staged.junk:
             entries.append(_skipped("composition", "inner value fails the staged hypotheses"))
         else:
@@ -357,23 +378,25 @@ def check_laws(
     else:
         # 0.0 - x keeps the +0.0 imaginary part of a real eigenvalue of -a,
         # which -x would make -0.0, taking f to the other side of a cut
-        out_neg = cfc(ScalarFunction(lambda x: f.eval(0.0 - x), f.ring, "f(-x)"),
-                      -a, ring, tol)
+        out_neg = plan(-a, ring, tol)._apply(lambda x: feval(0.0 - x), fring)
         r = fro_norm(out_neg.value - out_f.value)
         entries.append(_within("negation", r, max(1.0, scale_f), tol))
 
     r = abs(operator_norm(out_f.value) - fmax)
-    entries.append(_within("isometry", r, fmax, tol))
+    entries.append(_within("isometry", r, fmax, tol, floor1))
 
+    # the distance r ||f(a)||_F from C*(a) against t ||f(a)||_F plus the
+    # floor, divided by ||f(a)||_F: r is relative
     t = max(tol, MEMBERSHIP_FLOOR)
-    inside, r = _elemental_chain(a, unital=True).contains(out_f.value, t)
-    entries.append(LawEntry("range", r, t, inside))
+    _, r = _elemental_chain(a, unital=True).contains(out_f.value, t)
+    t_range = t + floor1 / scale_f if scale_f else t
+    entries.append(LawEntry("range", r, t_range, r <= t_range))
 
     # the oracle's nodes are the spectrum's points (cluster means); f may
     # fail at a mean where it holds at every eigenvalue
     points = pa.points()
     try:
-        ref = _interpolate(a, points, _eval_row(f.eval, f.ring, points, tol))
+        ref = _interpolate(a, points, _eval_row(feval, fring, points, tol))
     except OracleSkipped as exc:
         entries.append(_skipped("oracle", str(exc)))
     else:

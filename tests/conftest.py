@@ -26,18 +26,18 @@ def rng():
     return np.random.default_rng(12345)
 
 
-def _count_calls(monkeypatch, name, module="cfckit.cfc"):
-    """Counts the calls of <module>.<name>, as that module binds it (the
-    calculus module unless named)."""
-    mod = importlib.import_module(module)
+def _count_calls(monkeypatch, name, *modules):
+    """Counts the calls of <module>.<name>, as each of modules binds it (the
+    calculus module unless named), in one count."""
     calls = [0]
-    inner = getattr(mod, name)
+    for module in modules or ("cfckit.cfc",):
+        mod = importlib.import_module(module)
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return inner(*args, **kwargs)
+        def counted(*args, inner=getattr(mod, name), **kwargs):
+            calls[0] += 1
+            return inner(*args, **kwargs)
 
-    monkeypatch.setattr(mod, name, counted)
+        monkeypatch.setattr(mod, name, counted)
     return calls
 
 
@@ -52,6 +52,29 @@ def reconstructions(monkeypatch):
     """Counts the calls of cfc._reconstruct, the one product u diag(F) u*
     of apply and apply_all."""
     return _count_calls(monkeypatch, "_reconstruct")
+
+
+@pytest.fixture
+def row_reads(monkeypatch):
+    """Counts the rows of function values read by _eval_row, the one rule by
+    which cfckit reads a function, as the calculus and the law checker bind
+    it."""
+    return _count_calls(monkeypatch, "_eval_row", "cfckit.cfc", "cfckit.oracle")
+
+
+@pytest.fixture
+def function_builds(monkeypatch):
+    """Counts the ScalarFunctions constructed, wherever they are built."""
+    cls = importlib.import_module("cfckit.cfc").ScalarFunction
+    calls = [0]
+    init = cls.__init__
+
+    def counted(self, *args, **kwargs):
+        calls[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    return calls
 
 
 @pytest.fixture

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from cfckit.cfc import ScalarFunction, builtin_function, cfc, identity_function, plan
 from cfckit.eigen import _commutator_residual, elemental_subalgebra, is_nonneg, is_star_normal
-from cfckit.matrix_core import NotNormal, _rescaled, adjoint, as_matrix, fro_norm, identity, zeros
+from cfckit.matrix_core import (
+    NotNormal, _elemental_chain, _rescaled, adjoint, as_matrix, fro_norm, identity, zeros,
+)
 from cfckit.oracle import (
     OracleSkipped,
     StarPolynomial,
@@ -268,24 +270,24 @@ def test_memo_calls_f_once_per_distinct_argument_and_answers_repeats():
             raise ValueError("outside the domain of f")
         return key
 
-    m = _memoised(ScalarFunction(f))
+    m = _memoised(f)
     args = [0.0, -0.0, 2.0, 2 + 0j, complex(2.0, -0.0), 2, complex(-0.0, 0.0)]
     for _ in range(3):
         for x in args:
-            assert m.eval(x) == (type(x), x, math.copysign(1.0, x.real),
+            assert m(x) == (type(x), x, math.copysign(1.0, x.real),
                                  math.copysign(1.0, x.imag))
     assert float("2.5") is not float("2.5")
-    assert m.eval(float("2.5")) == m.eval(float("2.5")) == (float, 2.5, 1.0, 1.0)
+    assert m(float("2.5")) == m(float("2.5")) == (float, 2.5, 1.0, 1.0)
     assert len(calls) == len(args) + 1 and set(calls.values()) == {1}
     for _ in range(2):
         with pytest.raises(ValueError):
-            m.eval(5.0)
+            m(5.0)
     assert calls[(float, 5.0, 1.0, 1.0)] == 1
     for i in range(200):  # temporaries: a freed one would hand its id on
         x = i + 0.25
-        assert m.eval(x) == (float, x, 1.0, 1.0)
+        assert m(x) == (float, x, 1.0, 1.0)
     unhashable = np.array(1.5)  # no key: f runs on every call
-    assert m.eval(unhashable) == m.eval(unhashable) == 1.5
+    assert m(unhashable) == m(unhashable) == 1.5
     assert calls["array"] == 2
 
 
@@ -532,6 +534,30 @@ def test_check_laws_trial_decomposes_at_most_three_times(decompositions, reconst
     assert (work_counts["eigh"], work_counts["eigvalsh"], work_counts["svd"]) == (most, 0, 1)
 
 
+@pytest.mark.parametrize("ring, rows", [
+    (ScalarRing.COMPLEX, 12), (ScalarRing.REAL, 12), (ScalarRing.NNREAL, 11),
+])
+def test_check_laws_trial_reads_each_row_once_and_builds_no_function(row_reads,
+                                                                     function_builds,
+                                                                     ring, rows):
+    """The nine functions on the plan of a are nine rows of one apply, f's
+    row among them serving spectral mapping, isometry and the oracle's
+    slope; g on the plan of f(a), f(0 - x) on the plan of -a (not over
+    R>=0) and f at the oracle's nodes are one row each.  The derived
+    functions are bare evals, so the trial constructs no ScalarFunction."""
+    gen = rng_from_seed(33)
+    a = random_with_spectrum(gen, np.arange(6) * 0.25 + (0.5j if ring is ScalarRing.COMPLEX else 0))
+    if ring is not ScalarRing.COMPLEX:
+        a = (a + adjoint(a)) / 2
+    f, g = random_poly_function(gen, ring), random_poly_function(gen, ring)
+    built = function_builds[0]
+    report = check_laws(a, f, g, ring)
+    assert report.all_passed
+    assert not any(e.skipped for e in report.entries if e.name != "negation")
+    assert row_reads[0] == rows
+    assert function_builds[0] == built
+
+
 def _family(name, n, gen):
     """n distinct eigenvalues: a grid on [-1, 1], the n-th roots of unity,
     or uniform points in the unit disk."""
@@ -684,7 +710,7 @@ def test_interpolate_equals_the_general_newton_path_bit_for_bit(spectrum, s):
 
 
 SPOILED = 1.0 + 1e-6
-# the positions of the values check_laws rebuilds in its one apply_all
+# the positions of the values check_laws rebuilds in its one _apply_all
 _APPLY_ALL_ROW = {"star": 4, "id": 5, "congruence": 7}
 
 
@@ -702,15 +728,20 @@ def test_a_value_spoiled_by_a_millionth_fails_its_law_at_scale_1e150(monkeypatch
         return out
 
     if law in _APPLY_ALL_ROW:
-        apply_all = cfc_mod.SpectralPlan.apply_all
+        apply_all = cfc_mod.SpectralPlan._apply_all
 
-        def spoiled_apply_all(self, fs):
-            outs = apply_all(self, fs)
+        def spoiled_apply_all(self, pairs):
+            outs, rows = apply_all(self, pairs)
             spoil(outs[_APPLY_ALL_ROW[law]])
-            return outs
-        monkeypatch.setattr(cfc_mod.SpectralPlan, "apply_all", spoiled_apply_all)
+            return outs, rows
+        monkeypatch.setattr(cfc_mod.SpectralPlan, "_apply_all", spoiled_apply_all)
     elif law == "negation":
-        monkeypatch.setattr(oracle, "cfc", lambda *args: spoil(cfc(*args)))
+        apply = cfc_mod.SpectralPlan._apply
+
+        def spoiled_apply(self, feval, ring):  # on the plan of -a only
+            out = apply(self, feval, ring)
+            return spoil(out) if np.array_equal(self.a, -a) else out
+        monkeypatch.setattr(cfc_mod.SpectralPlan, "_apply", spoiled_apply)
     else:
         monkeypatch.setattr(oracle, "_interpolate", lambda *args: _interpolate(*args) * SPOILED)
     s = 1e150
@@ -788,6 +819,49 @@ def test_a_law_whose_scale_overflows_is_skipped_with_its_note():
     ring = ScalarRing.REAL
     entry = _law(check_laws(a, identity_function(ring), identity_function(ring), ring), "id")
     assert entry.skipped and entry.note == "the scale of the id law overflows"
+
+
+@pytest.mark.parametrize("ring", [ScalarRing.COMPLEX, ScalarRing.REAL])
+@pytest.mark.parametrize("n", [1, 2, 5, 6])
+@pytest.mark.parametrize("s", [1e-320, 1e-310])
+def test_laws_on_subnormal_values_pass_right_ones_and_fail_wrong_ones(monkeypatch, s, n, ring):
+    """f = g = s x with f's values below the normal range: tol times a law's
+    scale underflows to 0.0 at 1e-320, where add, star, spectral mapping,
+    isometry and range failed values right to the subnormal grid.  Each of
+    those tolerances is floored at the law's own rounding there, a count of
+    spacings 2^-1074, not at the least normal: the true values pass, a
+    doubled f(a) FAILs add, star and isometry, and f(a) plus a non-member of
+    C*(a) of half its norm FAILs range (for n > 1; at n = 1 C*(a) is M_1).
+    At 1e-320 the grid holds f(a) to about 1e-3 relative, so its plan may
+    find it not normal (not selfadjoint over R), and the two laws that need
+    that plan are skipped with their note."""
+    cfc_mod = importlib.import_module("cfckit.cfc")
+    a = random_normal_matrix(rng_from_seed(5), n, ring)
+    f = ScalarFunction(lambda x: s * x, ring, "s x")
+    report = check_laws(a, f, f, ring)
+    assert report.all_passed, report.table()
+    for e in report.entries:
+        assert not e.skipped or (s == 1e-320 and e.note.startswith("f(a) is junk")), e
+
+    apply_all = cfc_mod.SpectralPlan._apply_all
+
+    def spoiled(spoil):
+        def spoiled_apply_all(self, pairs):
+            outs, rows = apply_all(self, pairs)
+            outs[0].value = spoil(outs[0].value)  # f's value on the plan of a
+            return outs, rows
+        monkeypatch.setattr(cfc_mod.SpectralPlan, "_apply_all", spoiled_apply_all)
+        return check_laws(a, f, f, ring)
+
+    report = spoiled(lambda v: 2.0 * v)
+    for law in ("add", "star", "isometry"):
+        entry = _law(report, law)
+        assert not entry.skipped and not entry.passed, entry
+    if n > 1:
+        z = rng_from_seed(6).standard_normal((n, n)) + 0j
+        z -= _elemental_chain(plan(a, ring).a, unital=True).project(z)
+        entry = _law(spoiled(lambda v: v + z * (0.5 * fro_norm(v) / fro_norm(z))), "range")
+        assert not entry.skipped and not entry.passed, entry
 
 
 @settings(max_examples=40, deadline=None)

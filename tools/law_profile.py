@@ -11,12 +11,15 @@ the helpers check_laws calls wherever a module binds them, and runs every op
 of each seed --repeats times.  A column is a helper's inclusive time per
 trial in microseconds, the median over the group's trials: `trial` is the
 whole check_laws call, `plan` every plan (a, f(a) and the negation law's
--a), `apply_all` the one stacked application on the plan of a, `eval_row`
-every read of f or g by the calculus's rule (inside apply, apply_all and the
-oracle too), `chain` the range law's C*(a) basis, `interpolate` the oracle,
+-a), `apply_all` the one stacked application on the plan of a
+(SpectralPlan._apply_all, which the public apply_all wraps), `eval_row`
+every read of f or g by the calculus's rule (inside _apply, _apply_all and
+the oracle too), `chain` the range law's C*(a) basis, `interpolate` the oracle,
 `opnorm` the isometry law's operator norm and `cluster` the oracle's
 clustering of the spectrum.  What the columns leave over is the laws'
-own arithmetic.  `ops` counts the group's ops over all seeds.
+own arithmetic.  `ops` counts the group's ops over all seeds.  The script
+exits with code 1 when a helper it times is bound in none of its modules,
+since its column would read 0.
 """
 
 import os
@@ -86,9 +89,9 @@ def main(argv=None) -> int:
         for mod in bound:
             setattr(mod, name, _timed(spent, column, getattr(mod, name)))
         if not bound:
-            print(f"note: {name} is bound in none of {modules}", file=sys.stderr)
+            sys.exit(f"error: {name} is bound in none of {modules}")
     plan_cls = importlib.import_module("cfckit.cfc").SpectralPlan
-    plan_cls.apply_all = _timed(spent, "apply_all", plan_cls.apply_all)
+    plan_cls._apply_all = _timed(spent, "apply_all", plan_cls._apply_all)
     # the trial's first plan is the plan of a, whose points the oracle law
     # clusters; k is read off them after the trial
     plans = []
