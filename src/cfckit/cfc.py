@@ -64,24 +64,26 @@ def _junk(n: int, reason: str) -> CfcOutcome:
     return CfcOutcome(value=zeros(n), junk=True, reason=reason)
 
 
-def _eval_row(feval: Callable, ring: ScalarRing, xs, tol: float) -> Optional[list]:
-    """[feval(x) for x in xs], each value restricted to the ring within tol,
-    or None where any value fails (an exception from feval, a non-finite
-    value, a value off the ring), since that fails the whole row: the one
-    rule by which cfckit reads values of a ScalarFunction f, passed as
-    (f.eval, f.ring).  Over R and R>=0 a Python complex with
-    a zero imaginary part is read as its real part, as restrict_scalar's
-    first branch reads it, and a finite Python float already in the real
-    ring is kept as it is; any other value is complex(feval(x)), which
-    restriction to C leaves alone and which restrict_scalar takes to a real
-    ring within tol."""
+def _eval_row(values, n: int, ring: ScalarRing, tol: float) -> Optional[list]:
+    """The row of a function's n values, each restricted to the ring within
+    tol, or None where any value fails (an exception raised while values is
+    read, a non-finite value, a value off the ring) or values ends before n
+    of them (a StopIteration from f ends a map early), since that fails the
+    whole row: the rule by which cfckit reads values of a ScalarFunction f,
+    passed as map(f.eval, xs) so that f's exceptions rise inside it.
+    check_laws alone reads f and g raw first, under the same except clause,
+    and builds its other rows from those values.
+    Over R and R>=0 a Python complex with a zero imaginary part is read as
+    its real part, as restrict_scalar's first branch reads it, and a finite
+    Python float already in the real ring is kept as it is; any other value
+    is complex(value), which restriction to C leaves alone and which
+    restrict_scalar takes to a real ring within tol."""
     over_c, over_r = ring is ScalarRing.COMPLEX, ring is ScalarRing.REAL
     isfinite, cisfinite = math.isfinite, cmath.isfinite
     row = []
     append = row.append
     try:
-        for x in xs:
-            out = feval(x)
+        for out in values:
             if not over_c:
                 kind = type(out)
                 if kind is complex and out.imag == 0.0:
@@ -95,7 +97,7 @@ def _eval_row(feval: Callable, ring: ScalarRing, xs, tol: float) -> Optional[lis
             append(out if over_c else restrict_scalar(out, ring, tol))
     except Exception:  # domain errors are data, not bugs
         return None
-    return row
+    return row if len(row) == n else None
 
 
 @dataclass(slots=True)
@@ -183,7 +185,7 @@ class SpectralPlan:
         u = self.u
         if u is None:
             return _junk(self.a.shape[0], self.reason)
-        fvals = _eval_row(feval, ring, self.values, self.tol)
+        fvals = _eval_row(map(feval, self.values), len(u), ring, self.tol)
         if fvals is None:
             return _junk(len(u), "eval_failed")
         fvals = np.array(fvals, dtype=None if u.dtype.kind == "f" else np.complex128)
@@ -193,17 +195,16 @@ class SpectralPlan:
         """[apply(f) for f in fs], bit for bit: a failing f is its own eval_failed
         junk, and the value rows are stacked for one reconstruction (rebuilt one
         by one, as apply does, where u is real and some row is not)."""
-        return self._apply_all([(f.eval, f.ring) for f in fs])[0]
+        xs, tol = self.values, self.tol
+        return self._rebuild([_eval_row(map(f.eval, xs), len(xs), f.ring, tol) for f in fs])
 
-    def _apply_all(self, pairs) -> tuple:
-        """(apply_all of the ScalarFunctions (feval, ring) of pairs, the rows
-        _eval_row read for them), without building one: a row is None where
-        its function failed, and every row is None on a junk plan."""
+    def _rebuild(self, rows) -> list:
+        """The outcomes of rows that _eval_row read at the plan's values, as
+        apply_all rebuilds them: eval_failed junk where a row is None, and
+        the plan's junk for every row on a junk plan."""
         n, u = self.a.shape[0], self.u
         if u is None:
-            return [_junk(n, self.reason) for _ in pairs], [None] * len(pairs)
-        xs, tol = self.values, self.tol
-        rows = [_eval_row(feval, ring, xs, tol) for feval, ring in pairs]
+            return [_junk(n, self.reason) for _ in rows]
         real = u.dtype.kind == "f"
         fvals = np.array([r for r in rows if r is not None], dtype=None if real else np.complex128)
         if real and fvals.dtype.kind == "c" and np.count_nonzero(fvals.imag):
@@ -211,7 +212,7 @@ class SpectralPlan:
         else:
             values = iter(_reconstruct(u, fvals) if len(fvals) else ())
         return [_junk(n, "eval_failed") if r is None else CfcOutcome(next(values), False)
-                for r in rows], rows
+                for r in rows]
 
 
 def _reconstruct(u, fvals):
@@ -291,7 +292,7 @@ def cfc_n(
         B.require(a, tol)
     p = plan(a, ring, tol)
     if p.reason != "predicate_failed":
-        f0 = _eval_row(f.eval, f.ring, (0j if ring is ScalarRing.COMPLEX else 0.0,), tol)
+        f0 = _eval_row(map(f.eval, (0j if ring is ScalarRing.COMPLEX else 0.0,)), 1, f.ring, tol)
         if f0 is None or abs(f0[0]) > tol:
             return _junk(p.a.shape[0], "eval_failed" if f0 is None else "zero_condition_failed")
     cut, feval = p.cluster_tol, f.eval

@@ -72,7 +72,7 @@ def cfc_oracle(
     together or f fails at one of them."""
     p = plan(a, ring, tol)
     points = p.points()
-    return _interpolate(p.a, points, _eval_row(f.eval, f.ring, points, tol))
+    return _interpolate(p.a, points, _eval_row(map(f.eval, points), len(points), f.ring, tol))
 
 
 def _interpolate(a: np.ndarray, points, values: Optional[list]) -> np.ndarray:
@@ -174,11 +174,13 @@ def _within(name: str, residual: float, scale: float, tol: float,
     return LawEntry(name, residual, bound, residual <= bound)
 
 
-def _subnormal_floors(n: int) -> tuple:
+def _subnormal_floors(n: int, norm_f: float, norm_g: float) -> tuple:
     """(k R + 2) 2^-1074 for k = 1, 2, 3, with R = sqrt(2) n (n + sqrt(2n)):
     a bound on the absolute rounding below the normal range of a residual
     that compares k values u diag(F) u* at n, where tol times the law's
-    scale underflows.
+    scale underflows; and the mul law's, (R (norm_f + norm_g) + 2 R +
+    sqrt(2n) + 2) 2^-1074, with norm_f and norm_g the Frobenius norms of
+    f(a) and g(a).
     There a product lands on the subnormal grid, off by up to half a spacing
     whatever its size, and a sum is exact: fl(x op y) = (x op y)(1 + d) + e
     with |e| <= 2^-1075, and e = 0 for a sum (Higham, Accuracy and Stability
@@ -191,48 +193,42 @@ def _subnormal_floors(n: int) -> tuple:
     Frobenius norm over the 2 n^2 parts of the value (a real reconstruction
     has half the products).  The 2 spacings are the last rounding of each
     side of the comparison: a norm c ||b|| (or a distance to C*(a) times
-    it), a modulus |x|, or an eigenvalue lam c."""
+    it), a modulus |x|, or an eigenvalue lam c.
+    mul compares (f g)(a) with the product f(a) g(a), in which each factor's
+    R spacings are multiplied by the other factor's norm, whatever its
+    size; the product's 2n products a part are off by n spacings, sqrt(2)
+    n^2 <= R in Frobenius norm; and (f g)(a) carries R of its own and
+    sqrt(2) spacings of each value f(x) g(x), sqrt(2n) over the row."""
     r = math.sqrt(2.0) * n * (n + math.sqrt(2.0 * n))
-    return tuple((k * r + 2.0) * SUBNORMAL_SPACING for k in (1, 2, 3))
+    # R (norm_f + norm_g) spacings in two steps of 2^-537, so that it
+    # neither overflows nor reaches the subnormal grid before the last one
+    spread = math.ldexp(r * math.ldexp(norm_f + norm_g, -537), -537)
+    return (*((k * r + 2.0) * SUBNORMAL_SPACING for k in (1, 2, 3)),
+            spread + (2.0 * r + math.sqrt(2.0 * n) + 2.0) * SUBNORMAL_SPACING)
 
 
 def _skipped(name: str, note: Optional[str] = None) -> LawEntry:
     return LawEntry(name, 0.0, 0.0, True, skipped=True, note=note)
 
 
-_MISSING = object()
+def _vanishing(roots):
+    """x -> |prod (x - p)| over the roots p: with the plan's values as roots,
+    the congruence law's perturbation of f, 0 at every eigenvalue the
+    calculus evaluates f at; 0 at an exact root before any product, which
+    may overflow (inf * 0 is nan) where the spectrum is wide."""
+    roots = [complex(p) for p in roots]
+    exact = frozenset(roots)
 
+    def vanish(x):
+        z = complex(x)
+        if z in exact:
+            return 0.0
+        prod = 1.0 + 0.0j
+        for p in roots:
+            prod *= z - p
+        return abs(prod)
 
-def _memoised(feval):
-    """feval keeping its values and the exceptions it raised.  A repeat of an
-    argument object is one lookup by its id (the object is kept alive, so its
-    id is not reused); any other argument is looked up by a key that tells
-    2.0 from 2+0j and 0.0 from -0.0."""
-    by_id, kept, by_key, raised = {}, [], {}, {}
-    copysign = math.copysign
-
-    def evaluate(x):
-        value = by_id.get(id(x), _MISSING)
-        if value is not _MISSING:
-            return value
-        try:
-            key = (type(x), x, copysign(1.0, x.real), copysign(1.0, x.imag))
-            value = by_key.get(key, _MISSING)
-        except (AttributeError, TypeError):  # not a hashable number
-            return feval(x)
-        if value is _MISSING:
-            if key in raised:
-                raise raised[key]
-            try:
-                by_key[key] = value = feval(x)
-            except Exception as exc:
-                raised[key] = exc
-                raise
-        by_id[id(x)] = value
-        kept.append(x)
-        return value
-
-    return evaluate
+    return vanish
 
 
 def _hausdorff(xs, ys) -> float:
@@ -251,12 +247,14 @@ def check_laws(
     Laws whose hypotheses fail (ring predicate, inner junk, f + g or f g
     beyond the float range, oracle guard) are reported as skipped; junk
     totality is checked unconditionally.  One plan of a serves every law on
-    a and the oracle's nodes (its nine values in one _apply_all, whose row
-    of f serves spectral mapping, isometry and the oracle's slope; the range
-    law trusts its ring check), one of f(a) spectral mapping and staged
-    composition, one of -a negation.  f and g are evaluated once per
-    distinct argument per trial, raising ones too, and the functions
-    derived from them are bare evals.
+    a and the oracle's nodes, one of f(a) spectral mapping and staged
+    composition, one of -a negation.  f and g are read once each at the
+    eigenvalues of a, and the other seven rows on the plan of a are built
+    from those values (g at f's values for direct composition), each read
+    by the calculus's rule and rebuilt with f's and g's in one stacked
+    reconstruction; f's row serves spectral mapping, isometry and the
+    oracle's slope, and the range law trusts its ring check.  Negation,
+    staged composition and the oracle read f or g at their own points.
 
     Each law compares an absolute residual with tol times one scale, the
     norm of its own operands: max(||f(a)||, ||g(a)||) for add, their product
@@ -266,8 +264,8 @@ def check_laws(
     that size, and for spectral mapping (at max(tol, 1e-8)), whose
     eigenvalues of f(a) carry rounding relative to the largest of them.
     Where f's values lie below the normal range tol times those scales
-    underflows, and add, star, congruence, spectral mapping, isometry and
-    range (which compares its distance r ||f(a)||_F from C*(a)) add the
+    underflows, and add, mul, star, congruence, spectral mapping, isometry
+    and range (which compares its distance r ||f(a)||_F from C*(a)) add the
     floor _subnormal_floors of the values they compare.
     Negation and composition read a second eigensolve, whose rounding f or
     g carries into the value whatever its norm: they keep a floor, max(1,
@@ -279,34 +277,24 @@ def check_laws(
     whose scale overflows is skipped with a note.
     """
     fring, gring = f.ring, g.ring
-    feval, geval = _memoised(f.eval), _memoised(g.eval)
     pa = plan(a, ring, tol)
-    a = pa.a
+    a, xs = pa.a, pa.values
     n = a.shape[0]
     c = 2.0 if ring is not ScalarRing.COMPLEX else 2.0 + 0.5j
 
-    # congruence: perturb f by |vanishing polynomial|, which is 0 at every
-    # eigenvalue the calculus evaluates f at; 0 at an exact root before any
-    # product, which may overflow (inf * 0 is nan) where the spectrum is wide
-    roots = [complex(p) for p in pa.values]
-    exact = frozenset(roots)
-
-    def vanish(x):
-        z = complex(x)
-        if z in exact:
-            return 0.0
-        prod = 1.0 + 0.0j
-        for p in roots:
-            prod *= z - p
-        return abs(prod)
-
-    conj = (lambda x: complex(feval(x)).conjugate()) if fring is ScalarRing.COMPLEX else feval
-    outs, rows = pa._apply_all([
-        (feval, fring), (geval, gring), (lambda x: feval(x) + geval(x), fring),
-        (lambda x: feval(x) * geval(x), fring), (conj, fring), (lambda x: x, ring),
-        (lambda x: c, ring), (lambda x: feval(x) + vanish(x), fring),
-        (lambda x: geval(feval(x)), fring)])
-    out_f, out_g, out_sum, out_prod, out_conj, out_id, out_c, out_cong, out_comp_direct = outs
+    try:
+        fx, gx = [f.eval(x) for x in xs], [g.eval(x) for x in xs]
+    except Exception:  # _eval_row's rule, for the raw values the rows are built from
+        fx = gx = None
+    rows = [None, None] if fx is None else [
+        _eval_row(fx, n, fring, tol), _eval_row(gx, n, gring, tol)]
+    if None not in rows:  # the laws' rows; none is read where f or g fails
+        conj = map(complex.conjugate, map(complex, fx)) if fring is ScalarRing.COMPLEX else fx
+        rows += [_eval_row(values, n, vring, tol) for values, vring in (
+            (map(operator.add, fx, gx), fring), (map(operator.mul, fx, gx), fring),
+            (conj, fring), (xs, ring), ([c] * n, ring),
+            (map(operator.add, fx, map(_vanishing(xs), xs)), fring), (map(g.eval, fx), fring))]
+    out_f, out_g, *outs = pa._rebuild(rows)
     junk_ok = not (out_f.junk or out_g.junk) or all(
         (not o.junk) or np.all(o.value == 0) for o in (out_f, out_g)
     )
@@ -318,14 +306,15 @@ def check_laws(
             "composition", "negation", "isometry", "range", "oracle")))
         return LawReport(tuple(entries))
 
+    out_sum, out_prod, out_conj, out_id, out_c, out_cong, out_comp_direct = outs
     scale_a = pa.scale * pa.c
     scale_f = fro_norm(out_f.value)
     scale_g = fro_norm(out_g.value)
-    floor1, floor2, floor3 = _subnormal_floors(n)
+    floor1, floor2, floor3, floor_mul = _subnormal_floors(n, scale_f, scale_g)
 
     for name, out, op, expr, scale, floor in (
             ("add", out_sum, operator.add, "f + g", max(scale_f, scale_g), floor3),
-            ("mul", out_prod, operator.matmul, "f g", scale_f * scale_g, 0.0)):
+            ("mul", out_prod, operator.matmul, "f g", scale_f * scale_g, floor_mul)):
         if out.junk:  # out_f and out_g are sound: expr overflowed at an eigenvalue
             entries.append(_skipped(name, f"{expr} fails at a point of the spectrum"))
         else:
@@ -341,9 +330,9 @@ def check_laws(
     entries.append(_within("congruence", fro_norm(out_cong.value - out_f.value), scale_f, tol,
                            floor2))
 
-    # f's row on the plan of a, which out_f read without a failure:
-    # spectral mapping compares it with the eigenvalues of f(a), unclustered,
-    # since f may split a cluster of a or merge two
+    # f's row on the plan of a: spectral mapping compares it with the
+    # eigenvalues of f(a), unclustered, since f may split a cluster of a or
+    # merge two
     frow = rows[0]
     fmax = max(map(abs, frow), default=0.0)
     # f's steepest difference quotient between two eigenvalues within the
@@ -364,7 +353,7 @@ def check_laws(
     else:
         entries.append(_within("spectral_mapping", _hausdorff(pf.values, frow), fmax,
                                max(tol, 1e-8), floor1))
-        out_comp_staged = pf._apply(geval, gring)
+        out_comp_staged = pf._apply(g.eval, gring)
         if out_comp_staged.junk:
             entries.append(_skipped("composition", "inner value fails the staged hypotheses"))
         else:
@@ -378,7 +367,7 @@ def check_laws(
     else:
         # 0.0 - x keeps the +0.0 imaginary part of a real eigenvalue of -a,
         # which -x would make -0.0, taking f to the other side of a cut
-        out_neg = plan(-a, ring, tol)._apply(lambda x: feval(0.0 - x), fring)
+        out_neg = plan(-a, ring, tol)._apply(lambda x: f.eval(0.0 - x), fring)
         r = fro_norm(out_neg.value - out_f.value)
         entries.append(_within("negation", r, max(1.0, scale_f), tol))
 
@@ -396,7 +385,7 @@ def check_laws(
     # fail at a mean where it holds at every eigenvalue
     points = pa.points()
     try:
-        ref = _interpolate(a, points, _eval_row(feval, fring, points, tol))
+        ref = _interpolate(a, points, _eval_row(map(f.eval, points), len(points), fring, tol))
     except OracleSkipped as exc:
         entries.append(_skipped("oracle", str(exc)))
     else:

@@ -92,6 +92,27 @@ def test_cfc_eval_failure_is_junk():
         assert out.junk and out.reason == "eval_failed"
 
 
+@pytest.mark.parametrize("exc", [ValueError, StopIteration])
+def test_an_exception_at_the_second_eigenvalue_fails_the_whole_row(exc):
+    """f raising at 2 on diag(1, 2) is eval_failed junk, from every path
+    that reads f's row (cfc_n's f(0) too, with f shifted by 2); a
+    StopIteration, which would end a map early and leave a row of f(1)
+    alone, fails it like any other exception."""
+    def f(x):
+        if abs(x) > 1.5:
+            raise exc("outside the domain")
+        return x
+
+    a = np.diag([1.0, 2.0])
+    for ring in ScalarRing:
+        fn, shifted = ScalarFunction(f, ring), ScalarFunction(lambda x: f(x + 2), ring)
+        outs = [cfc(fn, a, ring), cfc_n(fn, np.diag([0.0, 1.0, 2.0]), ring=ring),
+                cfc_n(shifted, a, ring=ring), *plan(a, ring).apply_all([fn])]
+        for out in outs:
+            assert out.junk and out.reason == "eval_failed"
+            assert np.all(out.value == 0)
+
+
 def test_cfc_ring_violation_is_junk():
     # real-ring calculus on a normal-but-not-selfadjoint element
     out = cfc(identity_function(ScalarRing.REAL), np.diag([1j, 2.0]), ScalarRing.REAL)
@@ -588,9 +609,9 @@ def test_real_scalar_values_are_taken_as_before(ring, value):
         old = _restricted_value(f, 1.0)
     except ValueError:
         assert out.junk and out.reason == "eval_failed"
-        assert _eval_row(f.eval, f.ring, (1.0,), DEFAULT_TOL) is None
+        assert _eval_row(map(f.eval, (1.0,)), 1, f.ring, DEFAULT_TOL) is None
         return
-    new = _eval_row(f.eval, f.ring, (1.0,), DEFAULT_TOL)[0]
+    new = _eval_row(map(f.eval, (1.0,)), 1, f.ring, DEFAULT_TOL)[0]
     assert type(new) is type(old) and new == old
     signs = [math.copysign(1.0, part) for z in (new, old) for part in (z.real, z.imag)]
     assert signs[:2] == signs[2:]
@@ -627,7 +648,7 @@ def test_on_ring_complex_values_read_as_restrict_scalar_reads_them(restrictions,
     over R>=0 where its real part is >= 0 (-0.0 included).  A value with a
     NaN or inf part makes the row None on every ring."""
     f = ScalarFunction(lambda x: value, ring)
-    row = _eval_row(f.eval, f.ring, (1.0,), DEFAULT_TOL)
+    row = _eval_row(map(f.eval, (1.0,)), 1, f.ring, DEFAULT_TOL)
     calls = restrictions[0]
     if not cmath.isfinite(value):
         assert row is None and calls == 0
@@ -719,9 +740,9 @@ def test_row_loop_equals_the_per_value_rule(ring, zero_to_zero, table):
     except ValueError:
         want = None
     if want is None:
-        assert _eval_row(f.eval, f.ring, p.values, DEFAULT_TOL) is None
+        assert _eval_row(map(f.eval, p.values), len(p.values), f.ring, DEFAULT_TOL) is None
     else:
-        got = _eval_row(f.eval, f.ring, p.values, DEFAULT_TOL)
+        got = _eval_row(map(f.eval, p.values), len(p.values), f.ring, DEFAULT_TOL)
         assert [type(v) for v in got] == [type(v) for v in want]
         assert [(complex(v), math.copysign(1.0, complex(v).real), math.copysign(1.0, complex(v).imag))
                 for v in got] == \
@@ -738,9 +759,9 @@ def test_row_loop_equals_the_per_value_rule(ring, zero_to_zero, table):
         try:
             single = _value_by_the_rule(f, x)
         except ValueError:
-            assert _eval_row(f.eval, f.ring, (x,), DEFAULT_TOL) is None
+            assert _eval_row(map(f.eval, (x,)), 1, f.ring, DEFAULT_TOL) is None
             continue
-        got = _eval_row(f.eval, f.ring, (x,), DEFAULT_TOL)[0]
+        got = _eval_row(map(f.eval, (x,)), 1, f.ring, DEFAULT_TOL)[0]
         assert type(got) is type(single) and got == single
 
 

@@ -17,7 +17,6 @@ from cfckit.oracle import (
     OracleSkipped,
     StarPolynomial,
     _interpolate,
-    _memoised,
     cfc_oracle,
     check_laws,
 )
@@ -236,8 +235,9 @@ def test_check_laws_skips_the_laws_on_f_of_a_where_f_of_a_fails_the_ring(f, ring
 
 
 def test_check_laws_calls_a_failing_f_once_per_argument():
-    """A trial evaluates f once per distinct argument, also where f raises:
-    every function built on f meets the failure it already met."""
+    """A trial reads f once at each eigenvalue and stops at the first one
+    where f raises: every row built on f's values fails with f's, and no
+    law but junk totality reads f again."""
     calls = collections.Counter()
 
     def f(x):
@@ -252,43 +252,74 @@ def test_check_laws_calls_a_failing_f_once_per_argument():
     assert calls and max(calls.values()) == 1
 
 
-def test_memo_calls_f_once_per_distinct_argument_and_answers_repeats():
-    """The memo of a trial tells 0.0 from -0.0 and 2.0 from 2+0j: f runs
-    once for each such argument, an equal argument object of its own reads
-    the kept value, a repeated object reads it by identity, and a raising
-    argument raises again without a call.  Arguments are kept alive, so
-    the ids of temporaries are never reused for another value."""
-    calls = collections.Counter()
+@pytest.mark.parametrize("ring", list(ScalarRing))
+def test_check_laws_reads_f_and_g_once_each_at_the_eigenvalues(ring):
+    """f is read n times at the eigenvalues of a, n times by the negation
+    law (not over R>=0) and k times at the oracle's k nodes; g n times at
+    the eigenvalues, n times at f's values (direct composition) and n
+    times at the eigenvalues of f(a) (staged composition).  Every other row
+    on the plan of a is built from those values: 15 reads of f and 15 of g
+    at n = k = 5 over C and R."""
+    gen = rng_from_seed(33)
+    a = random_with_spectrum(gen, np.arange(5) * 0.25 + (0.5j if ring is ScalarRing.COMPLEX else 0))
+    if ring is not ScalarRing.COMPLEX:
+        a = (a + adjoint(a)) / 2
+    reads = collections.Counter()
 
-    def f(x):
-        if isinstance(x, np.ndarray):
-            calls["array"] += 1
-            return float(x)
-        key = (type(x), x, math.copysign(1.0, x.real), math.copysign(1.0, x.imag))
-        calls[key] += 1
-        if x == 5:
-            raise ValueError("outside the domain of f")
-        return key
+    def counted(name, h):
+        def evaluate(x):
+            reads[name] += 1
+            return h.eval(x)
+        return ScalarFunction(evaluate, h.ring, name)
 
-    m = _memoised(f)
-    args = [0.0, -0.0, 2.0, 2 + 0j, complex(2.0, -0.0), 2, complex(-0.0, 0.0)]
-    for _ in range(3):
-        for x in args:
-            assert m(x) == (type(x), x, math.copysign(1.0, x.real),
-                                 math.copysign(1.0, x.imag))
-    assert float("2.5") is not float("2.5")
-    assert m(float("2.5")) == m(float("2.5")) == (float, 2.5, 1.0, 1.0)
-    assert len(calls) == len(args) + 1 and set(calls.values()) == {1}
-    for _ in range(2):
-        with pytest.raises(ValueError):
-            m(5.0)
-    assert calls[(float, 5.0, 1.0, 1.0)] == 1
-    for i in range(200):  # temporaries: a freed one would hand its id on
-        x = i + 0.25
-        assert m(x) == (float, x, 1.0, 1.0)
-    unhashable = np.array(1.5)  # no key: f runs on every call
-    assert m(unhashable) == m(unhashable) == 1.5
-    assert calls["array"] == 2
+    p, q = random_poly_function(gen, ring), random_poly_function(gen, ring)
+    report = check_laws(a, counted("f", p), counted("g", q), ring)
+    assert report.all_passed, report.table()
+    assert not any(e.skipped for e in report.entries if e.name != "negation")
+    n, k = 5, len(plan(a, ring).points())
+    assert k == n
+    assert reads == {"f": n + k + (0 if ring is ScalarRing.NNREAL else n), "g": 3 * n}
+
+
+_ALL_SKIPPED = ("add", "mul", "star", "id", "const", "congruence", "spectral_mapping",
+                "composition", "negation", "isometry", "range", "oracle")
+
+
+@pytest.mark.parametrize("exc", [ValueError, StopIteration])
+@pytest.mark.parametrize("ring", list(ScalarRing))
+@pytest.mark.parametrize("where", ["f at an eigenvalue", "g at an eigenvalue",
+                                   "g at f's values"])
+def test_a_raising_f_or_g_skips_the_laws_that_read_it(ring, where, exc):
+    """f = x + 10 and g = x^2 on diag(1, 2, 3), one of them raising: at an
+    eigenvalue of a it fails f's or g's row and every row built on it, so
+    junk totality passes and every other law is skipped with no note; g
+    raising at f's values only (11 to 13) skips composition with its note
+    and every other law passes.  A StopIteration is an exception like any
+    other: it ends no row early."""
+    def raising(fn, cut):
+        def evaluate(x):
+            if abs(x) > cut:
+                raise exc("outside the domain")
+            return fn(x)
+        return evaluate
+
+    f, g = (lambda x: x + 10.0), (lambda x: x * x)
+    if where == "f at an eigenvalue":
+        f = raising(f, 1.5)
+    else:
+        g = raising(g, 1.5 if where == "g at an eigenvalue" else 5.0)
+    report = check_laws(np.diag([1.0, 2.0, 3.0]), ScalarFunction(f, ring),
+                        ScalarFunction(g, ring), ring)
+    got = [(e.name, e.passed, e.skipped, e.note) for e in report.entries]
+    if where != "g at f's values":
+        assert got == [("junk_totality", True, False, None)] + \
+            [(name, True, True, None) for name in _ALL_SKIPPED]
+        return
+    assert report.all_passed, report.table()
+    skipped = {"composition": "inner value fails the staged hypotheses"}
+    if ring is ScalarRing.NNREAL:
+        skipped["negation"] = "not applicable over nnreal"
+    assert {name: note for name, _, was_skipped, note in got if was_skipped} == skipped
 
 
 def test_oracle_law_holds_on_a_chained_spectrum():
@@ -515,7 +546,7 @@ def test_check_laws_report_shapes():
 def test_check_laws_trial_decomposes_at_most_three_times(decompositions, reconstructions,
                                                          work_counts, ring, most):
     """One plan of a, one of f(a), and the negation law's cfc on -a (no
-    negation law over R>=0), each rebuilt once: the nine functions the laws
+    negation law over R>=0), each rebuilt once: the nine rows the laws
     apply to the plan of a share one stacked reconstruction.  Over R and
     R>=0 each plan checks the predicate once; over C the plans' backward
     errors decide, and the range law trusts the plan of a.  The plans are
@@ -540,11 +571,12 @@ def test_check_laws_trial_decomposes_at_most_three_times(decompositions, reconst
 def test_check_laws_trial_reads_each_row_once_and_builds_no_function(row_reads,
                                                                      function_builds,
                                                                      ring, rows):
-    """The nine functions on the plan of a are nine rows of one apply, f's
-    row among them serving spectral mapping, isometry and the oracle's
-    slope; g on the plan of f(a), f(0 - x) on the plan of -a (not over
-    R>=0) and f at the oracle's nodes are one row each.  The derived
-    functions are bare evals, so the trial constructs no ScalarFunction."""
+    """The nine rows on the plan of a, seven of them built from f's and g's
+    values, are read once each and rebuilt together, f's row among them
+    serving spectral mapping, isometry and the oracle's slope; g on the
+    plan of f(a), f(0 - x) on the plan of -a (not over R>=0) and f at the
+    oracle's nodes are one row each.  The trial constructs no
+    ScalarFunction."""
     gen = rng_from_seed(33)
     a = random_with_spectrum(gen, np.arange(6) * 0.25 + (0.5j if ring is ScalarRing.COMPLEX else 0))
     if ring is not ScalarRing.COMPLEX:
@@ -710,8 +742,8 @@ def test_interpolate_equals_the_general_newton_path_bit_for_bit(spectrum, s):
 
 
 SPOILED = 1.0 + 1e-6
-# the positions of the values check_laws rebuilds in its one _apply_all
-_APPLY_ALL_ROW = {"star": 4, "id": 5, "congruence": 7}
+# the positions of the values check_laws rebuilds in its one _rebuild
+_REBUILT_ROW = {"mul": 3, "star": 4, "id": 5, "congruence": 7}
 
 
 @pytest.mark.parametrize("ring", [ScalarRing.COMPLEX, ScalarRing.REAL])
@@ -727,14 +759,14 @@ def test_a_value_spoiled_by_a_millionth_fails_its_law_at_scale_1e150(monkeypatch
         out.value = out.value * SPOILED
         return out
 
-    if law in _APPLY_ALL_ROW:
-        apply_all = cfc_mod.SpectralPlan._apply_all
+    if law in _REBUILT_ROW:
+        rebuild = cfc_mod.SpectralPlan._rebuild
 
-        def spoiled_apply_all(self, pairs):
-            outs, rows = apply_all(self, pairs)
-            spoil(outs[_APPLY_ALL_ROW[law]])
-            return outs, rows
-        monkeypatch.setattr(cfc_mod.SpectralPlan, "_apply_all", spoiled_apply_all)
+        def spoiled_rebuild(self, rows):
+            outs = rebuild(self, rows)
+            spoil(outs[_REBUILT_ROW[law]])
+            return outs
+        monkeypatch.setattr(cfc_mod.SpectralPlan, "_rebuild", spoiled_rebuild)
     elif law == "negation":
         apply = cfc_mod.SpectralPlan._apply
 
@@ -792,20 +824,19 @@ def test_congruence_reads_f_where_the_vanishing_polynomial_overflows(s):
 @pytest.mark.parametrize("lam", [[1.0, 2.0], [-1.0, 0.5, 2.0], [0.5, 1.0, 1.5, 3.0]],
                          ids=lambda lam: f"n{len(lam)}")
 def test_congruence_fails_where_every_function_is_read_off_the_spectrum(monkeypatch, ring, lam):
-    """Negative control of the vanishing polynomial's product: with every
-    row of the trial's apply_all read at the plan's values moved by
-    1e-6 ||a||, no argument is an exact root, so f + vanish differs from f
+    """Negative control of the vanishing polynomial's product: with its
+    roots moved off the plan's values by 1e-6 ||a||, no eigenvalue at
+    which the trial reads f + vanish is an exact root, so it differs from f
     by the product, about 1e-6 ||a|| times the distances to the other
     eigenvalues, and congruence FAILs far beyond its tolerance."""
-    cfc_mod = importlib.import_module("cfckit.cfc")
-    eval_row = cfc_mod._eval_row
+    oracle = importlib.import_module("cfckit.oracle")
+    vanishing = oracle._vanishing
     a = random_with_spectrum(rng_from_seed(11), np.asarray(lam) * (1.0 + 0.5j))
     if ring is ScalarRing.REAL:
         a = random_with_spectrum(rng_from_seed(11), lam)
         a = (a + adjoint(a)) / 2
     shift = 1e-6 * fro_norm(a)
-    monkeypatch.setattr(cfc_mod, "_eval_row",
-                        lambda feval, ring, xs, tol: eval_row(feval, ring, [x + shift for x in xs], tol))
+    monkeypatch.setattr(oracle, "_vanishing", lambda xs: vanishing([x + shift for x in xs]))
     entry = _law(check_laws(a, builtin_function("exp", ring), identity_function(ring), ring),
                  "congruence")
     assert not entry.skipped and not entry.passed, entry
@@ -843,14 +874,14 @@ def test_laws_on_subnormal_values_pass_right_ones_and_fail_wrong_ones(monkeypatc
     for e in report.entries:
         assert not e.skipped or (s == 1e-320 and e.note.startswith("f(a) is junk")), e
 
-    apply_all = cfc_mod.SpectralPlan._apply_all
+    rebuild = cfc_mod.SpectralPlan._rebuild
 
     def spoiled(spoil):
-        def spoiled_apply_all(self, pairs):
-            outs, rows = apply_all(self, pairs)
+        def spoiled_rebuild(self, rows):
+            outs = rebuild(self, rows)
             outs[0].value = spoil(outs[0].value)  # f's value on the plan of a
-            return outs, rows
-        monkeypatch.setattr(cfc_mod.SpectralPlan, "_apply_all", spoiled_apply_all)
+            return outs
+        monkeypatch.setattr(cfc_mod.SpectralPlan, "_rebuild", spoiled_rebuild)
         return check_laws(a, f, f, ring)
 
     report = spoiled(lambda v: 2.0 * v)
@@ -862,6 +893,43 @@ def test_laws_on_subnormal_values_pass_right_ones_and_fail_wrong_ones(monkeypatc
         z -= _elemental_chain(plan(a, ring).a, unital=True).project(z)
         entry = _law(spoiled(lambda v: v + z * (0.5 * fro_norm(v) / fro_norm(z))), "range")
         assert not entry.skipped and not entry.passed, entry
+
+
+@pytest.mark.parametrize("ring", list(ScalarRing))
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_mul_passes_a_product_of_subnormal_and_large_values(ring, n):
+    """f = 1e-320 x and g = 1e10 x: f(a) lies on the subnormal grid, off by
+    up to R spacings 2^-1074, and f(a) g(a) carries that times ||g(a)||,
+    far above tol ||f(a)|| ||g(a)|| (3.7e-313 against 5.8e-319 at n = 5
+    over C).  The mul law's floor counts it, as _subnormal_floors says."""
+    a = random_normal_matrix(rng_from_seed(5), n, ring)
+    f = ScalarFunction(lambda x: 1e-320 * x, ring, "1e-320 x")
+    g = ScalarFunction(lambda x: 1e10 * x, ring, "1e10 x")
+    entry = _law(check_laws(a, f, g, ring), "mul")
+    assert entry.passed and not entry.skipped, entry
+
+
+@pytest.mark.parametrize("ring", list(ScalarRing))
+@pytest.mark.parametrize("s", [1e-320, 1.0])
+def test_mul_fails_a_doubled_product_below_and_at_unit_scale(monkeypatch, ring, s):
+    """Negative control of the mul law's floor: a value of f g twice the
+    true one FAILs at f = 1e-320 x, where the floor is the whole
+    tolerance, as at unit scale."""
+    cfc_mod = importlib.import_module("cfckit.cfc")
+    rebuild = cfc_mod.SpectralPlan._rebuild
+
+    def spoiled_rebuild(self, rows):
+        outs = rebuild(self, rows)
+        if len(outs) > _REBUILT_ROW["mul"]:  # the plan of a
+            outs[_REBUILT_ROW["mul"]].value = 2.0 * outs[_REBUILT_ROW["mul"]].value
+        return outs
+    monkeypatch.setattr(cfc_mod.SpectralPlan, "_rebuild", spoiled_rebuild)
+    a = random_normal_matrix(rng_from_seed(5), 5, ring)
+    f = ScalarFunction(lambda x: s * x, ring, "s x")
+    g = ScalarFunction(lambda x: 1e10 * x, ring, "1e10 x")
+    entry = _law(check_laws(a, f, g, ring), "mul")
+    assert not entry.skipped and not entry.passed, entry
+    assert entry.residual > 10 * entry.tolerance
 
 
 @settings(max_examples=40, deadline=None)

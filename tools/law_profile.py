@@ -11,10 +11,12 @@ the helpers check_laws calls wherever a module binds them, and runs every op
 of each seed --repeats times.  A column is a helper's inclusive time per
 trial in microseconds, the median over the group's trials: `trial` is the
 whole check_laws call, `plan` every plan (a, f(a) and the negation law's
--a), `apply_all` the one stacked application on the plan of a
-(SpectralPlan._apply_all, which the public apply_all wraps), `eval_row`
-every read of f or g by the calculus's rule (inside _apply, _apply_all and
-the oracle too), `chain` the range law's C*(a) basis, `interpolate` the oracle,
+-a), `rebuild` the one stacked reconstruction of the rows on the plan of a
+(SpectralPlan._rebuild, which the public apply_all shares), `eval_row`
+every row read by the calculus's rule (inside _apply, apply_all, the
+oracle and the laws' rows on the plan of a too, but not the trial's first
+reads of f and g there, whose values those rows are built from), `chain`
+the range law's C*(a) basis, `interpolate` the oracle,
 `opnorm` the isometry law's operator norm and `cluster` the oracle's
 clustering of the spectrum.  What the columns leave over is the laws'
 own arithmetic.  `ops` counts the group's ops over all seeds.  The script
@@ -43,7 +45,7 @@ HELPERS = (
     ("opnorm", "operator_norm", ("cfckit.matrix_core", "cfckit.oracle")),
     ("cluster", "cluster_with_labels", ("cfckit.eigen", "cfckit.cfc")),
 )
-COLUMNS = ("trial", "plan", "apply_all") + tuple(c for c, _, _ in HELPERS[1:])
+COLUMNS = ("trial", "plan", "rebuild") + tuple(c for c, _, _ in HELPERS[1:])
 
 
 def _timed(spent, column, fn):
@@ -91,7 +93,7 @@ def main(argv=None) -> int:
         if not bound:
             sys.exit(f"error: {name} is bound in none of {modules}")
     plan_cls = importlib.import_module("cfckit.cfc").SpectralPlan
-    plan_cls._apply_all = _timed(spent, "apply_all", plan_cls._apply_all)
+    plan_cls._rebuild = _timed(spent, "rebuild", plan_cls._rebuild)
     # the trial's first plan is the plan of a, whose points the oracle law
     # clusters; k is read off them after the trial
     plans = []
