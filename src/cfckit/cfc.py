@@ -29,7 +29,7 @@ from .matrix_core import (
     fro_norm,
     zeros,
 )
-from .scalars import DEFAULT_TOL, ScalarRing, restrict_scalar
+from .scalars import COMPLEX, DEFAULT_TOL, NNREAL, REAL, ScalarRing, restrict_scalar
 
 
 # Over C, an imaginary part at most this times ||a||_F is rounding of an
@@ -78,7 +78,7 @@ def _eval_row(values, n: int, ring: ScalarRing, tol: float) -> Optional[list]:
     Python float already in the real ring is kept as it is; any other value
     is complex(value), which restriction to C leaves alone and which
     restrict_scalar takes to a real ring within tol."""
-    over_c, over_r = ring is ScalarRing.COMPLEX, ring is ScalarRing.REAL
+    over_c, over_r = ring is COMPLEX, ring is REAL
     isfinite, cisfinite = math.isfinite, cmath.isfinite
     row = []
     append = row.append
@@ -162,7 +162,7 @@ class SpectralPlan:
             raise self.error
         if self._clusters is None:
             points, multiplicities = cluster_with_labels(self.values, self.cluster_tol)
-            points = points.tolist() if self.ring is ScalarRing.COMPLEX else points.real.tolist()
+            points = points.tolist() if self.ring is COMPLEX else points.real.tolist()
             self._clusters = (tuple(points), multiplicities)
         return self._clusters[0]
 
@@ -254,9 +254,9 @@ def plan(a, ring: ScalarRing = ScalarRing.COMPLEX, tol: float = DEFAULT_TOL) -> 
     except (PredicateFailure, NoConvergence) as exc:
         return SpectralPlan(a, ring, tol, scale, c, error=exc)
     values = lam.tolist()
-    if ring is ScalarRing.NNREAL and values[0] < 0.0:  # ascending: else no value moves
+    if ring is NNREAL and values[0] < 0.0:  # ascending: else no value moves
         values = [max(x, 0.0) for x in values]
-    elif ring is ScalarRing.COMPLEX:  # +0.0: a negative real eigenvalue has arg pi
+    elif ring is COMPLEX:  # +0.0: a negative real eigenvalue has arg pi
         cut = REAL_SNAP_REL * scale * c
         values = [complex(z.real) if abs(z.imag) <= cut else z for z in values]
     return SpectralPlan(a, ring, tol, scale, c, u, lam, report, tuple(values))
@@ -292,7 +292,7 @@ def cfc_n(
         B.require(a, tol)
     p = plan(a, ring, tol)
     if p.reason != "predicate_failed":
-        f0 = _eval_row(map(f.eval, (0j if ring is ScalarRing.COMPLEX else 0.0,)), 1, f.ring, tol)
+        f0 = _eval_row(map(f.eval, (0j if ring is COMPLEX else 0.0,)), 1, f.ring, tol)
         if f0 is None or abs(f0[0]) > tol:
             return _junk(p.a.shape[0], "eval_failed" if f0 is None else "zero_condition_failed")
     cut, feval = p.cluster_tol, f.eval
@@ -302,24 +302,16 @@ def cfc_n(
     return out
 
 
-_POS = ScalarFunction(lambda x: max(x, 0.0), ScalarRing.REAL, "pos")
-_NEG = ScalarFunction(lambda x: max(-x, 0.0), ScalarRing.REAL, "neg")
+_POS = ScalarFunction(lambda x: max(x, 0.0), REAL, "pos")
+_NEG = ScalarFunction(lambda x: max(-x, 0.0), REAL, "neg")
 
 
 def pos_part(a, tol: float = DEFAULT_TOL) -> CfcOutcome:
-    return cfc_n(_POS, a, None, ScalarRing.REAL, tol)
+    return cfc_n(_POS, a, None, REAL, tol)
 
 
 def neg_part(a, tol: float = DEFAULT_TOL) -> CfcOutcome:
-    return cfc_n(_NEG, a, None, ScalarRing.REAL, tol)
-
-
-def identity_function(ring: ScalarRing = ScalarRing.COMPLEX) -> ScalarFunction:
-    return ScalarFunction(lambda x: x, ring, "id")
-
-
-def constant_function(c, ring: ScalarRing = ScalarRing.COMPLEX) -> ScalarFunction:
-    return ScalarFunction(lambda x: c, ring, f"const {c}")
+    return cfc_n(_NEG, a, None, REAL, tol)
 
 
 _BUILTIN_NAMES = ("sqrt", "abs", "exp", "log", "inv", "pow", "rpow", "id")
@@ -330,7 +322,7 @@ def builtin_function(name: str, ring: ScalarRing = ScalarRing.COMPLEX,
                      k: int | None = None, t: float | None = None) -> ScalarFunction:
     """Named scalar functions shared by the library and the CLI, built once
     per name, ring and parameters while they fit the bounded cache."""
-    real = ring is not ScalarRing.COMPLEX
+    real = ring is not COMPLEX
     if name == "id":
         fn = lambda x: x
     elif name == "sqrt":

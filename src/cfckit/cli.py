@@ -150,6 +150,9 @@ def _run_quasispectrum(args) -> int:
 
 
 def _run_check_laws(args) -> int:
+    for flag, value, least in ("--trials", args.trials, 1), ("--seed", args.seed, 0):
+        if value < least:
+            raise ValueError(f"{flag} must be >= {least}, got {value}")
     ring = _ring(args)
     tol = args.tol
     rng = rng_from_seed(args.seed)
@@ -157,7 +160,7 @@ def _run_check_laws(args) -> int:
     trials = []
     failures = 0
     tables = []
-    for i in range(max(args.trials, 1)):
+    for i in range(args.trials):
         a = fixed if fixed is not None else random_normal_matrix(
             rng, int(rng.integers(1, 7)), ring)
         f = random_poly_function(rng, ring)

@@ -26,7 +26,7 @@ from .matrix_core import (
     as_matrix,
     fro_norm,
 )
-from .scalars import DEFAULT_TOL, ScalarRing
+from .scalars import COMPLEX, DEFAULT_TOL, NNREAL, REAL, ScalarRing
 
 # Clusters are cut at this fraction of ||a||_F, the one cluster scale.
 DEFAULT_CLUSTER_REL = 1e-8
@@ -123,11 +123,11 @@ def _decompose(a, ring, tol, scale):
     one eigensolve, a u and the commutator, and is rejected with that beta.
     Eigenvalues come back sorted by (re, im)."""
     ah = a.conj().T
-    if ring is not ScalarRing.COMPLEX:
+    if ring is not COMPLEX:
         report = _predicate_report(a, ah, tol, scale)
         if not report.holds:
             raise NotSelfadjoint(report)
-    if ring is not ScalarRing.COMPLEX and report.residual == 0.0 and a.dtype.kind == "f":
+    if ring is not COMPLEX and report.residual == 0.0 and a.dtype.kind == "f":
         s = a + 0.0
     else:
         s = a + ah
@@ -137,8 +137,8 @@ def _decompose(a, ring, tol, scale):
     del ah  # the peak holds a, h and the eigensolve's output, no more
     wh, u = _eigh(s)
     del s
-    if ring is not ScalarRing.COMPLEX:
-        if ring is ScalarRing.NNREAL:
+    if ring is not COMPLEX:
+        if ring is NNREAL:
             residual = report.residual
             if wh[0] < 0:
                 negative = fro_norm(wh[wh < 0]) / max(scale, EPS_FLOOR)
@@ -232,7 +232,7 @@ def predicate_for_ring(a, ring: ScalarRing, tol: float = DEFAULT_TOL) -> Predica
     eigensolve fails.  Over R that report is the plan's first step, the
     selfadjoint residual, and no eigensolve runs."""
     a, scale, _ = _rescaled(as_matrix(a))
-    if ring is ScalarRing.REAL:
+    if ring is REAL:
         return _predicate_report(a, a.conj().T, tol, scale)
     try:
         return _decompose(a, ring, tol, scale)[2]
@@ -244,18 +244,18 @@ def is_star_normal(a, tol: float = DEFAULT_TOL) -> PredicateReport:
     """Is a normal?  The plan's report over C: its backward error beta =
     ||a u - u diag(lam)||_F / ||a||_F against tol, which a commutator
     residual within tol does not bound (_decompose)."""
-    return predicate_for_ring(a, ScalarRing.COMPLEX, tol)
+    return predicate_for_ring(a, COMPLEX, tol)
 
 
 def is_selfadjoint(a, tol: float = DEFAULT_TOL) -> PredicateReport:
     """Is a = a*?  Residual ||a - a*||_F / ||a||_F."""
-    return predicate_for_ring(a, ScalarRing.REAL, tol)
+    return predicate_for_ring(a, REAL, tol)
 
 
 def is_nonneg(a, tol: float = DEFAULT_TOL) -> PredicateReport:
     """Selfadjoint with spectrum in [0, inf); equivalent to a = b* b in M_n.
     The plan's report over R>=0: selfadjoint where that fails, else nonneg."""
-    return predicate_for_ring(a, ScalarRing.NNREAL, tol)
+    return predicate_for_ring(a, NNREAL, tol)
 
 
 def elemental_subalgebra(a, unital: bool = True, tol: float = DEFAULT_TOL) -> StarSubalgebra:

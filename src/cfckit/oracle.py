@@ -28,7 +28,7 @@ from .matrix_core import (
     identity,
     operator_norm,
 )
-from .scalars import DEFAULT_TOL, ScalarRing
+from .scalars import COMPLEX, DEFAULT_TOL, NNREAL, ScalarRing
 
 # Interpolation is skipped when two nodes are closer than this, relative to
 # the spectrum's diameter: divided differences over such gaps would test
@@ -280,7 +280,7 @@ def check_laws(
     pa = plan(a, ring, tol)
     a, xs = pa.a, pa.values
     n = a.shape[0]
-    c = 2.0 if ring is not ScalarRing.COMPLEX else 2.0 + 0.5j
+    c = 2.0 if ring is not COMPLEX else 2.0 + 0.5j
 
     try:
         fx, gx = [f.eval(x) for x in xs], [g.eval(x) for x in xs]
@@ -289,7 +289,7 @@ def check_laws(
     rows = [None, None] if fx is None else [
         _eval_row(fx, n, fring, tol), _eval_row(gx, n, gring, tol)]
     if None not in rows:  # the laws' rows; none is read where f or g fails
-        conj = map(complex.conjugate, map(complex, fx)) if fring is ScalarRing.COMPLEX else fx
+        conj = map(complex.conjugate, map(complex, fx)) if fring is COMPLEX else fx
         rows += [_eval_row(values, n, vring, tol) for values, vring in (
             (map(operator.add, fx, gx), fring), (map(operator.mul, fx, gx), fring),
             (conj, fring), (xs, ring), ([c] * n, ring),
@@ -361,7 +361,7 @@ def check_laws(
             r = fro_norm(out_comp_direct.value - out_comp_staged.value)
             entries.append(_within("composition", r, scale_comp, tol))
 
-    if ring is ScalarRing.NNREAL:
+    if ring is NNREAL:
         # -a leaves the ring, so negation transport has no NNReal instance
         entries.append(_skipped("negation", "not applicable over nnreal"))
     else:

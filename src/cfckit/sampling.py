@@ -11,7 +11,7 @@ import numpy as np
 
 from .cfc import ScalarFunction
 from .matrix_core import adjoint
-from .scalars import ScalarRing
+from .scalars import COMPLEX, NNREAL, REAL, ScalarRing
 
 # Grid of admissible eigenvalue real parts in [-1, 1]; spacing 0.25 keeps
 # every spectrum far from the oracle's gap guard and clustering tolerance.
@@ -39,13 +39,13 @@ def spaced_eigenvalues(rng: np.random.Generator, n: int, ring: ScalarRing,
     """
     k = int(rng.integers(1, n + 1))
     grid = _GRID
-    if ring is ScalarRing.NNREAL:
+    if ring is NNREAL:
         grid = grid[grid >= 0.25] if nonzero else grid[grid >= 0.0]
     elif nonzero:
         grid = grid[np.abs(grid) >= 0.25]
     k = min(k, len(grid))
     reals = rng.choice(grid, size=k, replace=False)
-    if ring is ScalarRing.COMPLEX:
+    if ring is COMPLEX:
         imags = rng.choice(_GRID, size=k, replace=True)
         base = reals + 1j * imags
     else:
@@ -64,7 +64,7 @@ def random_normal_matrix(rng: np.random.Generator, n: int,
                          ring: ScalarRing = ScalarRing.COMPLEX,
                          nonzero: bool = False) -> np.ndarray:
     a = random_with_spectrum(rng, spaced_eigenvalues(rng, n, ring, nonzero=nonzero))
-    if ring is not ScalarRing.COMPLEX:
+    if ring is not COMPLEX:
         a = (a + adjoint(a)) / 2
     return a
 
@@ -72,9 +72,9 @@ def random_normal_matrix(rng: np.random.Generator, n: int,
 def random_poly_function(rng: np.random.Generator, ring: ScalarRing) -> ScalarFunction:
     """Random cubic respecting the ring discipline (real coefficients on R,
     nonnegative coefficients on R>=0 so values stay in the semiring)."""
-    if ring is ScalarRing.COMPLEX:
+    if ring is COMPLEX:
         coeffs = rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)
-    elif ring is ScalarRing.REAL:
+    elif ring is REAL:
         coeffs = rng.uniform(-1, 1, 4).astype(np.complex128)
     else:
         coeffs = rng.uniform(0, 1, 4).astype(np.complex128)
@@ -84,7 +84,7 @@ def random_poly_function(rng: np.random.Generator, ring: ScalarRing) -> ScalarFu
         acc = 0j
         for c in reversed(coeffs):
             acc = acc * x + c
-        if ring is ScalarRing.COMPLEX:
+        if ring is COMPLEX:
             return acc
         return acc.real
 

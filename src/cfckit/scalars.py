@@ -29,6 +29,7 @@ class ScalarRing(enum.Enum):
     COMPLEX = "complex"
     REAL = "real"
     NNREAL = "nnreal"
+    __hash__ = object.__hash__  # singletons, equal by identity: no Python-level Enum.__hash__
 
     @classmethod
     def from_string(cls, name: str) -> "ScalarRing":
@@ -38,6 +39,10 @@ class ScalarRing(enum.Enum):
             raise ValueError(
                 f"unknown scalar ring {name!r} (expected one of: complex, real, nnreal)"
             ) from None
+
+
+# For ring tests in function bodies: 3.11 reads ScalarRing.REAL through EnumType.__getattr__.
+COMPLEX, REAL, NNREAL = ScalarRing
 
 
 class RestrictionFailure(ValueError):
@@ -59,7 +64,7 @@ def embed(x, target: ScalarRing):
     R>=0 embeds into R and C, R embeds into C; on overlaps this is the
     identity. The embedding is an isometric ring homomorphism.
     """
-    if target is ScalarRing.COMPLEX:
+    if target is COMPLEX:
         return complex(x)
     return float(x)
 
@@ -75,17 +80,17 @@ def restrict_scalar(z, target: ScalarRing, tol: float = DEFAULT_TOL):
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     if type(z) is complex and z.imag == 0.0 and (
-            target is ScalarRing.REAL or target is ScalarRing.NNREAL and z.real >= 0.0):
+            target is REAL or target is NNREAL and z.real >= 0.0):
         return z.real
     z = complex(z)
-    if target is ScalarRing.COMPLEX:
+    if target is COMPLEX:
         return z
     residual = abs(z.imag)
-    if target is ScalarRing.NNREAL:
+    if target is NNREAL:
         residual = max(residual, -z.real if z.real < 0 else 0.0)
     if residual > tol:
         raise RestrictionFailure(z, target, residual)
-    if target is ScalarRing.NNREAL:
+    if target is NNREAL:
         return max(z.real, 0.0)
     return z.real
 

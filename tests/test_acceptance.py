@@ -15,7 +15,6 @@ from cfckit.cfc import (
     cfc,
     cfc_builtin,
     cfc_n,
-    identity_function,
     neg_part,
     pos_part,
 )
@@ -79,7 +78,7 @@ def test_criterion_01_law_suite_500_trials():
                  a, ring).value
         c = 2.0 if ring is not ScalarRing.COMPLEX else 2.0 - 0.5j
         cm = cfc(ScalarFunction(lambda x: c, ring), a, ring).value
-        ident = cfc(identity_function(ring), a, ring).value
+        ident = cfc(ScalarFunction(lambda x: x, ring), a, ring).value
         worst = max(
             worst,
             fro_norm(s - (fa + ga)) / scale,

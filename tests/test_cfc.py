@@ -18,8 +18,6 @@ from cfckit.cfc import (
     cfc,
     cfc_builtin,
     cfc_n,
-    constant_function,
-    identity_function,
     loewner_le,
     neg_part,
     plan,
@@ -54,7 +52,7 @@ def test_cfc_identity_fixes_the_element():
     gen = rng_from_seed(1)
     for ring in ScalarRing:
         a = random_normal_matrix(gen, 5, ring)
-        out = cfc(identity_function(ring), a, ring)
+        out = cfc(ScalarFunction(lambda x: x, ring), a, ring)
         assert not out.junk
         assert fro_norm(out.value - a) <= 1e-9 * max(1.0, fro_norm(a))
 
@@ -115,14 +113,14 @@ def test_an_exception_at_the_second_eigenvalue_fails_the_whole_row(exc):
 
 def test_cfc_ring_violation_is_junk():
     # real-ring calculus on a normal-but-not-selfadjoint element
-    out = cfc(identity_function(ScalarRing.REAL), np.diag([1j, 2.0]), ScalarRing.REAL)
+    out = cfc(ScalarFunction(lambda x: x, ScalarRing.REAL), np.diag([1j, 2.0]), ScalarRing.REAL)
     assert out.junk and out.reason == "predicate_failed"
 
 
 def test_cfc_n_identity_and_zero_condition():
     gen = rng_from_seed(2)
     a = random_normal_matrix(gen, 4, ScalarRing.COMPLEX)
-    out = cfc_n(identity_function(), a)
+    out = cfc_n(ScalarFunction(lambda x: x), a)
     assert not out.junk
     assert fro_norm(out.value - a) <= 1e-9 * max(1.0, fro_norm(a))
 
@@ -137,7 +135,7 @@ def test_cfc_n_zero_rule_is_relative_to_the_norm():
     keeps its small eigenvalues, in cfc_n as in its quasispectrum."""
     for s in (1.0, 1e-10, 1e-150):
         a = s * np.diag([1.0, 2.0, 0.0])
-        out = cfc_n(identity_function(), a)
+        out = cfc_n(ScalarFunction(lambda x: x), a)
         assert not out.junk
         assert fro_norm(out.value - a) <= 1e-12 * fro_norm(a)
         quasi = quasispectrum_intrinsic(elemental_subalgebra(a, unital=False), a)
@@ -145,7 +143,7 @@ def test_cfc_n_zero_rule_is_relative_to_the_norm():
         assert quasi.multiplicities == (1, 1, 1)
     # two clusters within cluster_tol of 0 but not of each other: both are 0
     a = np.diag([1.0, 9e-9, -9e-9])
-    assert np.array_equal(cfc_n(identity_function(), a).value, np.diag([1.0, 0.0, 0.0]))
+    assert np.array_equal(cfc_n(ScalarFunction(lambda x: x), a).value, np.diag([1.0, 0.0, 0.0]))
     quasi = quasispectrum_intrinsic(elemental_subalgebra(a, unital=False), a)
     assert quasi.points == (0.0, 1.0) and quasi.multiplicities == (2, 1)
 
@@ -161,7 +159,7 @@ def test_cfc_n_range_containment():
 def test_cfc_n_membership_is_a_genuine_error():
     B = elemental_subalgebra(E11, unital=False)
     with pytest.raises(NotInSubalgebra):
-        cfc_n(identity_function(), np.eye(2), B)
+        cfc_n(ScalarFunction(lambda x: x), np.eye(2), B)
 
 
 def test_cfc_n_matches_cfc_when_f_vanishes_at_zero():
@@ -275,7 +273,7 @@ def test_star_and_negation_transport():
 def test_constant_function_gives_scalar_matrix():
     gen = rng_from_seed(8)
     a = random_normal_matrix(gen, 4, ScalarRing.COMPLEX)
-    out = cfc(constant_function(2 - 1j), a)
+    out = cfc(ScalarFunction(lambda x: 2 - 1j), a)
     assert np.allclose(out.value, (2 - 1j) * np.eye(4))
 
 
@@ -368,7 +366,7 @@ def test_junk_totality_fuzz():
     gen = rng_from_seed(15)
     cases = [
         (builtin_function("exp"), NILPOTENT, ScalarRing.COMPLEX),
-        (identity_function(ScalarRing.REAL), np.diag([1j, 0]), ScalarRing.REAL),
+        (ScalarFunction(lambda x: x, ScalarRing.REAL), np.diag([1j, 0]), ScalarRing.REAL),
         (builtin_function("sqrt", ScalarRing.NNREAL), np.diag([-1.0, 1.0]),
          ScalarRing.NNREAL),
         (ScalarFunction(lambda x: 1.0 / (x - 1.0), ScalarRing.REAL),
@@ -830,7 +828,7 @@ def test_eigensolver_failure_is_junk(monkeypatch):
     a = np.array([[2.0, 1.0], [1.0, 2.0]])
     for ring in ScalarRing:
         for out in (cfc_builtin("exp", a, ring),
-                    cfc_n(identity_function(ring), a, None, ring)):
+                    cfc_n(ScalarFunction(lambda x: x, ring), a, None, ring)):
             assert out.junk and out.reason == "decomposition_failed"
             assert np.all(out.value == 0)
         # a failed f(0) = 0 condition takes precedence over a failed decomposition
@@ -842,7 +840,7 @@ def test_cfc_evaluates_each_eigenvalue_without_clustering(clusterings):
     a = random_with_spectrum(rng_from_seed(12), [0.0, 0.5, 0.5, 1.0])
     for ring in ScalarRing:
         assert not cfc(builtin_function("exp", ring), a, ring).junk
-        assert not cfc_n(identity_function(ring), a, None, ring).junk
+        assert not cfc_n(ScalarFunction(lambda x: x, ring), a, None, ring).junk
         assert not cfc_builtin("sqrt", a, ring).junk
     assert clusterings[0] == 0
 
@@ -964,7 +962,7 @@ def test_one_plan_applies_like_separate_cfc_calls(seed, n, kind, ring, broken_ei
     assert (p.reason is not None) == junk_plan
     if kind == "near_degenerate" and not junk_plan:
         # each eigenvalue keeps its own value, even inside a cluster
-        out = p.apply(identity_function(ring))
+        out = p.apply(ScalarFunction(lambda x: x, ring))
         assert fro_norm(out.value - p.a) <= 1e-12 * fro_norm(p.a)
 
 
@@ -1024,7 +1022,7 @@ def test_apply_all_of_every_function_matches_apply_bit_for_bit(n, ring, kind):
     p = plan(_apply_all_input(kind, ring, gen, n), ring)
     assert p.error is None
     fs = _APPLY_ALL_FUNCTIONS + (builtin_function("exp", ring), random_poly_function(gen, ring),
-                                 identity_function(ring), builtin_function("inv", ring))
+                                 ScalarFunction(lambda x: x, ring), builtin_function("inv", ring))
     got, want = p.apply_all(fs), [p.apply(f) for f in fs]
     for x, y in zip(got, want, strict=True):
         assert (x.junk, x.reason, x.value.dtype, x.value.tobytes()) == \
@@ -1038,7 +1036,7 @@ def test_near_degenerate_chain_at_n_64_reconstructs_a():
     gen = rng_from_seed(572)
     a = _plan_input("near_degenerate", ScalarRing.COMPLEX, gen, 64)
     p = plan(a)
-    out = p.apply(identity_function())
+    out = p.apply(ScalarFunction(lambda x: x))
     assert fro_norm(out.value - p.a) <= 1e-12 * fro_norm(p.a)
 
 
@@ -1233,7 +1231,7 @@ def test_the_cluster_scale_stays_finite_where_the_norm_overflows():
     p = plan(a)
     assert p.cluster_tol == pytest.approx(2e300)
     assert spectrum(a).multiplicities == (1, 1, 1, 1)
-    out = cfc_n(identity_function(), a)
+    out = cfc_n(ScalarFunction(lambda x: x), a)
     assert not out.junk and np.max(np.abs(out.value - a)) <= 1e-14 * 1e308
 
 
@@ -1255,7 +1253,7 @@ NON_FINITE = [math.nan, math.inf, -math.inf, complex(math.inf, 0.0), complex(0.0
 def _entry_points(a):
     """Every public way into a plan, over every ring where it takes one."""
     exp = builtin_function("exp")
-    calls = [lambda: cfc(exp, a), lambda: cfc_n(identity_function(), a),
+    calls = [lambda: cfc(exp, a), lambda: cfc_n(ScalarFunction(lambda x: x), a),
              lambda: pos_part(a)]
     for ring in ScalarRing:
         calls += [lambda ring=ring: plan(a, ring), lambda ring=ring: cfc_builtin("exp", a, ring),

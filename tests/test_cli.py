@@ -227,6 +227,20 @@ def test_check_laws_failure_exits_two(tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--trials", "0"], "--trials must be >= 1, got 0"),
+    (["--trials", "-4"], "--trials must be >= 1, got -4"),
+    (["--seed", "-1"], "--seed must be >= 0, got -1"),
+], ids=["trials-0", "trials-negative", "seed-negative"])
+def test_check_laws_rejects_a_count_or_seed_out_of_range(matrix_file, capsys, flags, message):
+    """--trials 0 or -4 used to run one trial and report "trials": 1, and
+    --seed -1 failed with numpy's "expected non-negative integer", which
+    does not name the flag."""
+    assert cfckit.cli.main(["check-laws", "--matrix", matrix_file, *flags]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
 def test_check_laws_accepts_what_its_plan_accepts(tmp_path):
     """a = h + k, k = -k^T of 4.5e-10: the selfadjoint residual 9.0e-10
     passes at tol 1e-9 and the commutator residual 1.27e-9 does not, so a

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfckit.cfc import ScalarFunction, builtin_function, cfc, identity_function, plan
+from cfckit.cfc import ScalarFunction, builtin_function, cfc, plan
 from cfckit.eigen import _commutator_residual, elemental_subalgebra, is_nonneg, is_star_normal
 from cfckit.matrix_core import (
     NotNormal, _elemental_chain, _rescaled, adjoint, as_matrix, fro_norm, identity, zeros,
@@ -96,7 +96,7 @@ def test_cfc_oracle_examples():
 
     gen = rng_from_seed(3)
     a = random_normal_matrix(gen, 4, ScalarRing.COMPLEX)
-    assert np.allclose(cfc_oracle(identity_function(), a), a)
+    assert np.allclose(cfc_oracle(ScalarFunction(lambda x: x), a), a)
     const = ScalarFunction(lambda x: 2 - 1j, ScalarRing.COMPLEX)
     assert np.allclose(cfc_oracle(const, a), (2 - 1j) * np.eye(4))
 
@@ -132,7 +132,7 @@ def test_oracle_gap_guard():
     # guard, 1e-6 of the diameter
     a = random_with_spectrum(rng_from_seed(6), [0.0, 1e-7, 1.0])
     with pytest.raises(OracleSkipped):
-        cfc_oracle(identity_function(), a)
+        cfc_oracle(ScalarFunction(lambda x: x), a)
     with pytest.raises(OracleSkipped):
         cfc_oracle(ScalarFunction(fails), a)
 
@@ -796,7 +796,7 @@ def test_isometry_fails_a_doubled_operator_norm_at_any_scale(monkeypatch, ring, 
     1.1e-150 against 1e-9 at s = 1e-150), and the true one passes."""
     oracle = importlib.import_module("cfckit.oracle")
     a = s * random_normal_matrix(rng_from_seed(41), 6, ring)
-    f = identity_function(ring)
+    f = ScalarFunction(lambda x: x, ring)
     entry = _law(check_laws(a, f, f, ring), "isometry")
     assert entry.passed and not entry.skipped, entry
     norm = oracle.operator_norm
@@ -837,8 +837,8 @@ def test_congruence_fails_where_every_function_is_read_off_the_spectrum(monkeypa
         a = (a + adjoint(a)) / 2
     shift = 1e-6 * fro_norm(a)
     monkeypatch.setattr(oracle, "_vanishing", lambda xs: vanishing([x + shift for x in xs]))
-    entry = _law(check_laws(a, builtin_function("exp", ring), identity_function(ring), ring),
-                 "congruence")
+    ident = ScalarFunction(lambda x: x, ring)
+    entry = _law(check_laws(a, builtin_function("exp", ring), ident, ring), "congruence")
     assert not entry.skipped and not entry.passed, entry
     assert entry.residual > 10 * entry.tolerance
 
@@ -848,7 +848,8 @@ def test_a_law_whose_scale_overflows_is_skipped_with_its_note():
     tolerance: it is skipped with its note, and the trial raises nothing."""
     a = np.diag([1.5e308, 1.5e308])
     ring = ScalarRing.REAL
-    entry = _law(check_laws(a, identity_function(ring), identity_function(ring), ring), "id")
+    ident = ScalarFunction(lambda x: x, ring)
+    entry = _law(check_laws(a, ident, ident, ring), "id")
     assert entry.skipped and entry.note == "the scale of the id law overflows"
 
 

@@ -1,10 +1,19 @@
+import ast
+import copy
 import math
+import pickle
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cfckit
+from cfckit.cfc import builtin_function
 from cfckit.scalars import (
+    COMPLEX,
+    NNREAL,
+    REAL,
     RestrictionFailure,
     ScalarRing,
     embed,
@@ -112,3 +121,71 @@ def test_ring_tags_round_trip_strings():
         assert ScalarRing.from_string(ring.value) is ring
     with pytest.raises(ValueError):
         ScalarRing.from_string("rational")
+
+
+def test_the_module_names_are_the_members_and_not_exported():
+    assert (COMPLEX, REAL, NNREAL) == tuple(ScalarRing)
+    assert ScalarRing("real") is REAL and ScalarRing.from_string("NNReal") is NNREAL
+    assert not {"COMPLEX", "REAL", "NNREAL"} & set(cfckit.__all__)
+
+
+@pytest.mark.parametrize("ring", list(ScalarRing))
+def test_identity_hashing_keeps_what_a_caller_sees(ring):
+    """Members hash by identity, with no Python-level Enum.__hash__ call; a
+    cache or dict keyed by ring, pickling and copying behave as before."""
+    assert ScalarRing.__hash__ is object.__hash__
+    assert builtin_function("exp", ring) is builtin_function("exp", ring)
+    assert builtin_function("exp", ring).ring is ring
+    assert pickle.loads(pickle.dumps(ring)) is ring
+    assert copy.copy(ring) is ring and copy.deepcopy(ring) is ring
+    table = {r: r.value for r in ScalarRing}
+    assert table[ScalarRing(ring.value)] == ring.value and len(table) == 3
+    assert {ring, ScalarRing(ring.value), copy.deepcopy(ring)} == {ring}
+
+
+_MEMBERS = {ring.name for ring in ScalarRing}
+
+
+def _member_reads(source: str) -> list:
+    """(line, member) of each ScalarRing.COMPLEX, .REAL or .NNREAL read in a
+    function or lambda body of source, each of which pays Python 3.11's
+    EnumType.__getattr__ hook per call.  Argument defaults are read once,
+    where the def runs, and are exempt unless the def sits in a body."""
+    reads = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef):
+            body = node.body
+        elif isinstance(node, ast.Lambda):
+            body = [node.body]
+        else:
+            continue
+        for sub in (sub for stmt in body for sub in ast.walk(stmt)):
+            if (isinstance(sub, ast.Attribute) and sub.attr in _MEMBERS
+                    and isinstance(sub.value, ast.Name) and sub.value.id == "ScalarRing"):
+                reads.add((sub.lineno, sub.attr))
+    return sorted(reads)
+
+
+def test_the_member_read_finder_sees_bodies_and_skips_defaults():
+    source = (
+        "X = ScalarRing.REAL\n"
+        "def f(ring=ScalarRing.COMPLEX):\n"
+        "    def g(r=ScalarRing.NNREAL):\n"
+        "        return r\n"
+        "    return ring is ScalarRing.REAL\n"
+        "h = lambda r: r is ScalarRing.COMPLEX\n"
+        "class K:\n"
+        "    ring: object = ScalarRing.REAL\n"
+        "    def m(self):\n"
+        "        return ScalarRing.NNREAL\n"
+    )
+    assert _member_reads(source) == [(3, "NNREAL"), (5, "REAL"), (6, "COMPLEX"), (10, "NNREAL")]
+
+
+@pytest.mark.parametrize("path", sorted(Path(cfckit.__file__).resolve().parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_function_body_reads_a_ring_member_through_the_enum(path):
+    """Ring tests inside function bodies read scalars.COMPLEX, REAL and
+    NNREAL, plain module names, where ScalarRing.REAL goes through the
+    3.11 EnumType.__getattr__ hook on every call."""
+    assert _member_reads(path.read_text()) == []

@@ -1,12 +1,14 @@
-"""Print the per-stage cost, in µs, of three small real-ring calls of a
-checkout, so that a change to the small-matrix hot path can show where its
-saving lands:
+"""Print the per-stage cost, in µs, of four small calls of a checkout, so
+that a change to the small-matrix hot path can show where its saving lands:
 
     python3 tools/call_stages.py CHECKOUT --repeats 25 --number 4000
 
 It imports CHECKOUT/src/cfckit (read only: no bytecode is written), with one
-BLAS thread as bench/run.py has, and times, on fixed 4x4 float64 inputs:
+BLAS thread as bench/run.py has, and times, on fixed 4x4 inputs (complex128
+for C exp, float64 for the rest):
 
+    C exp            cfc_builtin("exp", z, COMPLEX), z normal with distinct
+                     complex eigenvalues
     R exp            cfc_builtin("exp", a, REAL), a exactly symmetric
     R>=0 indefinite  cfc_builtin("sqrt", b, NNREAL), b exactly symmetric with
                      a negative eigenvalue: junk predicate_failed
@@ -15,7 +17,9 @@ BLAS thread as bench/run.py has, and times, on fixed 4x4 float64 inputs:
 Each stage is one call timed on its own, on the inputs the call hands it:
 
     coerce     _coerced_rescaled(a)
-    predicate  _predicate_report(a, a.conj().T, tol, scale), a.conj().T included
+    predicate  _predicate_report(a, a.conj().T, tol, scale), a.conj().T included;
+               R and R>=0 only, since over C decompose decides soundness by its
+               backward error and runs no separate predicate
     decompose  _decompose(a, ring, tol, scale), the predicate included
     plan       plan(a, ring), the two above included
     apply      plan.apply(f) on the plan (f = pos_part's own for pos_part)
@@ -49,6 +53,15 @@ def _symmetric(lam, seed):
     return (a + a.T) / 2
 
 
+def _normal(lam, seed):
+    """A complex normal u diag(lam) u*, u the unitary factor of a complex
+    Gaussian."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((len(lam), len(lam)))
+                     + 1j * rng.standard_normal((len(lam), len(lam))))[0]
+    return (u * np.asarray(lam)) @ u.conj().T
+
+
 def _stages(cfc, eigen, mc, name, a, ring, f, call):
     """(stage, thunk) pairs for one call on a over ring, f its function."""
     tol = cfc.DEFAULT_TOL
@@ -61,11 +74,12 @@ def _stages(cfc, eigen, mc, name, a, ring, f, call):
         except mc.PredicateFailure:
             pass
 
-    out = [("coerce", lambda: mc._coerced_rescaled(a)),
-           ("predicate", lambda: eigen._predicate_report(b, b.conj().T, tol, scale)),
-           ("decompose", decompose),
-           ("plan", lambda: cfc.plan(a, ring, tol)),
-           ("apply", lambda: p.apply(f))]
+    out = [("coerce", lambda: mc._coerced_rescaled(a))]
+    if ring is not cfc.ScalarRing.COMPLEX:
+        out.append(("predicate", lambda: eigen._predicate_report(b, b.conj().T, tol, scale)))
+    out += [("decompose", decompose),
+            ("plan", lambda: cfc.plan(a, ring, tol)),
+            ("apply", lambda: p.apply(f))]
     if p.u is not None:
         fvals = np.array([f.eval(x) for x in p.values])
         out.append(("rebuild", lambda: cfc._reconstruct(p.u, fvals)))
@@ -89,11 +103,14 @@ def main(argv=None) -> int:
     cfc = importlib.import_module("cfckit.cfc")
     eigen = importlib.import_module("cfckit.eigen")
     mc = importlib.import_module("cfckit.matrix_core")
-    real, nnreal = cfc.ScalarRing.REAL, cfc.ScalarRing.NNREAL
+    cplx, real, nnreal = cfc.ScalarRing.COMPLEX, cfc.ScalarRing.REAL, cfc.ScalarRing.NNREAL
+    z = _normal([0.25 + 0.5j, 0.5 - 0.25j, 1.0 + 1.0j, 2.0 - 0.5j], 33)
     a = _symmetric([0.25, 0.5, 1.0, 2.0], 31)
     b = _symmetric([-1.0, -0.5, 0.5, 2.0], 32)
-    rows = (_stages(cfc, eigen, mc, "R exp", a, real, cfc.builtin_function("exp", real),
-                    lambda: cfc.cfc_builtin("exp", a, real))
+    rows = (_stages(cfc, eigen, mc, "C exp", z, cplx, cfc.builtin_function("exp", cplx),
+                    lambda: cfc.cfc_builtin("exp", z, cplx))
+            + _stages(cfc, eigen, mc, "R exp", a, real, cfc.builtin_function("exp", real),
+                      lambda: cfc.cfc_builtin("exp", a, real))
             + _stages(cfc, eigen, mc, "R>=0 indefinite", b, nnreal,
                       cfc.builtin_function("sqrt", nnreal),
                       lambda: cfc.cfc_builtin("sqrt", b, nnreal))
